@@ -6,7 +6,10 @@ class DdiscError(Exception):
 
 
 class ParseError(DdiscError):
-    """Malformed presentation text.  Carries the 1-based line number."""
+    """Malformed input: presentation text, an argument or a setting.
+
+    Carries the 1-based line number when the fault is in presentation text.
+    """
 
     def __init__(self, message, line=None):
         self.line = line

@@ -36,11 +36,45 @@ class RationalField:
         return hash("ddisc.QQ")
 
 
+# The first 13 primes.  As Miller-Rabin witnesses they decide primality
+# exactly below 3,317,044,064,679,887,385,961,981 (about 3.3e24), the
+# smallest composite that all of them pass.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first 13 prime bases.
+
+    Exact for n < 3.3e24.  Beyond that bound some composites pass every
+    base and would be accepted as prime.
+    """
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The prime field with ``p`` elements, ``p`` an odd prime."""
+    """The prime field with ``p`` elements, ``p`` a prime."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

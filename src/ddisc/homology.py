@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import NonStabilizingError, PreconditionError
+from .errors import NonStabilizingError, ParseError, PreconditionError
 from .fields import QQ
 from . import linalg
 from .classify import is_gentle, relation_full_cycles
@@ -127,13 +127,13 @@ class RepModule:
         return (
             isinstance(other, RepModule)
             and self.pres == other.pres
-            and self.field is other.field
+            and self.field == other.field
             and self.dims == other.dims
             and self.maps == other.maps
         )
 
     def __hash__(self):
-        return hash((self.pres, id(self.field), tuple(sorted(self.dims.items()))))
+        return hash((self.pres, self.field, tuple(sorted(self.dims.items()))))
 
     def __repr__(self):
         dims = {v: d for v, d in self.dims.items() if d}
@@ -176,7 +176,7 @@ def module_direct_sum(modules) -> RepModule:
     if not mods:
         raise PreconditionError("empty direct sum")
     pres, field = mods[0].pres, mods[0].field
-    if any(m.pres != pres or m.field is not field for m in mods):
+    if any(m.pres != pres or m.field != field for m in mods):
         raise PreconditionError("direct sum needs a common algebra and field")
     dims = {v: sum(m.dims[v] for m in mods) for v in pres.quiver.vertices}
     maps = {}
@@ -837,6 +837,17 @@ def hom_table_at_margin(pres, X: RepModule, Y: RepModule, hmax: int, margin: int
     return tuple(hom_shift_dim(C, D, h) for h in range(hmax + 1))
 
 
+def _margin_cap() -> int:
+    raw = os.environ.get("DDISC_MARGIN_CAP", "64")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"DDISC_MARGIN_CAP must be a positive integer, got {raw!r}")
+    return cap
+
+
 def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """Derived hom dimensions Hom(X, Y[h]) for 0 <= h <= hmax.
 
@@ -852,7 +863,7 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
     s = desc.s
-    cap = int(os.environ.get("DDISC_MARGIN_CAP", "64"))
+    cap = _margin_cap()
     margin = s + 2
     current = hom_table_at_margin(pres, X, Y, hmax, margin)
     while True:

@@ -206,9 +206,9 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     Directives: ``vertex <id>``, ``arrow <id> <source> <target>``,
     ``relation <arrowid> <arrowid> [...]``.  ``#`` starts a comment.
     """
-    vertices = []
-    arrows = []
-    relations = []
+    vertices = {}  # id -> line
+    arrows = {}  # id -> (line, source, target)
+    relations = {}  # arrow ids -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -218,22 +218,33 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
         if kind == "vertex":
             if len(args) != 1:
                 raise ParseError("vertex takes exactly one id", lineno)
-            vertices.append(args[0])
+            table, key, entry = vertices, args[0], lineno
         elif kind == "arrow":
             if len(args) != 3:
                 raise ParseError("arrow takes id, source, target", lineno)
-            arrows.append(tuple(args))
+            table, key, entry = arrows, args[0], (lineno, args[1], args[2])
         elif kind == "relation":
             if len(args) < 2:
                 raise ParseError("relation needs at least two arrows", lineno)
-            relations.append(tuple(args))
+            table, key, entry = relations, tuple(args), lineno
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno)
-    try:
-        quiver = Quiver(vertices, arrows)
-        return BoundQuiverPresentation(quiver, relations)
-    except PresentationError as exc:
-        raise ParseError(str(exc)) from exc
+        if key in table:
+            raise ParseError(f"duplicate {kind} {key!r}", lineno)
+        table[key] = entry
+    # Declarations may come in any order, so endpoints and relation paths are
+    # checked once everything is read, each against its own line.
+    for name, (lineno, src, tgt) in arrows.items():
+        if src not in vertices or tgt not in vertices:
+            raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
+    quiver = Quiver(vertices, [(a, src, tgt) for a, (_, src, tgt) in arrows.items()])
+    bare = BoundQuiverPresentation(quiver)
+    for rel, lineno in relations.items():
+        try:
+            bare.make_path(rel)
+        except PresentationError as exc:
+            raise ParseError(str(exc), lineno) from exc
+    return BoundQuiverPresentation(quiver, relations)
 
 
 def serialize_presentation(pres: BoundQuiverPresentation) -> str:

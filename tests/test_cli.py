@@ -118,7 +118,7 @@ def test_build_lambda_round_trips():
     assert parse_presentation(result.stdout) == build_lambda(1, 2, 1)
 
 
-def test_input_errors_exit_1(tmp_path):
+def test_input_errors_exit_1(tmp_path, monkeypatch):
     assert run_cli("classify", str(tmp_path / "missing.txt")).returncode == 1
     assert run_cli("build-lambda", "3", "2", "0").returncode == 1
     assert run_cli("classify", "--lambda", "1", "2").returncode == 1
@@ -130,6 +130,13 @@ def test_input_errors_exit_1(tmp_path):
     both = tmp_path / "p.txt"
     both.write_text(KRONECKER, encoding="utf-8")
     assert run_cli("classify", str(both), "--lambda", "1", "1", "0").returncode == 1
+    monkeypatch.setenv("DDISC_MARGIN_CAP", "abc")
+    bad_cap = run_cli(
+        "hom", "--lambda", "2", "2", "1", "--from", "X0", "--to", "X1",
+        "--max-shift", "2",
+    )
+    assert bad_cap.returncode == 1 and "Traceback" not in bad_cap.stderr
+    assert "DDISC_MARGIN_CAP" in bad_cap.stderr and "'abc'" in bad_cap.stderr
 
 
 def test_unknown_classifications_exit_2(tmp_path):

@@ -8,6 +8,7 @@ from ddisc import (
     GF,
     QQ,
     NonStabilizingError,
+    ParseError,
     PreconditionError,
     build_lambda,
     cartan_matrix,
@@ -111,6 +112,14 @@ def test_module_direct_sum_dims():
     for rel in L.relations:
         mat = M.act_by_path(rel)
         assert all(QQ.is_zero(x) for row in mat for x in row)
+
+
+def test_modules_over_separately_built_equal_fields():
+    L = build_lambda(2, 2, 0)
+    a, b = simple_module(L, "0", GF(5)), simple_module(L, "0", GF(5))
+    assert a == b and hash(a) == hash(b)
+    assert a != simple_module(L, "0", GF(7))
+    assert module_direct_sum([a, b]).dims == {"0": 2, "1": 0}
 
 
 def test_quotient_module_rejects_non_submodule():
@@ -423,6 +432,11 @@ def test_hom_table_margin_cap(monkeypatch):
     X = build_string_object(L, "X", 0)
     with pytest.raises(NonStabilizingError):
         hom_table(L, X, X, 2)
+    for cap in ("abc", "0", "-4", ""):
+        monkeypatch.setenv("DDISC_MARGIN_CAP", cap)
+        with pytest.raises(ParseError, match="DDISC_MARGIN_CAP") as err:
+            hom_table(L, X, X, 2)
+        assert repr(cap) in str(err.value)
 
 
 def test_hom_table_field_independent_spot():

@@ -206,18 +206,23 @@ def test_serialize_parse_round_trip():
 
 
 def test_parse_reports_line_numbers():
-    with pytest.raises(ParseError) as err:
-        parse_presentation("vertex v\nfrob x y\n")
-    assert err.value.line == 2
-    with pytest.raises(ParseError):
-        parse_presentation("vertex v\narrow a v w\n")  # dangling endpoint
-    with pytest.raises(ParseError):
-        parse_presentation("vertex v\narrow a v v\nrelation a\n")  # length 1
-    with pytest.raises(ParseError):
+    cases = [
+        ("vertex v\nfrob x y\n", 2),  # unknown directive
+        ("vertex v\narrow a v w\n", 2),  # dangling endpoint
+        ("vertex v\narrow a v v\nrelation a\n", 3),  # length 1
         # non-composable relation
-        parse_presentation(
-            "vertex u\nvertex v\narrow a u v\narrow b u v\nrelation a b\n"
-        )
+        ("vertex u\nvertex v\narrow a u v\narrow b u v\nrelation a b\n", 5),
+        ("vertex 0\narrow a 0 0\n\nrelation a b\n", 4),  # unknown arrow
+        ("vertex 0\n# comment\narrow a 0 7\nvertex 1\n", 3),  # undeclared
+        ("vertex 0\nvertex 1\nvertex 0\n", 3),  # duplicate vertex
+        ("vertex 0\narrow a 0 0\narrow a 0 0\n", 3),  # duplicate arrow
+        ("vertex 0\narrow a 0 0\nrelation a a\nrelation a a\n", 4),  # duplicate
+    ]
+    for text, line in cases:
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert err.value.line == line, text
+        assert str(err.value).startswith(f"line {line}: "), text
 
 
 def test_components_and_direct_sum_round_trip():
