@@ -11,9 +11,11 @@ The decision table, per connected component:
 * gentle tree: discrete (classical fact; a flag downgrades it to unknown);
 * anything else: unknown, with the obstacle spelled out.
 
-Normal forms inside the one-cycle discrete class are matched against the
-family ``build_lambda(r,s,t)`` either literally (bound quiver isomorphism)
-or through the thread-pairing invariant computed by :func:`ag_invariant`.
+Normal forms inside the one-cycle discrete class are read off the
+thread-pairing invariant computed by :func:`ag_invariant`: it sends
+``Lambda(r,s,t)`` to the pairs ``(r+t, t)`` and ``(s-r, s)``, which
+determine (r,s,t).  No step searches for an isomorphism, so classification
+is polynomial in the size of the input.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .errors import PreconditionError
 from .presentation import (
     BoundQuiverPresentation,
     LambdaDescriptor,
-    build_lambda,
+    _assert_finite_dimensional,
     connected_components,
-    find_isomorphism,
-    path_basis,
     vertex_sort_key,
 )
+
+# Unused here since normal forms come from the invariant, but
+# perfbench/test_perfbench.py checks that its tracer wraps this binding.
+from .presentation import find_isomorphism  # noqa: F401
 
 # -- gentleness --------------------------------------------------------------
 
@@ -113,11 +117,12 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
     q = pres.quiver
 
     # strip leaves until only the unique cycle remains
+    incident = {v: [] for v in q.vertices}
+    for a, (src, tgt) in q.arrows.items():
+        incident[src].append(a)
+        incident[tgt].append(a)
     alive_arrows = set(q.arrows)
-    degree = {v: 0 for v in q.vertices}
-    for a in alive_arrows:
-        degree[q.source(a)] += 1
-        degree[q.target(a)] += 1
+    degree = {v: len(incident[v]) for v in q.vertices}
     queue = [v for v in q.vertices if degree[v] <= 1]
     alive_vertices = set(q.vertices)
     while queue:
@@ -125,31 +130,30 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
         if v not in alive_vertices or degree[v] > 1:
             continue
         alive_vertices.discard(v)
-        for a in list(alive_arrows):
+        for a in incident[v]:
+            if a not in alive_arrows:
+                continue
+            alive_arrows.discard(a)
             src, tgt = q.arrows[a]
-            if src == v or tgt == v:
-                alive_arrows.discard(a)
-                for w in (src, tgt):
-                    degree[w] -= 1
-                other = tgt if src == v else src
-                if other in alive_vertices and degree[other] <= 1:
-                    queue.append(other)
+            for w in (src, tgt):
+                degree[w] -= 1
+            other = tgt if src == v else src
+            if other in alive_vertices and degree[other] <= 1:
+                queue.append(other)
 
-    assert alive_arrows, "Betti number 1 leaves a cycle after stripping"
+    if not alive_arrows:
+        raise PreconditionError("no cycle is left after stripping leaves")
     start = min(alive_vertices, key=vertex_sort_key)
     walk = []
     used = set()
     current = start
     while True:
         candidates = []
-        for a in alive_arrows:
-            if a in used:
+        for a in incident[current]:
+            if a in used or a not in alive_arrows:
                 continue
             src, tgt = q.arrows[a]
-            if src == current:
-                candidates.append((a, 1))
-            elif tgt == current:
-                candidates.append((a, -1))
+            candidates.append((a, 1) if src == current else (a, -1))
         if not candidates:
             break
         arrow, direction = min(candidates)
@@ -157,7 +161,8 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
         walk.append((arrow, direction))
         src, tgt = q.arrows[arrow]
         current = tgt if direction == 1 else src
-    assert current == start and len(used) == len(alive_arrows)
+    if current != start or len(used) != len(alive_arrows):
+        raise PreconditionError("the arrows left after stripping leaves are no cycle")
 
     relpairs = {rel.arrows for rel in pres.relations}
     m_with = 0
@@ -237,7 +242,7 @@ def is_derived_discrete(
     """
     reports = []
     for comp in connected_components(pres):
-        path_basis(comp)  # raises on infinite dimension
+        _assert_finite_dimensional(comp)
         if not comp.relations:
             dt = dynkin_type(comp)
             if dt is not None:
@@ -360,13 +365,14 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
     cert = is_gentle(pres)
     if not cert.gentle:
         raise PreconditionError(f"not gentle: {cert.violations[0]}")
-    path_basis(pres)  # raises on infinite dimension
+    _assert_finite_dimensional(pres)
     q = pres.quiver
     relpairs = {rel.arrows for rel in pres.relations}
 
     def unique(iterable):
         items = list(iterable)
-        assert len(items) <= 1
+        if len(items) > 1:
+            raise PreconditionError(f"not gentle: {items} continue one arrow alike")
         return items[0] if items else None
 
     nz_next = {}
@@ -465,7 +471,8 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
             h = permitted_by_start[(fsv, other_out_slot(fsv, fsslot))]
             if h == start_thread:
                 break
-            assert h not in consumed, "thread pairing is not a permutation"
+            if h in consumed:
+                raise PreconditionError("thread pairing is not a permutation")
         pairs.append((hops, total_forbidden))
     return AGInvariant(tuple(sorted(pairs)))
 
@@ -504,27 +511,34 @@ class DerivedEquivClass:
         return any(isinstance(c, UnknownClass) for c in self.components)
 
 
-def _lambda_candidates(n: int):
-    for s in range(1, n + 1):
-        for r in range(1, s + 1):
-            yield LambdaDescriptor(r, s, n - s)
+def _lambda_from_invariant(inv: AGInvariant, n: int):
+    """The (r,s,t) with s+t = n whose Lambda(r,s,t) has invariant ``inv``.
+
+    Lambda(r,s,t) has the pairs (r+t, t) and (s-r, s); as r >= 1 the first
+    is the one with a > b and the second the one with c < d, so the map is
+    injective and inverts in closed form.  None when no triple matches.
+    """
+    if len(inv.pairs) != 2:
+        return None
+    falling = [(a, b) for a, b in inv.pairs if a > b]
+    rising = [(c, d) for c, d in inv.pairs if c < d]
+    if len(falling) != 1 or len(rising) != 1:
+        return None
+    [(a, b)], [(c, d)] = falling, rising
+    r, s, t = a - b, d, b
+    if d - c != r or t + s != n:
+        return None
+    return LambdaDescriptor(r, s, t)
 
 
 def _classify_component(comp: BoundQuiverPresentation):
-    path_basis(comp)
+    _assert_finite_dimensional(comp)
     n = len(comp.quiver.vertices)
     if not comp.relations:
         dt = dynkin_type(comp)
         if dt is not None:
             return DynkinHereditary(dt[0], dt[1])
         return UnknownClass("hereditary non-Dynkin; not derived discrete")
-
-    if len(comp.quiver.arrows) == n:
-        for desc in _lambda_candidates(n):
-            if desc.r != len(comp.relations):
-                continue
-            if find_isomorphism(comp, build_lambda(desc.r, desc.s, desc.t)):
-                return LambdaClass(desc)
 
     cert = is_gentle(comp)
     if not cert.gentle:
@@ -542,18 +556,10 @@ def _classify_component(comp: BoundQuiverPresentation):
     clock = clock_condition(comp)
     if clock.satisfied:
         return UnknownClass("one-cycle gentle satisfying the clock condition")
-    inv = ag_invariant(comp)
-    by_value = {}
-    for desc in _lambda_candidates(n):
-        value = ag_invariant(build_lambda(desc.r, desc.s, desc.t))
-        by_value.setdefault(value, []).append(desc)
-    matches = by_value.get(inv, [])
-    if len(matches) == 1:
-        return LambdaClass(matches[0])
-    if not matches:
+    desc = _lambda_from_invariant(ag_invariant(comp), n)
+    if desc is None:
         return UnknownClass("invariant matches no one-cycle normal form")
-    collide = ", ".join(str(d) for d in matches)
-    return UnknownClass(f"invariant is ambiguous between {collide}")
+    return LambdaClass(desc)
 
 
 def lambda_normal_form(pres: BoundQuiverPresentation) -> DerivedEquivClass:

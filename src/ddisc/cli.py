@@ -40,6 +40,7 @@ from .jordan import composition_factors, is_n_derived_simple, strip_series, veri
 from .presentation import (
     build_lambda,
     grothendieck_rank,
+    lambda_descriptor_of,
     parse_presentation,
     serialize_presentation,
 )
@@ -79,8 +80,13 @@ def _load_presentation(args):
         return build_lambda(r, s, t)
     if args.input is None:
         raise ParseError("no input: give a presentation file or --lambda R S T")
-    with open(args.input, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{args.input}: not UTF-8 text (byte offset {e.start})") from e
+    return parse_presentation(text)
 
 
 def _envelope(command, pres):
@@ -203,6 +209,8 @@ def _render_factors(report):
 
 
 def _run_factors(args):
+    if args.n < 1:
+        raise ParseError(f"--n must be positive, got {args.n}")
     pres = _load_presentation(args)
     cls = lambda_normal_form(pres)
     if cls.has_unknown():
@@ -277,11 +285,19 @@ def _run_series(args):
 # -- hom ----------------------------------------------------------------------
 
 
-def _parse_object(pres, spec):
+def _parse_object(pres, desc, spec):
     m = _OBJECT_RE.match(spec)
     if m is None:
         raise ParseError(f"object {spec!r} is not of the form X<p> or Y<q>")
-    return build_string_object(pres, m.group(1), int(m.group(2)))
+    kind, index = m.group(1), int(m.group(2))
+    # over anything but Lambda(s,s,t) the library refuses the object itself
+    if desc is not None and desc.r == desc.s:
+        lo, hi = (0, desc.s - 1) if kind == "X" else (-desc.t, -1)
+        if lo > hi:
+            raise ParseError(f"object {spec!r}: there is no tail (t = 0)")
+        if not lo <= index <= hi:
+            raise ParseError(f"object {spec!r}: index {index} outside {lo}..{hi}")
+    return build_string_object(pres, kind, index)
 
 
 def _render_hom(report):
@@ -295,8 +311,9 @@ def _render_hom(report):
 
 def _run_hom(args):
     pres = _load_presentation(args)
-    src = _parse_object(pres, args.src)
-    dst = _parse_object(pres, args.dst)
+    desc = lambda_descriptor_of(pres)
+    src = _parse_object(pres, desc, args.src)
+    dst = _parse_object(pres, desc, args.dst)
     if args.max_shift < 0:
         raise ParseError("--max-shift must be nonnegative")
     table = hom_table(pres, src, dst, args.max_shift)

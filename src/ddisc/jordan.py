@@ -27,8 +27,6 @@ from .homology import RepModule, projective_cover
 from .presentation import (
     BoundQuiverPresentation,
     Quiver,
-    are_isomorphic,
-    build_lambda,
     connected_components,
     grothendieck_rank,
     path_basis,
@@ -84,7 +82,8 @@ def composition_factors(cls: DerivedEquivClass) -> Counter:
         else:
             raise PreconditionError(f"unsupported component {c!r}")
     field_mult = total - sum(f.rank * m for f, m in out.items())
-    assert field_mult >= 0, "cycle factors exceed the rank"
+    if field_mult < 0:
+        raise PreconditionError("cycle factors exceed the rank")
     if field_mult:
         out[K] = field_mult
     return out
@@ -195,10 +194,6 @@ def _is_sink(pres, v):
     return not pres.quiver.arrows_from(v)
 
 
-def _interior_vertices(pres, p):
-    return [pres.quiver.target(a) for a in p.arrows[:-1]]
-
-
 def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     """Corner algebra on the kept vertices, for single-vertex drops.
 
@@ -227,17 +222,22 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
     corner = [p for p in path_basis(pres) if p.source in kept and p.target in kept]
+    target = pres.quiver.target
     gens = [
         p
         for p in corner
-        if len(p) >= 1 and not any(w in kept for w in _interior_vertices(pres, p))
+        if len(p) >= 1 and not any(target(a) in kept for a in p.arrows[:-1])
     ]
     arrows = [(p.label(), p.source, p.target) for p in gens]
-    relations = []
-    for g in gens:
-        for h in gens:
-            if g.target == h.source and pres.path_product(g, h) is None:
-                relations.append((g.label(), h.label()))
+    gens_from = {}
+    for h in gens:
+        gens_from.setdefault(h.source, []).append(h)
+    relations = [
+        (g.label(), h.label())
+        for g in gens
+        for h in gens_from.get(g.target, ())
+        if pres.path_product(g, h) is None
+    ]
     out = BoundQuiverPresentation(Quiver(kept, arrows), relations)
     # the quadratic presentation must reproduce the corner's path counts
     expected = Counter((p.source, p.target) for p in corner)
@@ -303,6 +303,32 @@ def _strippable_vertex(comp):
     return None
 
 
+def _is_two_truncated_cycle(pres, n) -> bool:
+    """Whether ``pres`` is isomorphic to Lambda(n,n,0).
+
+    That holds exactly when the n arrows form one oriented cycle through all
+    n vertices and the relations are the n consecutive arrow pairs of it.
+    """
+    q = pres.quiver
+    if n < 1 or len(q.vertices) != n or len(q.arrows) != n:
+        return False
+    if any(len(q.arrows_from(v)) != 1 for v in q.vertices):
+        return False
+    first = q.arrows_from(q.vertices[0])[0]
+    cycle = [first]
+    while len(cycle) <= n:
+        nxt = q.arrows_from(q.target(cycle[-1]))[0]
+        if nxt == first:
+            break
+        cycle.append(nxt)
+    if len(cycle) != n:
+        return False
+    pairs = {(a, cycle[(i + 1) % n]) for i, a in enumerate(cycle)}
+    return len(pres.relations) == n and all(
+        rel.arrows in pairs for rel in pres.relations
+    )
+
+
 def _terminal_step(comp):
     """Terminal step when the component is the field or a 2-truncated cycle."""
     verts = comp.quiver.vertices
@@ -311,7 +337,7 @@ def _terminal_step(comp):
             "terminal", vertex=verts[0], factor=K, witness="single vertex, no arrows"
         )
     n = len(verts)
-    if len(comp.quiver.arrows) == n and are_isomorphic(comp, build_lambda(n, n, 0)):
+    if _is_two_truncated_cycle(comp, n):
         return SeriesStep(
             "terminal",
             factor=two_truncated_cycle(n),
@@ -369,7 +395,11 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
             idempotent_subalgebra(comp, [w for w in comp.quiver.vertices if w != v])
         )
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
-    assert trace.length() <= grothendieck_rank(pres), "length law"
+    if trace.length() > grothendieck_rank(pres):
+        raise PreconditionError(
+            f"series of length {trace.length()} exceeds the rank"
+            f" {grothendieck_rank(pres)}"
+        )
     return trace
 
 
@@ -397,7 +427,7 @@ def _replay_step(current, step, stack, emitted):
         if f.kind == "field":
             if len(current.quiver.vertices) != 1 or current.quiver.arrows:
                 return "terminal K needs a lone vertex with no arrows"
-        elif not are_isomorphic(current, build_lambda(f.rank, f.rank, 0)):
+        elif not _is_two_truncated_cycle(current, f.rank):
             return f"not isomorphic to Lambda({f.rank},{f.rank},0)"
         emitted.append(f)
         return ""

@@ -105,7 +105,7 @@ class Quiver:
 class BoundQuiverPresentation:
     """A quiver together with monomial relations of length >= 2."""
 
-    __slots__ = ("quiver", "relations", "_relset", "_maxrel", "_cache")
+    __slots__ = ("quiver", "relations", "_relset", "_maxrel", "_by_last", "_cache")
 
     def __init__(self, quiver: Quiver, relations=()):
         self.quiver = quiver
@@ -121,6 +121,11 @@ class BoundQuiverPresentation:
         if len(self._relset) != len(rels):
             raise PresentationError("duplicate relation")
         self._maxrel = max((len(p) for p in rels), default=0)
+        # relations indexed by their last arrow: a relation occurs in a word
+        # only where that arrow does, so scans look up one bucket per position
+        self._by_last = {}
+        for rel in rels:
+            self._by_last.setdefault(rel.arrows[-1], []).append(rel.arrows)
         self._cache = {}
 
     # -- path arithmetic -------------------------------------------------
@@ -143,42 +148,42 @@ class BoundQuiverPresentation:
                 raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
         return Path(q.source(names[0]), q.target(names[-1]), names)
 
+    def _relation_ends_at(self, names, end, lo=0, hi=None) -> bool:
+        """True when a relation occupies ``names[i:end+1]`` for some ``i``
+        in ``[lo, hi]`` (``hi`` unbounded when None)."""
+        for rel in self._by_last.get(names[end], ()):
+            i = end + 1 - len(rel)
+            if lo <= i and (hi is None or i <= hi) and names[i : end + 1] == rel:
+                return True
+        return False
+
     def is_normal(self, arrow_names) -> bool:
         """True when no relation occurs as a contiguous subword."""
         names = tuple(arrow_names)
-        for rel in self._relset:
-            k = len(rel)
-            for i in range(len(names) - k + 1):
-                if names[i : i + k] == rel:
-                    return False
-        return True
+        return not any(self._relation_ends_at(names, j) for j in range(len(names)))
 
     def _extension_is_normal(self, arrow_names) -> bool:
         # Assumes every proper prefix is normal: only check relations that
         # end at the last arrow.
         names = tuple(arrow_names)
-        n = len(names)
-        for rel in self._relset:
-            k = len(rel)
-            if k <= n and names[n - k :] == rel:
-                return False
-        return True
+        return not names or not self._relation_ends_at(names, len(names) - 1)
 
     def path_product(self, p: Path, q: Path):
         """Product in the algebra; ``None`` when the product is zero."""
-        assert p.target == q.source, "paths do not compose"
+        if p.target != q.source:
+            raise PresentationError("paths do not compose")
         if not p.arrows:
             return q
         if not q.arrows:
             return p
         names = p.arrows + q.arrows
-        # Only subwords straddling the junction can introduce a relation.
-        lo = max(0, len(p.arrows) - self._maxrel + 1)
-        for rel in self._relset:
-            k = len(rel)
-            for i in range(lo, min(len(p.arrows), len(names) - k) + 1):
-                if names[i : i + k] == rel:
-                    return None
+        # Only subwords straddling the junction can introduce a relation:
+        # those starting at an index in [lo, len(p)].
+        m = len(p.arrows)
+        lo = max(0, m - self._maxrel + 1)
+        for end in range(lo + 1, min(len(names), m + self._maxrel)):
+            if self._relation_ends_at(names, end, lo, m):
+                return None
         return Path(p.source, q.target, names)
 
     # -- equality and text form ------------------------------------------
@@ -459,17 +464,14 @@ def build_lambda(r: int, s: int, t: int) -> BoundQuiverPresentation:
 
 def lambda_descriptor_of(pres: BoundQuiverPresentation):
     """The (r,s,t) with ``pres == build_lambda(r,s,t)`` literally, else None."""
+    # the literal tail vertices are exactly the negative ids, which fixes t
     n = len(pres.quiver.vertices)
-    r = len(pres.relations)
-    for s in range(max(r, 1), n + 1):
-        t = n - s
-        try:
-            desc = LambdaDescriptor(r, s, t)
-        except PresentationError:
-            continue
-        if pres == build_lambda(desc.r, desc.s, desc.t):
-            return desc
-    return None
+    t = sum(1 for v in pres.quiver.vertices if v.startswith("-"))
+    try:
+        desc = LambdaDescriptor(len(pres.relations), n - t, t)
+    except PresentationError:
+        return None
+    return desc if pres == build_lambda(desc.r, desc.s, desc.t) else None
 
 
 # -- isomorphism of labelled presentations -----------------------------------

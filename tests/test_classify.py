@@ -17,6 +17,7 @@ from ddisc.classify import (
     DynkinHereditary,
     LambdaClass,
     UnknownClass,
+    _lambda_from_invariant,
     ag_invariant,
     clock_condition,
     cycle_count,
@@ -347,6 +348,16 @@ def test_invariant_rejects_non_gentle():
         ag_invariant(fork)
 
 
+def test_invariant_closed_form():
+    # Lambda(r,s,t) -> {(r+t, t), (s-r, s)}: the formula the classifier inverts
+    for n in range(1, 31):
+        for s in range(1, n + 1):
+            for r in range(1, s + 1):
+                t = n - s
+                expected = tuple(sorted({(r + t, t), (s - r, s)}))
+                assert ag_invariant(build_lambda(r, s, t)).pairs == expected
+
+
 def test_invariant_separates_candidates():
     for n in range(1, 9):
         values = {}
@@ -423,6 +434,30 @@ def test_invariant_matches_normal_form_battery():
                 assert nf.components == (
                     LambdaClass(LambdaDescriptor(r, s, t)),
                 ), (r, s, t)
+
+
+def test_invariant_outside_the_family_has_no_normal_form():
+    assert _lambda_from_invariant(AGInvariant(((1, 2), (2, 1))), 3) == (
+        LambdaDescriptor(1, 2, 1)
+    )
+    for pairs, n in [
+        (((1, 2), (2, 1)), 4),  # s + t differs from the vertex count
+        (((1, 0),), 1),  # one pair
+        (((0, 1), (1, 0), (2, 1)), 3),  # three pairs
+        (((2, 1), (3, 1)), 2),  # no rising pair
+        (((1, 1), (0, 2)), 3),  # a pair with a = b
+        (((0, 2), (2, 1)), 3),  # d - c differs from r
+    ]:
+        assert _lambda_from_invariant(AGInvariant(pairs), n) is None, pairs
+
+
+def test_relabeled_large_input_classifies():
+    # n = 1000: any search over labellings or candidates would not finish
+    pres = relabel(build_lambda(100, 100, 900), random.Random(3))
+    assert lambda_normal_form(pres).components == (
+        LambdaClass(LambdaDescriptor(100, 100, 900)),
+    )
+    assert is_derived_discrete(pres).verdict == "yes"
 
 
 def test_invariant_frozen_nonliteral():

@@ -1,11 +1,27 @@
 """CLI: report schema, determinism, frozen outputs, exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from ddisc import TraceReport, build_lambda, parse_presentation
 import ddisc.cli as cli
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# exit code per golden input and command; every other pair exits 0
+GOLDEN_NONZERO = {
+    ("kronecker", "factors"): 2,
+    ("kronecker", "series"): 2,
+    ("balanced_square", "factors"): 2,
+    ("balanced_square", "series"): 2,
+    ("two_cycles", "classify"): 2,
+    ("two_cycles", "factors"): 2,
+    ("two_cycles", "series"): 2,
+}
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
 
@@ -56,6 +72,28 @@ def test_reports_are_byte_identical(tmp_path):
     path.write_text(built.stdout, encoding="utf-8")
     from_file = run_cli("factors", str(path))
     assert from_file.stdout == first.stdout
+
+
+@pytest.mark.parametrize("command", ["classify", "factors", "series"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.txt")))
+def test_reports_match_golden_files(name, command, capsys):
+    # the .out files hold the reports of an earlier release, frozen
+    code = cli.main([command, str(DATA / f"{name}.txt")])
+    assert code == GOLDEN_NONZERO.get((name, command), 0)
+    expected = (DATA / f"{name}.{command}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_optimized_interpreter_prints_the_same_series():
+    # checks must not be asserts, which python -O strips
+    plain = run_cli("series", "--lambda", "3", "5", "2")
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "ddisc.cli", "series", "--lambda", "3", "5", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and optimized.stderr == ""
 
 
 def test_factors_output_is_n_independent():
@@ -127,6 +165,29 @@ def test_input_errors_exit_1(tmp_path, monkeypatch):
         "--max-shift", "2",
     )
     assert bad_obj.returncode == 1 and "Z9" in bad_obj.stderr
+    # well-formed objects outside the index ranges of Lambda(2,2,1) and
+    # Lambda(2,2,0), and a recollement depth below 1, are bad arguments too
+    for lam, src, dst in [
+        ("1", "X7", "X0"),
+        ("1", "X0", "X2"),
+        ("1", "Y-2", "X0"),
+        ("1", "X-1", "X0"),
+        ("0", "Y-1", "X0"),
+    ]:
+        out_of_range = run_cli(
+            "hom", "--lambda", "2", "2", lam, "--from", src, "--to", dst,
+            "--max-shift", "2",
+        )
+        assert out_of_range.returncode == 1, (lam, src, dst)
+        assert "Traceback" not in out_of_range.stderr
+    for depth in ("-3", "0"):
+        bad_n = run_cli("factors", "--lambda", "2", "2", "1", "--n", depth)
+        assert bad_n.returncode == 1 and "--n" in bad_n.stderr
+    not_utf8 = tmp_path / "latin.txt"
+    not_utf8.write_bytes(b"vertex 1\nvertex \xff\xfe\n")
+    decoded = run_cli("classify", str(not_utf8))
+    assert decoded.returncode == 1 and "Traceback" not in decoded.stderr
+    assert "latin.txt" in decoded.stderr and "byte offset 16" in decoded.stderr
     both = tmp_path / "p.txt"
     both.write_text(KRONECKER, encoding="utf-8")
     assert run_cli("classify", str(both), "--lambda", "1", "1", "0").returncode == 1

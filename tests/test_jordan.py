@@ -1,9 +1,11 @@
 """Composition factors, radical drops, series traces and their replay."""
 
+import random
 from collections import Counter
 
 import pytest
 
+import ddisc
 from ddisc import (
     K,
     PreconditionError,
@@ -22,7 +24,9 @@ from ddisc import (
     two_truncated_cycle,
     verify_trace,
 )
-from ddisc.classify import DerivedEquivClass
+from ddisc.classify import DerivedEquivClass, LambdaClass
+from ddisc.presentation import LambdaDescriptor
+from test_classify import relabel
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
 
@@ -316,6 +320,30 @@ def test_verify_trace_rejects_wrong_terminal_class():
     )
     report = verify_trace(pres, wrong)
     assert not report.ok and "not isomorphic" in report.failures[0]
+    # shapes close to a 2-truncated cycle: a cycle one relation short, and
+    # two disjoint cycles or a cycle with a stem, with n of everything
+    four_cycle_missing_one = parse_presentation(
+        "vertex p\nvertex q\nvertex u\nvertex w\n"
+        "arrow a p q\narrow b q u\narrow c u w\narrow d w p\n"
+        "relation a b\nrelation b c\nrelation c d\n"
+    )
+    two_cycles = direct_sum([build_lambda(2, 2, 0), build_lambda(2, 2, 0)])
+    stem_into_cycle = parse_presentation(
+        "vertex p\nvertex q\nvertex u\narrow a p q\narrow b q u\narrow c u q\n"
+        "relation a b\nrelation b c\nrelation c b\n"
+    )
+    for pres, size in [
+        (build_lambda(2, 3, 0), 3),
+        (four_cycle_missing_one, 4),
+        (two_cycles, 4),
+        (stem_into_cycle, 3),
+    ]:
+        claimed = two_truncated_cycle(size)
+        steps = (SeriesStep("terminal", factor=claimed),)
+        forged = SeriesTrace(pres, steps, (claimed,))
+        assert verify_trace(pres, forged).failures == (
+            f"step 0: not isomorphic to Lambda({size},{size},0)",
+        )
 
 
 def test_verify_trace_rejects_wrong_start_and_bad_shapes():
@@ -326,6 +354,34 @@ def test_verify_trace_rejects_wrong_start_and_bad_shapes():
     assert any("unreduced" in f for f in verify_trace(l220, short).failures)
     long = SeriesTrace(l220, trace.steps + trace.steps[-1:], trace.factors * 2)
     assert any("nothing left" in f for f in verify_trace(l220, long).failures)
+
+
+def test_series_needs_no_isomorphism_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("isomorphism search on a hot path")
+
+    for module in (ddisc, ddisc.presentation, ddisc.classify):
+        for name in ("find_isomorphism", "are_isomorphic"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(9)
+    triples = [
+        (r, s, n - s)
+        for n in range(1, 13)
+        for s in range(1, n + 1)
+        for r in range(1, s + 1)
+    ]
+    # every normal form, and the series of all n <= 7 plus a sample beyond
+    series = [rst for rst in triples if sum(rst[1:]) <= 7]
+    series += rng.sample([rst for rst in triples if sum(rst[1:]) > 7], 12)
+    for r, s, t in triples:
+        pres = relabel(build_lambda(r, s, t), rng)
+        nf = lambda_normal_form(pres)
+        assert nf.components == (LambdaClass(LambdaDescriptor(r, s, t)),)
+        if (r, s, t) in series:
+            trace = strip_series(pres)
+            assert verify_trace(pres, trace).ok, (r, s, t)
+            assert trace.factor_multiset() == composition_factors(nf)
 
 
 # -- simplicity --------------------------------------------------------------------

@@ -285,3 +285,12 @@ def test_isomorphism_respects_relations():
 def test_lambda_descriptor_of():
     assert lambda_descriptor_of(build_lambda(2, 3, 1)) == LambdaDescriptor(2, 3, 1)
     assert lambda_descriptor_of(parse_presentation(A3_TEXT)) is None
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            for r in range(1, s + 1):
+                desc = LambdaDescriptor(r, s, n - s)
+                assert lambda_descriptor_of(build_lambda(r, s, n - s)) == desc
+    # the same shape under other names is not literal
+    text = serialize_presentation(build_lambda(2, 2, 1))
+    assert lambda_descriptor_of(parse_presentation(text.replace("-1", "-7"))) is None
+    assert lambda_descriptor_of(parse_presentation(text.replace("a0", "b0"))) is None
