@@ -358,8 +358,25 @@ def _build_parser():
     return parser
 
 
+_PARSER = None
+
+
+def _parser():
+    """The parser, built on first use and then reused.
+
+    Building it takes about 1 ms, as long as a small ``classify`` run;
+    ``parse_args`` keeps no state between calls.  A plain global rather
+    than ``functools.cache``: the benchmark tracer reads any ddisc binding
+    that has ``__wrapped__`` as one of its own wrappers.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "build-lambda":
             sys.stdout.write(serialize_presentation(build_lambda(args.r, args.s, args.t)))

@@ -267,10 +267,12 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
         ]
         top_len = max(len(p) for p in outs)
         candidates = [p for p in outs if len(p) == top_len]
-        assert len(candidates) == 1, "socle path is unique"
+        if len(candidates) != 1:
+            raise PreconditionError("socle path is unique")
         longest = candidates[0]
         # the socle copy sits at vertex 1 (vertex 0 when s = 1)
-        assert longest.target == ("1" if s >= 2 else "0")
+        if longest.target != ("1" if s >= 2 else "0"):
+            raise PreconditionError("socle path ends at vertex 1 (vertex 0 when s = 1)")
         pos = _paths_from_to(pres, v, longest.target).index(longest)
         row = [field.coerce(0)] * proj.dims[longest.target]
         row[pos] = field.coerce(1)
@@ -298,23 +300,25 @@ def projective_cover(M: RepModule):
             src = pres.quiver.source(a)
             rad_rows.extend(list(r) for r in M.maps[a])
         _, pivots = linalg.rref(rad_rows, M.dims[u], field)
+        pivot_set = set(pivots)
         for f in range(M.dims[u]):
-            if f in set(pivots):
+            if f in pivot_set:
                 continue
             lift = [field.coerce(0)] * M.dims[u]
             lift[f] = field.coerce(1)
             summands.append(u)
             lifts.append(lift)
     epi = {}
+    coords, _ = _proj_coords(pres, tuple(summands))
     for w in pres.quiver.vertices:
-        coords, _ = _proj_coords(pres, tuple(summands))
         rows = []
         for i, p in coords[w]:
             rows.append(
                 linalg.mat_mul([lifts[i]], M.act_by_path(p), M.dims[w], field)[0]
             )
         epi[w] = rows
-        assert linalg.rank(rows, M.dims[w], field) == M.dims[w], "cover is onto"
+        if linalg.rank(rows, M.dims[w], field) != M.dims[w]:
+            raise PreconditionError("cover is onto")
     return tuple(summands), epi
 
 
@@ -354,7 +358,8 @@ def _syzygy(pres, field, summands, epi):
         for x in basis[src]:
             image = linalg.mat_mul([list(x)], act, len(coords[tgt]), field)[0]
             c = linalg.coords_in_span(basis[tgt], free[tgt], image, field)
-            assert c is not None, "cover kernel is arrow stable"
+            if c is None:
+                raise PreconditionError("cover kernel is arrow stable")
             rows.append(c)
         maps[a] = rows
     omega = RepModule(pres, dims, maps, field)
@@ -685,8 +690,9 @@ def _ladder_rank_and_vars(C, D, g, sign):
         nout += len(block)
     if nvars == 0:
         return 0, 0
-    rows = [[field.coerce(0)] * nout for _ in range(nvars)]
+    rows = [{} for _ in range(nvars)]
     for (i, j, k, pi), col in var_index.items():
+        row = rows[col]
         # d_D ∘ u lands in degree i, blocks over D^{i+g+1}
         dD = D.diffs.get(i + g)
         if dD is not None:
@@ -697,9 +703,7 @@ def _ladder_rank_and_vars(C, D, g, sign):
                         continue
                     out = out_index.get((i, j, l, prod))
                     if out is not None:
-                        rows[col][out] = field.reduce(
-                            rows[col][out] + sign * cq
-                        )
+                        row[out] = row.get(out, 0) + sign * cq
         # u ∘ d_C contributes to the equation block of degree i-1
         dC = C.diffs.get(i - 1)
         if dC is not None:
@@ -710,8 +714,17 @@ def _ladder_rank_and_vars(C, D, g, sign):
                         continue
                     out = out_index.get((i - 1, j2, k, prod))
                     if out is not None:
-                        rows[col][out] = field.reduce(rows[col][out] + cr)
-    return nvars, linalg.rank(rows, nout, field)
+                        row[out] = row.get(out, 0) + cr
+    return nvars, linalg.rank(_sparse_rows(rows, field), nout, field)
+
+
+def _sparse_rows(rows, field):
+    """``{col: value}`` accumulators as :class:`linalg.SparseRow` rows."""
+    out = []
+    for row in rows:
+        reduced = ((j, field.reduce(x)) for j, x in row.items())
+        out.append(linalg.SparseRow((j, x) for j, x in reduced if not field.is_zero(x)))
+    return out
 
 
 def _hom_into_module_matrix(C, N, i):
@@ -722,9 +735,9 @@ def _hom_into_module_matrix(C, N, i):
     cod = C.summands.get(i, ())
     nrows = sum(N.dims[v] for v in dom)
     ncols = sum(N.dims[v] for v in cod)
-    rows = [[field.coerce(0)] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     if d is None or nrows == 0 or ncols == 0:
-        return rows, ncols
+        return _sparse_rows(rows, field), ncols
     col_off = []
     acc = 0
     for v in cod:
@@ -745,8 +758,8 @@ def _hom_into_module_matrix(C, N, i):
                         val = act[a][b]
                         if not field.is_zero(val):
                             r, cc = row_off[k] + a, col_off[j] + b
-                            rows[r][cc] = field.reduce(rows[r][cc] + c * val)
-    return rows, ncols
+                            rows[r][cc] = rows[r].get(cc, 0) + c * val
+    return _sparse_rows(rows, field), ncols
 
 
 def _rank_precompose(C, N, i):

@@ -1,37 +1,64 @@
 """Exact linear algebra over QQ and GF(p).
 
 Rank, reduced row echelon form and nullspaces are the hot kernels of the
-whole package: hom tables reduce to them.  They are plain Gaussian
-elimination on Python numbers, ``Fraction`` over the rationals and
-canonical residues over GF(p), so results are exact for every prime,
-however large.  Outputs are canonical (fully reduced rref, unit vectors at
-the free columns), so callers may compare them directly.
+whole package: hom tables reduce to ranks of ladder matrices, which are
+block-bidiagonal and a few percent dense.  ``rank`` and ``rref`` share one
+sparse Gaussian elimination on rows stored as ``{col: value}``.  Over the
+rationals it is fraction-free: rows are scaled to integers, combined by
+cross-multiplying and divided by the gcd of their entries.  Over GF(p)
+entries are canonical residues, so results are exact for every prime,
+however large.  Outputs are canonical (fully reduced rref with ``Fraction``
+entries over QQ, unit vectors at the free columns), so callers may compare
+them directly.
 
 Matrices are lists of rows; linear maps act on row vectors, i.e. a map
 ``V -> W`` is stored as a ``dim V x dim W`` matrix and composition is plain
-matrix product in application order.
+matrix product in application order.  ``rank`` also takes rows given as
+:class:`SparseRow`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+class SparseRow(list):
+    """A matrix row as a list of ``(col, value)`` pairs with nonzero values."""
+
+    __slots__ = ()
 
 
 def rank(rows, ncols, field) -> int:
+    """Rank of a matrix whose rows are dense lists or :class:`SparseRow`."""
     if not rows or ncols == 0:
         return 0
-    if field.p is None:
-        return _rank_qq(rows, ncols)
-    return _rank_mod(rows, ncols, field.p)
+    return len(_echelon(rows, field.p))
 
 
 def rref(rows, ncols, field):
     """Canonical reduced row echelon form; returns ``(rows, pivot_cols)``."""
     if not rows or ncols == 0:
         return [list(r) for r in rows], []
-    if field.p is None:
-        return _rref_qq(rows, ncols)
-    return _rref_mod(rows, ncols, field.p)
+    p = field.p
+    echelon = _echelon(rows, p)
+    pivots = sorted(echelon)
+    # right to left, so the rows used to clear a pivot row are already reduced
+    for c in reversed(pivots):
+        row = echelon[c]
+        for later in [j for j in row if j > c and j in echelon]:
+            _eliminate(row, echelon[later], later, p)
+    zero = field.coerce(0)
+    out = []
+    for c in pivots:
+        row = echelon[c]
+        lead = row[c]
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = x if p is not None else Fraction(x, lead)
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
 
 
 def right_nullspace(rows, ncols, field):
@@ -109,130 +136,80 @@ def identity(n, field):
     return m
 
 
-# -- elimination kernels ---------------------------------------------------------
 
 
-def _rank_qq(rows, ncols):
-    """Rank of a matrix with int/Fraction entries."""
-    work = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        lead = prow[col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f != 0:
-                f = Fraction(f, 1) / lead
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = row[j] - f * prow[j]
-        rank += 1
-        col += 1
-    return rank
+# -- elimination ---------------------------------------------------------------
 
 
-def _rref_qq(rows, ncols):
-    """Reduced row echelon form over the rationals.
+def _echelon(rows, p):
+    """Row echelon form over GF(p), or over QQ when ``p`` is None.
 
-    Returns ``(rref_rows, pivot_cols)`` with all rows kept (zero rows at the
-    bottom) and entries as ``Fraction``.
+    Returns ``{pivot col: row}`` where each row is a ``{col: value}`` dict
+    whose least column is its pivot.  Rows are reduced one at a time
+    against the pivot rows found so far.  Over GF(p) pivot rows are monic;
+    over QQ every row holds integers with gcd 1.
     """
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
+    echelon = {}
+    for row in rows:
+        row = _normalize(row, p)
+        while row:
+            c = min(row)
+            prow = echelon.get(c)
+            if prow is None:
+                if p is not None and row[c] != 1:
+                    inv = pow(row[c], -1, p)
+                    row = {j: x * inv % p for j, x in row.items()}
+                echelon[c] = row
                 break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        lead = prow[col]
-        if lead != 1:
-            for j in range(col, ncols):
-                prow[j] /= lead
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work, pivots
+            _eliminate(row, prow, c, p)
+    return echelon
 
 
-def _rank_mod(rows, ncols, p):
-    """Rank of an integer matrix over GF(p)."""
-    work = [[x % p for x in r] for r in rows]
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = pow(prow[col], -1, p)
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f:
-                f = f * inv % p
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-        col += 1
-    return rank
+def _normalize(row, p):
+    """The nonzero entries of a dense or sparse row as a ``{col: value}`` dict.
+
+    Over GF(p) the values are residues; over QQ the row is scaled to
+    integers with gcd 1.
+    """
+    items = row if isinstance(row, SparseRow) else enumerate(row)
+    if p is not None:
+        return {j: r for j, x in items if (r := x % p)}
+    out = {j: x for j, x in items if x}
+    if out:
+        den = lcm(*(x.denominator for x in out.values()))
+        out = {j: x.numerator * (den // x.denominator) for j, x in out.items()}
+        _divide_content(out)
+    return out
 
 
-def _rref_mod(rows, ncols, p):
-    """Reduced row echelon form over GF(p); entries in ``[0, p)``."""
-    work = [[x % p for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = pow(prow[col], -1, p)
-        if inv != 1:
-            for j in range(col, ncols):
-                prow[j] = prow[j] * inv % p
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - f * prow[j]) % p
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work, pivots
+def _eliminate(row, prow, c, p):
+    """Clear column ``c`` of ``row`` in place with the pivot row ``prow``."""
+    if p is not None:
+        f = row[c]  # prow is monic
+        for j, x in prow.items():
+            y = (row.get(j, 0) - f * x) % p
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+        return
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in prow.items():
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    _divide_content(row)
+
+
+def _divide_content(row):
+    """Divide an integer row in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g

@@ -96,6 +96,33 @@ def test_optimized_interpreter_prints_the_same_series():
     assert optimized.stdout == plain.stdout and optimized.stderr == ""
 
 
+def test_optimized_interpreter_prints_the_same_hom():
+    argv = ["hom", "--lambda", "2", "2", "2", "--from", "Y-2", "--to", "X1", "--max-shift", "8"]
+    plain = run_cli(*argv)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "ddisc.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout and optimized.stderr == ""
+
+
+def test_in_process_calls_share_no_parser_state(capsys):
+    assert cli._parser() is cli._parser()
+    lam = ["--lambda", "2", "2", "1"]
+    assert cli.main(["factors", *lam, "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert cli.main(["factors", *lam, "--n", "0"]) == 1
+    capsys.readouterr()
+    assert cli.main(["factors", *lam]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
+    with pytest.raises(SystemExit) as bad_flag:
+        cli.main(["factors", *lam, "--bogus"])
+    assert bad_flag.value.code == 1
+    assert cli.main(["classify", *lam]) == 0
+
+
 def test_factors_output_is_n_independent():
     payloads = []
     for n in ("1", "2", "3", "4"):

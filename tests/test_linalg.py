@@ -155,3 +155,103 @@ def test_prime_field_scalar_rules():
         with pytest.raises(ValueError):
             GF(not_prime)
     assert GF(5) == GF(5) and GF(5) != GF(7) != QQ
+
+
+# -- sparse kernel against a dense reference -------------------------------------
+
+_SPARSE_FIELDS = (QQ, GF(2), GF(32003), GF(2**61 - 1))
+_QQ_NONZERO = [1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+
+
+def _reference_rref(rows, ncols, field):
+    """Dense Gauss-Jordan elimination, one entry at a time."""
+    work = [[field.coerce(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if not field.is_zero(work[i][col])), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][col]
+        inv = 1 / lead if field.p is None else pow(lead, -1, field.p)
+        work[r] = [field.reduce(x * inv) for x in work[r]]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and not field.is_zero(f):
+                work[i] = [field.reduce(x - f * y) for x, y in zip(row, work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _nonzero_entry(rng, field):
+    if field.p is None:
+        return rng.choice(_QQ_NONZERO)
+    # unreduced representatives too: the kernel must take any integer
+    x = rng.randrange(1, field.p)
+    return rng.choice([x, x - field.p, x + field.p])
+
+
+def _sparse_or_banded(rng, field):
+    nrows, ncols = rng.randint(0, 12), rng.randint(1, 12)
+    if rng.random() < 0.5:
+        density = rng.choice([0.1, 0.3, 0.6])
+        keep = lambda i, j: rng.random() < density
+    else:
+        width, slope = rng.randint(0, 2), ncols / max(nrows, 1)
+        keep = lambda i, j: abs(j - int(i * slope)) <= width
+    mat = [
+        [_nonzero_entry(rng, field) if keep(i, j) else 0 for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    if nrows >= 2 and rng.random() < 0.5:
+        # a dependent row, so that entries cancel during elimination
+        a, b = rng.sample(range(nrows), 2)
+        c = _nonzero_entry(rng, field)
+        mat.append([field.reduce(x + c * y) for x, y in zip(mat[a], mat[b])])
+    if rng.random() < 0.2:
+        mat.insert(rng.randint(0, len(mat)), [0] * ncols)
+    return mat, ncols
+
+
+def _as_sparse(mat, field, rng):
+    out = []
+    for row in mat:
+        pairs = [(j, x) for j, x in enumerate(row) if not field.is_zero(x)]
+        rng.shuffle(pairs)
+        out.append(linalg.SparseRow(pairs))
+    return out
+
+
+def test_sparse_kernel_matches_dense_reference():
+    rng = random.Random(4021)
+    for trial in range(240):
+        field = _SPARSE_FIELDS[trial % len(_SPARSE_FIELDS)]
+        mat, ncols = _sparse_or_banded(rng, field)
+        expected_rows, expected_pivots = _reference_rref(mat, ncols, field)
+        rank = linalg.rank(mat, ncols, field)
+        assert rank == len(expected_pivots), (field, mat)
+        assert linalg.rank(_as_sparse(mat, field, rng), ncols, field) == rank, (field, mat)
+        transpose = [list(col) for col in zip(*mat)] if mat else []
+        assert linalg.rank(transpose, len(mat), field) == rank, (field, mat)
+        assert linalg.rref(mat, ncols, field) == (expected_rows, expected_pivots), (field, mat)
+
+
+def test_rref_entry_types_are_canonical():
+    rows, _ = linalg.rref([[2, 4, 0], [3, 5, 1], [0, 0, 0]], 3, QQ)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    rows, _ = linalg.rref([[2, 4, 0], [3, 5, 1], [0, 0, 0]], 3, GF(7))
+    assert all(type(x) is int and 0 <= x < 7 for row in rows for x in row)
+
+
+def test_sparse_rows_with_empty_and_zero_rows():
+    sparse = linalg.SparseRow
+    for field in _SPARSE_FIELDS:
+        assert linalg.rank([sparse(), sparse()], 4, field) == 0
+        assert linalg.rank([sparse(), sparse([(3, 1)]), sparse()], 4, field) == 1
+        assert linalg.rank([sparse([(0, 1), (2, -1)]), sparse([(2, 1), (0, -1)])], 3, field) == 1
+        assert linalg.rank([[0, 0, 0], [0, 0, 0]], 3, field) == 0
+        assert linalg.rank([[], []], 0, field) == 0
+        assert linalg.rref([[0, 0], [0, 0]], 2, field) == ([[0, 0], [0, 0]], [])
+    assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, QQ) == 2
+    assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, GF(2)) == 1

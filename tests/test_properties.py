@@ -1,5 +1,6 @@
-"""Property tests: relation scans against their definition, and relabeling
-invariance of classify, factors and series.
+"""Property tests: relation scans against their definition, relabeling
+invariance of classify, factors and series, and hom tables that do not
+depend on the field.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -18,6 +19,8 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
+from ddisc.fields import GF, QQ
+from ddisc.homology import build_string_object, hom_table
 from ddisc.presentation import BoundQuiverPresentation, Path, Quiver
 from test_classify import relabel
 
@@ -126,3 +129,33 @@ def test_classify_factors_series_are_relabeling_invariant(pair):
     trace = strip_series(pres)
     assert verify_trace(pres, trace).ok
     assert trace.factor_multiset() == factors
+
+
+@st.composite
+def string_object_tables(draw):
+    """Lambda(s,s,t) with s <= 3, t <= 2, two string objects, hmax and a prime."""
+    s, t = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    objects = [("X", i) for i in range(s)] + [("Y", -q) for q in range(1, t + 1)]
+    return (
+        build_lambda(s, s, t),
+        draw(st.sampled_from(objects)),
+        draw(st.sampled_from(objects)),
+        draw(st.integers(0, 5)),
+        draw(st.sampled_from([2, 3, 32003, 2**61 - 1])),
+    )
+
+
+@FIXED
+@given(string_object_tables())
+def test_hom_tables_agree_over_qq_and_gf(case):
+    pres, src, dst, hmax, p = case
+    tables = [
+        hom_table(
+            pres,
+            build_string_object(pres, *src, field),
+            build_string_object(pres, *dst, field),
+            hmax,
+        ).entries
+        for field in (QQ, GF(p))
+    ]
+    assert tables[0] == tables[1]
