@@ -7,10 +7,11 @@ differentials as matrices of path combinations; the differential entry in
 the row of summand P_a and column of summand P_b is spanned by paths from
 b to a, acting by left multiplication.
 
-Hom dimensions in the derived category are computed two independent ways:
-chain maps modulo homotopies between complexes of projectives
-(:func:`hom_shift_dim`), and cohomology of the Hom complex into a module
-(:func:`ext_dim`).  Sign conventions for shifts are irrelevant here since
+Hom dimensions in the derived category are computed two independent ways,
+both by :func:`hom_shift_dim`: the ladder route takes chain maps modulo
+homotopies between complexes of projectives (complex target), and the stalk
+route takes cohomology of the Hom complex into a module (module target, as
+in :func:`ext_dim`).  Sign conventions for shifts are irrelevant here since
 rescaling chain maps degreewise is a linear bijection; only dimensions are
 reported.
 """
@@ -83,7 +84,7 @@ class RepModule:
 
     __slots__ = ("pres", "field", "dims", "maps", "_cache")
 
-    def __init__(self, pres, dims, maps, field=QQ, *, check=True):
+    def __init__(self, pres, dims, maps, field=QQ):
         self.pres = pres
         self.field = field
         full = {v: int(dims.get(v, 0)) for v in pres.quiver.vertices}
@@ -103,12 +104,9 @@ class RepModule:
             fixed[a] = rows
         self.maps = fixed
         self._cache = {}
-        if check:
-            for rel in pres.relations:
-                if not _is_zero_matrix(self.act_by_path(rel), field):
-                    raise PreconditionError(
-                        f"relation {rel.label()} does not act as zero"
-                    )
+        for rel in pres.relations:
+            if not _is_zero_matrix(self.act_by_path(rel), field):
+                raise PreconditionError(f"relation {rel.label()} does not act as zero")
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -154,20 +152,9 @@ def indec_projective(pres, v, field=QQ) -> RepModule:
     """P_v with basis the paths out of v; arrows act by right concatenation."""
     if v not in pres.quiver.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
-    groups = {w: _paths_from_to(pres, v, w) for w in pres.quiver.vertices}
-    dims = {w: len(ps) for w, ps in groups.items()}
-    maps = {}
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        arrow = _arrow_path(pres, a)
-        index = {p: i for i, p in enumerate(groups[tgt])}
-        rows = []
-        for p in groups[src]:
-            row = [field.coerce(0)] * dims[tgt]
-            prod = pres.path_product(p, arrow)
-            if prod is not None:
-                row[index[prod]] = field.coerce(1)
-            rows.append(row)
-        maps[a] = rows
+    coords, _ = _proj_coords(pres, (v,))
+    dims = {w: len(lst) for w, lst in coords.items()}
+    maps = {a: _cover_action(pres, field, (v,), a) for a in pres.quiver.arrows}
     return RepModule(pres, dims, maps, field)
 
 
@@ -662,10 +649,12 @@ def _hom_block(pres, dom_summands, cod_summands):
     return basis
 
 
-def _ladder_rank_and_vars(C, D, g, sign):
-    """Matrix of u -> u∘d_C + sign·d_D∘u on degreewise maps C^i -> D^{i+g}.
+def _ladder_rank_and_vars(C, D, g):
+    """Matrix of u -> u∘d_C - d_D∘u on degreewise maps C^i -> D^{i+g}.
 
-    Returns (number of variables, rank of the operator).
+    Returns (number of variables, rank of the operator).  Chain maps are its
+    kernel at g = h and null-homotopic maps its image at g = h - 1; the sign
+    of the d_D term does not change the rank (substitute u_i -> (-1)^i u_i).
     """
     pres, field = C.pres, C.field
     var_blocks = {}
@@ -703,7 +692,7 @@ def _ladder_rank_and_vars(C, D, g, sign):
                         continue
                     out = out_index.get((i, j, l, prod))
                     if out is not None:
-                        row[out] = row.get(out, 0) + sign * cq
+                        row[out] = row.get(out, 0) - cq
         # u ∘ d_C contributes to the equation block of degree i-1
         dC = C.diffs.get(i - 1)
         if dC is not None:
@@ -790,16 +779,17 @@ def hom_shift_dim(C: ProjComplex, D, h: int) -> int:
         raise PreconditionError("target must be a complex or a module")
     if D.pres != C.pres:
         raise PreconditionError("mismatched algebras")
-    nvars, rank_phi = _ladder_rank_and_vars(C, D, h, -1)
-    _, rank_psi = _ladder_rank_and_vars(C, D, h - 1, +1)
+    nvars, rank_phi = _ladder_rank_and_vars(C, D, h)
+    _, rank_psi = _ladder_rank_and_vars(C, D, h - 1)
     return (nvars - rank_phi) - rank_psi
 
 
 def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
     """dim Ext^h(M, N) from a depth h+1 resolution of M.
 
-    Independent of :func:`hom_shift_dim`: the Hom complex is assembled
-    directly and only its two relevant ranks are taken.
+    This is the stalk route of :func:`hom_shift_dim` (module target): the
+    Hom complex into N is assembled directly and only its two relevant ranks
+    are taken, independently of the ladder route between resolutions.
     """
     if h < 0:
         raise PreconditionError("ext degree must be nonnegative")
@@ -807,11 +797,7 @@ def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
         raise PreconditionError("mismatched algebras")
     if M.total_dim() == 0 or N.total_dim() == 0:
         return 0
-    C = resolve(M, h + 1)
-    dim_block = sum(N.dims[v] for v in C.summands.get(-h, ()))
-    if dim_block == 0:
-        return 0
-    return dim_block - _rank_precompose(C, N, -h - 1) - _rank_precompose(C, N, -h)
+    return hom_shift_dim(resolve(M, h + 1), N, h)
 
 
 # -- hom tables with margin stabilization ----------------------------------------

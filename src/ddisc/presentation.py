@@ -249,6 +249,8 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             bare.make_path(rel)
         except PresentationError as exc:
             raise ParseError(str(exc), lineno) from exc
+    if not vertices:
+        raise ParseError("no vertex declared")
     return BoundQuiverPresentation(quiver, relations)
 
 

@@ -215,6 +215,12 @@ def test_input_errors_exit_1(tmp_path, monkeypatch):
     decoded = run_cli("classify", str(not_utf8))
     assert decoded.returncode == 1 and "Traceback" not in decoded.stderr
     assert "latin.txt" in decoded.stderr and "byte offset 16" in decoded.stderr
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only a comment\n\n", encoding="utf-8")
+    for command in ("classify", "factors", "series"):
+        result = run_cli(command, str(empty))
+        assert result.returncode == 1 and "no vertex declared" in result.stderr
+        assert result.stdout == "" and "Traceback" not in result.stderr
     both = tmp_path / "p.txt"
     both.write_text(KRONECKER, encoding="utf-8")
     assert run_cli("classify", str(both), "--lambda", "1", "1", "0").returncode == 1

@@ -1,6 +1,8 @@
 """Composition factors, radical drops, series traces and their replay."""
 
+import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -27,6 +29,8 @@ from ddisc import (
 from ddisc.classify import DerivedEquivClass, LambdaClass
 from ddisc.presentation import LambdaDescriptor
 from test_classify import relabel
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
 
@@ -125,6 +129,16 @@ def test_radical_projectivity_witnesses():
     # a sink has zero radical, which is projective with an empty cover
     sink = is_radical_projective(a2, "2")
     assert sink.projective and sink.cover == ()
+    # parallel arrows: rad P(1) is two copies of the simple projective P(2)
+    kron = is_radical_projective(parse_presentation(KRONECKER), "1")
+    assert kron.projective and kron.cover == ("2", "2") and kron.defect == 0
+    # rad P(1) is spanned by a, a*b while its cover P(2) has e_2, b, b*c
+    a4 = parse_presentation(
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
+    )
+    report = is_radical_projective(a4, "1")
+    assert not report.projective and report.cover == ("2",) and report.defect == 1
 
 
 def test_radical_projectivity_is_truthy():
@@ -382,6 +396,41 @@ def test_series_needs_no_isomorphism_search(monkeypatch):
             trace = strip_series(pres)
             assert verify_trace(pres, trace).ok, (r, s, t)
             assert trace.factor_multiset() == composition_factors(nf)
+
+
+def test_series_needs_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("module or linear algebra on the series path")
+
+    banned = [
+        value
+        for module in (ddisc.linalg, ddisc.homology)
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and callable(value)
+        and getattr(value, "__module__", None) == module.__name__
+    ]
+    ddisc_modules = [
+        m for name, m in sys.modules.items() if name.split(".")[0] == "ddisc"
+    ]
+    for module in ddisc_modules:
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in banned):
+                monkeypatch.setattr(module, name, refuse)
+    assert ddisc.jordan.projective_cover is refuse
+    inputs = [
+        build_lambda(1, 4, 2),
+        build_lambda(3, 5, 0),
+        parse_presentation((DATA / "relabeled_4_7_3.txt").read_text("utf-8")),
+        direct_sum(
+            [build_lambda(2, 3, 1), relabel(build_lambda(1, 3, 2), random.Random(4))]
+        ),
+    ]
+    for pres in inputs:
+        trace = strip_series(pres)
+        assert any(step.op == "drop-radical" for step in trace.steps)
+        assert verify_trace(pres, trace).ok
+        assert trace.factor_multiset() == composition_factors(lambda_normal_form(pres))
 
 
 # -- simplicity --------------------------------------------------------------------

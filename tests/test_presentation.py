@@ -225,6 +225,13 @@ def test_parse_reports_line_numbers():
         assert str(err.value).startswith(f"line {line}: "), text
 
 
+def test_parse_needs_a_vertex():
+    for text in ("", "\n\n", "# a comment\n   # another\n"):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert str(err.value) == "no vertex declared" and err.value.line is None
+
+
 def test_components_and_direct_sum_round_trip():
     a = build_lambda(1, 1, 0)
     b = build_lambda(2, 2, 0)
