@@ -45,7 +45,7 @@ from .presentation import (
     serialize_presentation,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _OBJECT_RE = re.compile(r"^([XY])(-?[0-9]+)$")
 
@@ -305,7 +305,6 @@ def _render_hom(report):
     return (
         f"Hom({h['from']}, {h['to']}[h]) for h = 0..{h['max_shift']}: "
         + ",".join(str(d) for d in h["dims"])
-        + f"\nstable at margin {h['margin_used']}"
     )
 
 
@@ -323,7 +322,6 @@ def _run_hom(args):
         "to": args.dst,
         "max_shift": args.max_shift,
         "dims": list(table.entries),
-        "margin_used": table.margin_used,
     }
     _emit(report, args.pretty, _render_hom)
     return 0

@@ -6,7 +6,7 @@ class DdiscError(Exception):
 
 
 class ParseError(DdiscError):
-    """Malformed input: presentation text, an argument or a setting.
+    """Malformed input: presentation text or an argument.
 
     Carries the 1-based line number when the fault is in presentation text.
     """
@@ -39,7 +39,3 @@ class StripStuckError(DdiscError):
     def __init__(self, message, residual=None):
         self.residual = residual
         super().__init__(message)
-
-
-class NonStabilizingError(DdiscError):
-    """A hom table failed to stabilize within the margin cap."""

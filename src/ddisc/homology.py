@@ -11,16 +11,16 @@ Hom dimensions in the derived category are computed two independent ways,
 both by :func:`hom_shift_dim`: the ladder route takes chain maps modulo
 homotopies between complexes of projectives (complex target), and the stalk
 route takes cohomology of the Hom complex into a module (module target, as
-in :func:`ext_dim`).  Sign conventions for shifts are irrelevant here since
-rescaling chain maps degreewise is a linear bijection; only dimensions are
-reported.
+in :func:`ext_dim`).  :func:`hom_table` takes the stalk route, which is
+exact from one resolution of the source; the ladder route is the
+independent cross-check the tests run against it.  Sign conventions for
+shifts are irrelevant here since rescaling chain maps degreewise is a
+linear bijection; only dimensions are reported.
 """
 
 from __future__ import annotations
 
-import os
-
-from .errors import NonStabilizingError, ParseError, PreconditionError
+from .errors import PreconditionError
 from .fields import QQ
 from . import linalg
 from .classify import is_gentle, relation_full_cycles
@@ -800,15 +800,14 @@ def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
     return hom_shift_dim(resolve(M, h + 1), N, h)
 
 
-# -- hom tables with margin stabilization ----------------------------------------
+# -- hom tables --------------------------------------------------------------------
 
 
 class HomTable:
-    __slots__ = ("entries", "margin_used")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, margin_used):
+    def __init__(self, entries):
         self.entries = tuple(int(x) for x in entries)
-        self.margin_used = margin_used
 
     def __eq__(self, other):
         return (
@@ -817,65 +816,24 @@ class HomTable:
         )
 
     def __repr__(self):
-        return f"HomTable(entries={self.entries}, margin_used={self.margin_used})"
-
-
-def hom_table_at_margin(pres, X: RepModule, Y: RepModule, hmax: int, margin: int):
-    """One table pass at a fixed truncation margin (no stabilization).
-
-    The target is resolved deeper than the source: at equal depths the
-    leftmost source degree has no homotopy variable below it, so radical
-    endomorphisms of the edge projective survive the homotopy quotient and
-    inflate the count at shifts divisible by the cycle length.  With the
-    target extended past the source edge every source degree sees full
-    equation and homotopy data.
-    """
-    depth = hmax + margin
-    C = resolve(X, depth)
-    D = resolve(Y, depth + hmax + 2)
-    return tuple(hom_shift_dim(C, D, h) for h in range(hmax + 1))
-
-
-def _margin_cap() -> int:
-    raw = os.environ.get("DDISC_MARGIN_CAP", "64")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ParseError(f"DDISC_MARGIN_CAP must be a positive integer, got {raw!r}")
-    return cap
+        return f"HomTable(entries={self.entries})"
 
 
 def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """Derived hom dimensions Hom(X, Y[h]) for 0 <= h <= hmax.
 
-    Both sides are resolved to depth hmax + margin; the margin starts at
-    s + 2, grows by s, and a table is accepted once two consecutive margins
-    agree.  DDISC_MARGIN_CAP bounds the search (default 64).
+    X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): every entry comes
+    from one resolution of X to depth hmax + 1 by the stalk route of
+    :func:`hom_shift_dim` (module target), exactly as in :func:`ext_dim`.
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
-    desc = lambda_descriptor_of(pres)
-    if desc is None:
+    if lambda_descriptor_of(pres) is None:
         raise PreconditionError("hom tables are keyed to Lambda(r,s,t) input")
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
-    s = desc.s
-    cap = _margin_cap()
-    margin = s + 2
-    current = hom_table_at_margin(pres, X, Y, hmax, margin)
-    while True:
-        nxt_margin = margin + s
-        if nxt_margin > cap:
-            raise NonStabilizingError(
-                f"hom table did not stabilize below margin {cap}: "
-                f"margin {margin} gave {current}"
-            )
-        nxt = hom_table_at_margin(pres, X, Y, hmax, nxt_margin)
-        if nxt == current:
-            return HomTable(nxt, nxt_margin)
-        current, margin = nxt, nxt_margin
+    C = resolve(X, hmax + 1)
+    return HomTable(hom_shift_dim(C, Y, h) for h in range(hmax + 1))
 
 
 # -- global dimension --------------------------------------------------------------

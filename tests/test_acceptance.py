@@ -23,7 +23,6 @@ from ddisc import (
     grothendieck_rank,
     hom_shift_dim,
     hom_table,
-    hom_table_at_margin,
     indec_projective,
     is_derived_discrete,
     is_n_derived_simple,
@@ -349,16 +348,28 @@ def test_c7_ladder_and_stalk_ext_routes_agree():
     )
 
 
-def test_c8_tables_are_stable_one_margin_later():
+def test_c8_tables_equal_the_ladder_route():
+    # hom_table takes the stalk route; the ladder route solves chain maps
+    # modulo homotopy between truncated resolutions of both objects, the
+    # target resolved deeper so every source degree sees full equation and
+    # homotopy data
     violations = []
     tables = _diag_tables(QQ)
     for (s, t, name), table in tables.items():
         pres = build_lambda(s, s, t)
         obj = _string_objects(pres, s, t)[name]
-        again = hom_table_at_margin(pres, obj, obj, 3 * s, table.margin_used + s)
-        if again != table.entries:
-            violations.append((s, t, name, table.entries, again))
-    _line(8, "every criterion 1 table is unchanged at margin + s", violations)
+        hmax = 3 * s
+        for margin in (s + 2, 2 * s + 2):
+            C = resolve(obj, hmax + margin)
+            D = resolve(obj, hmax + margin + hmax + 2)
+            ladder = tuple(hom_shift_dim(C, D, h) for h in range(hmax + 1))
+            if ladder != table.entries:
+                violations.append((s, t, name, margin, table.entries, ladder))
+    _line(
+        8,
+        "every criterion 1 table equals the ladder route at margins s+2 and 2s+2",
+        violations,
+    )
 
 
 def test_c9_dimensions_are_identical_over_gf_32003():

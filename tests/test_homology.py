@@ -1,14 +1,14 @@
 """Homological engine: modules, resolutions, hom and ext dimensions."""
 
+import json
 import random
 
 import pytest
 
+from ddisc import cli, homology
 from ddisc import (
     GF,
     QQ,
-    NonStabilizingError,
-    ParseError,
     PreconditionError,
     build_lambda,
     cartan_matrix,
@@ -23,7 +23,6 @@ from ddisc.homology import (
     ext_dim,
     hom_shift_dim,
     hom_table,
-    hom_table_at_margin,
     indec_projective,
     infinite_gldim_check,
     module_as_complex,
@@ -416,7 +415,6 @@ def test_hom_table_frozen_values():
     Y = build_string_object(L221, "Y", -1)
     table = hom_table(L221, Y, Y, 4)
     assert table.entries == (1, 0, 1, 0, 1)
-    assert table.margin_used >= 2 + 2  # started at s + 2
 
 
 def test_hom_table_requires_lambda_presentation():
@@ -424,19 +422,6 @@ def test_hom_table_requires_lambda_presentation():
     S = simple_module(pres, "1")
     with pytest.raises(PreconditionError):
         hom_table(pres, S, S, 2)
-
-
-def test_hom_table_margin_cap(monkeypatch):
-    monkeypatch.setenv("DDISC_MARGIN_CAP", "3")
-    L = build_lambda(1, 1, 0)
-    X = build_string_object(L, "X", 0)
-    with pytest.raises(NonStabilizingError):
-        hom_table(L, X, X, 2)
-    for cap in ("abc", "0", "-4", ""):
-        monkeypatch.setenv("DDISC_MARGIN_CAP", cap)
-        with pytest.raises(ParseError, match="DDISC_MARGIN_CAP") as err:
-            hom_table(L, X, X, 2)
-        assert repr(cap) in str(err.value)
 
 
 def test_hom_table_field_independent_spot():
@@ -450,6 +435,76 @@ def test_hom_table_field_independent_spot():
         5,
     )
     assert a.entries == b.entries
+
+
+# (Lambda(s,s,t), source, target, max shift, dims) checked with the ladder off
+_LADDER_FREE_TABLES = [
+    ((2, 2, 1), "X0", "X1", 6, (0, 1, 0, 1, 0, 1, 0)),
+    ((2, 2, 1), "Y-1", "X0", 4, (0, 0, 1, 0, 1)),
+    ((3, 3, 2), "X1", "Y-2", 5, (0, 0, 1, 0, 0, 1)),
+    ((3, 3, 2), "Y-2", "Y-1", 6, (0, 0, 0, 1, 0, 0, 1)),
+]
+
+
+def test_hom_tables_never_take_the_ladder_route(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hom table went through the ladder route")
+
+    monkeypatch.setattr(homology, "_ladder_rank_and_vars", refuse)
+    F = GF(32003)
+    for (r, s, t), src, dst, hmax, dims in _LADDER_FREE_TABLES:
+        argv = ["hom", "--lambda", str(r), str(s), str(t), "--from", src, "--to", dst]
+        assert cli.main(argv + ["--max-shift", str(hmax)]) == 0
+        assert json.loads(capsys.readouterr().out)["hom"]["dims"] == list(dims)
+        L = build_lambda(r, s, t)
+        assert hom_table(L, _named(L, src, F), _named(L, dst, F), hmax).entries == dims
+
+
+def _named(L, name, field=QQ):
+    """The string object called ``X<p>`` or ``Y<-q>`` as on the command line."""
+    return build_string_object(L, name[0], int(name[1:]), field)
+
+
+def _string_objects(L, s, t):
+    names = [f"X{p}" for p in range(s)] + [f"Y{-q}" for q in range(1, t + 1)]
+    return {name: _named(L, name) for name in names}
+
+
+def _closed_form_hom(s, src, dst, h):
+    """dim Hom(A, B[h]) between string objects over Lambda(s,s,t), by rule.
+
+    With phi(X_p) = p, phi(Y_-q) = 0, delta(X_p) = 0 and delta(Y_-q) = q:
+    1 iff h = phi(B) - phi(A) mod s, except 0 at h = 0 when
+    delta(A) > delta(B).  The rule follows the hom-hammocks of
+    Broomhead-Pauksztello-Ploog (Discrete derived categories I, 2017); it
+    is an oracle here, not derived in code.
+    """
+    (phi_a, delta_a), (phi_b, delta_b) = _phi_delta(src), _phi_delta(dst)
+    if h == 0 and delta_a > delta_b:
+        return 0
+    return int((h - phi_b + phi_a) % s == 0)
+
+
+def _phi_delta(name):
+    index = int(name[1:])
+    return (index, 0) if name[0] == "X" else (0, -index)
+
+
+@pytest.mark.parametrize("s,t", [(7, 4), (9, 0)])
+def test_hom_tables_match_the_closed_form(s, t):
+    L = build_lambda(s, s, t)
+    objs = _string_objects(L, s, t)
+    hmax = 3 * s + t + 3
+    for a, X in objs.items():
+        for b, Y in objs.items():
+            expected = tuple(_closed_form_hom(s, a, b, h) for h in range(hmax + 1))
+            assert hom_table(L, X, Y, hmax).entries == expected, (a, b)
+
+
+def test_long_hom_table_matches_the_closed_form():
+    L = build_lambda(5, 5, 3)
+    expected = tuple(_closed_form_hom(5, "Y-2", "Y-1", h) for h in range(1001))
+    assert hom_table(L, _named(L, "Y-2"), _named(L, "Y-1"), 1000).entries == expected
 
 
 def test_string_objects_have_no_maps_to_tail_projectives():
