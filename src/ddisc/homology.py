@@ -822,9 +822,11 @@ class HomTable:
 def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """Derived hom dimensions Hom(X, Y[h]) for 0 <= h <= hmax.
 
-    X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): every entry comes
-    from one resolution of X to depth hmax + 1 by the stalk route of
-    :func:`hom_shift_dim` (module target), exactly as in :func:`ext_dim`.
+    X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): every entry is
+    :func:`ext_dim`'s stalk route of :func:`hom_shift_dim` (module target),
+    taken on one resolution of X to depth hmax + 1.  Calling ``ext_dim``
+    per shift would build and check a new truncated complex for every h,
+    which is quadratic in hmax.
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
