@@ -8,7 +8,8 @@ The decision table, per connected component:
 * gentle with first Betti number 1: discrete exactly when the two traversal
   orientations of the unique cycle carry different numbers of relations (the
   clock condition fails);
-* gentle tree: discrete (classical fact; a flag downgrades it to unknown);
+* gentle tree: discrete (gentle tree algebras are derived equivalent to
+  type A_n, Assem-Happel 1981);
 * anything else: unknown, with the obstacle spelled out.
 
 Normal forms inside the one-cycle discrete class are read off the
@@ -231,15 +232,8 @@ class DiscretenessVerdict:
     components: tuple  # (verdict, reason) per connected component
 
 
-def is_derived_discrete(
-    pres: BoundQuiverPresentation, *, tree_gentle_is_discrete: bool = True
-) -> DiscretenessVerdict:
-    """Decide derived discreteness; unknown cases name the obstacle.
-
-    ``tree_gentle_is_discrete`` toggles the classical fact that gentle tree
-    algebras are derived discrete; with False those components come back
-    unknown instead.
-    """
+def is_derived_discrete(pres: BoundQuiverPresentation) -> DiscretenessVerdict:
+    """Decide derived discreteness; unknown cases name the obstacle."""
     reports = []
     for comp in connected_components(pres):
         _assert_finite_dimensional(comp)
@@ -257,12 +251,7 @@ def is_derived_discrete(
             continue
         betti = cycle_count(comp)
         if betti == 0:
-            if tree_gentle_is_discrete:
-                reports.append(
-                    ("yes", "gentle tree (assumed discrete, classical fact)")
-                )
-            else:
-                reports.append(("unknown", "gentle tree; assumption disabled"))
+            reports.append(("yes", "gentle tree (assumed discrete, classical fact)"))
         elif betti == 1:
             clock = clock_condition(comp)
             if clock.satisfied:

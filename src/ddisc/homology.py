@@ -7,6 +7,11 @@ differentials as matrices of path combinations; the differential entry in
 the row of summand P_a and column of summand P_b is spanned by paths from
 b to a, acting by left multiplication.
 
+Minimal projective resolutions take one projective cover and are then read
+off paths: over a monomial algebra every syzygy of a path quotient is a sum
+of right ideals qA, and every differential is left multiplication by one
+path (see :func:`resolve`).
+
 Hom dimensions in the derived category are computed two independent ways,
 both by :func:`hom_shift_dim`: the ladder route takes chain maps modulo
 homotopies between complexes of projectives (complex target), and the stalk
@@ -28,6 +33,7 @@ from .presentation import (
     BoundQuiverPresentation,
     lambda_descriptor_of,
     path_basis,
+    vertex_sort_key,
 )
 
 # -- path bookkeeping -----------------------------------------------------------
@@ -82,7 +88,7 @@ def _proj_coords(pres, summands):
 class RepModule:
     """Finite dimensional right module presented as a quiver representation."""
 
-    __slots__ = ("pres", "field", "dims", "maps", "_cache")
+    __slots__ = ("pres", "field", "dims", "maps")
 
     def __init__(self, pres, dims, maps, field=QQ):
         self.pres = pres
@@ -103,7 +109,6 @@ class RepModule:
                 raise PreconditionError(f"map for arrow {a} has the wrong shape")
             fixed[a] = rows
         self.maps = fixed
-        self._cache = {}
         for rel in pres.relations:
             if not _is_zero_matrix(self.act_by_path(rel), field):
                 raise PreconditionError(f"relation {rel.label()} does not act as zero")
@@ -324,119 +329,89 @@ def _cover_action(pres, field, summands, a):
     return rows
 
 
-def _syzygy(pres, field, summands, epi):
-    """Kernel of a cover map as a module plus its embedding rows."""
-    coords, _ = _proj_coords(pres, summands)
-    basis = {}
-    free = {}
-    for w in pres.quiver.vertices:
-        rows = epi[w]
-        if not rows:
-            basis[w], free[w] = [], []
-        else:
-            basis[w], free[w] = linalg.left_nullspace(
-                [list(r) for r in rows], len(rows[0]), field
-            )
-    dims = {w: len(basis[w]) for w in pres.quiver.vertices}
-    maps = {}
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        act = _cover_action(pres, field, summands, a)
-        rows = []
-        for x in basis[src]:
-            image = linalg.mat_mul([list(x)], act, len(coords[tgt]), field)[0]
-            c = linalg.coords_in_span(basis[tgt], free[tgt], image, field)
-            if c is None:
-                raise PreconditionError("cover kernel is arrow stable")
-            rows.append(c)
-        maps[a] = rows
-    omega = RepModule(pres, dims, maps, field)
-    return omega, basis
-
-
 def resolve(M: RepModule, depth: int):
     """Minimal projective resolution truncated to degrees [-depth, 0].
 
-    Incremental and memoized on the module: deeper calls extend the cached
-    state, so earlier differentials never change.
+    Linear algebra runs once, in :func:`projective_cover`; every later term
+    is read off paths (Green-Happel-Zacharia, monomial algebras).  When the
+    cover kernel is spanned by cover coordinates (i, p), it is the direct
+    sum of the right ideals qA over its prefix-minimal paths q, and the
+    kernel of P_{t(x)} -> xA, y -> xy, is spanned by the paths y with
+    xy = 0.  So each summand of degree -k is a P_{t(x)} whose differential
+    is left multiplication by one path x, and its summands in degree -k-1
+    are the prefix-minimal paths y out of t(x) with xy = 0.
+
+    Accepted modules are those whose cover kernel is spanned by paths: direct
+    sums of path quotients P_v/ΣqA such as simples, projectives and string
+    objects.  Any other module, such as a band module, raises
+    :class:`PreconditionError` instead of giving a number.
     """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     pres, field = M.pres, M.field
-    state = M._cache.get("resolution")
-    if state is None:
-        if M.total_dim() == 0:
-            state = {"summands": [()], "diffs": [], "syzygy": None, "embed": None}
-        else:
-            summands, epi = projective_cover(M)
-            omega, embed = _syzygy(pres, field, summands, epi)
-            if omega.total_dim() == 0:
-                omega, embed = None, None
-            state = {
-                "summands": [summands],
-                "diffs": [],
-                "syzygy": omega,
-                "embed": embed,
-            }
-        M._cache["resolution"] = state
-    while len(state["summands"]) <= depth and state["syzygy"] is not None:
-        omega, embed = state["syzygy"], state["embed"]
-        prev = state["summands"][-1]
-        new_summands, epi = projective_cover(omega)
-        coords, _ = _proj_coords(pres, new_summands)
-        entries = []
-        for j, vj in enumerate(new_summands):
-            # the lift of generator j is the epi row of its trivial path
-            pos = coords[vj].index((j, pres.trivial_path(vj)))
-            lift = epi[vj][pos]
-            embedded = [field.coerce(0)] * (len(embed[vj][0]) if embed[vj] else 0)
-            for c, krow in zip(lift, embed[vj]):
-                if field.is_zero(c):
-                    continue
-                for pos2, x in enumerate(krow):
-                    embedded[pos2] = field.reduce(embedded[pos2] + c * x)
-            prev_coords, _ = _proj_coords(pres, prev)
-            row = []
-            for i in range(len(prev)):
-                cell = {}
-                for pos2, (i2, p) in enumerate(prev_coords[vj]):
-                    if i2 != i:
-                        continue
-                    val = embedded[pos2]
-                    if not field.is_zero(val):
-                        cell[p] = val
-                row.append(cell)
-            entries.append(row)
-        diff = PathMatrix(pres, field, new_summands, prev, entries)
-        omega2, embed2 = _syzygy(pres, field, new_summands, epi)
-        if omega2.total_dim() == 0:
-            omega2, embed2 = None, None
-        state["summands"].append(new_summands)
-        state["diffs"].append(diff)
-        state["syzygy"] = omega2
-        state["embed"] = embed2
-    summands = {}
-    diffs = {}
-    for k, tup in enumerate(state["summands"]):
-        if k > depth:
+    if M.total_dim() == 0:
+        return ProjComplex(pres, {}, {}, field)
+    cover, epi = projective_cover(M)
+    coords, _ = _proj_coords(pres, cover)
+    kernel = [
+        key
+        for w in pres.quiver.vertices
+        for key, row in zip(coords[w], epi[w])
+        if all(field.is_zero(x) for x in row)
+    ]
+    if len(kernel) != sum(len(rows) for rows in epi.values()) - M.total_dim():
+        raise PreconditionError("cover kernel is not spanned by paths")
+    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
+    # not in it has no proper prefix in it
+    words = {(i, p.arrows) for i, p in kernel}
+    # (index of the summand one degree up, path of the differential into it)
+    level = [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
+    summands, diffs = {0: cover}, {}
+    for k in range(1, depth + 1):
+        if not level:
             break
-        if tup:
-            summands[-k] = tup
-    for k, d in enumerate(state["diffs"]):
-        if k + 1 > depth:
-            break
-        diffs[-(k + 1)] = d
+        # summands in vertex order, as projective_cover lists them
+        level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
+        summands[-k] = tuple(x.target for _, x in level)
+        width = len(summands[-k + 1])
+        entries = [
+            [{x: 1} if col == i else {} for col in range(width)] for i, x in level
+        ]
+        diffs[-k] = PathMatrix(pres, field, summands[-k], summands[-k + 1], entries)
+        level = [
+            (j, y)
+            for j, (_, x) in enumerate(level)
+            for y in _annihilator_generators(pres, x)
+        ]
     return ProjComplex(pres, summands, diffs, field)
+
+
+def _annihilator_generators(pres, x):
+    """Prefix-minimal paths y out of ``x.target`` with x*y = 0.
+
+    They generate the kernel of P_{t(x)} -> xA.  The search extends only
+    paths y with xy != 0, so it stops at each generator.
+    """
+    found, stack = [], [pres.trivial_path(x.target)]
+    while stack:
+        y = stack.pop()
+        for a in pres.quiver.arrows_from(y.target):
+            longer = pres.path_product(y, _arrow_path(pres, a))
+            if longer is None:
+                continue
+            if pres.path_product(x, longer) is None:
+                found.append(longer)
+            else:
+                stack.append(longer)
+    return found
 
 
 def projective_dimension(M: RepModule, cutoff: int):
     """Projective dimension if it is at most cutoff, else None."""
-    if M.total_dim() == 0:
-        return 0
-    resolve(M, cutoff)
-    state = M._cache["resolution"]
-    if state["syzygy"] is not None:
+    C = resolve(M, cutoff + 1)
+    if -(cutoff + 1) in C.summands:
         return None
-    return len(state["summands"]) - 1
+    return -min(C.summands, default=0)
 
 
 # -- complexes of projectives -----------------------------------------------------
@@ -787,9 +762,12 @@ def hom_shift_dim(C: ProjComplex, D, h: int) -> int:
 def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
     """dim Ext^h(M, N) from a depth h+1 resolution of M.
 
-    This is the stalk route of :func:`hom_shift_dim` (module target): the
-    Hom complex into N is assembled directly and only its two relevant ranks
-    are taken, independently of the ladder route between resolutions.
+    M must be a module :func:`resolve` accepts (a direct sum of path
+    quotients such as simples, projectives and string objects); any other,
+    such as a band module, raises :class:`PreconditionError`.  This is the
+    stalk route of :func:`hom_shift_dim` (module target): the Hom complex
+    into N is assembled directly and only its two relevant ranks are taken,
+    independently of the ladder route between resolutions.
     """
     if h < 0:
         raise PreconditionError("ext degree must be nonnegative")

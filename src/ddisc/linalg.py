@@ -1,15 +1,15 @@
 """Exact linear algebra over QQ and GF(p).
 
-Rank, reduced row echelon form and nullspaces are the hot kernels of the
-whole package: hom tables reduce to ranks of ladder matrices, which are
-block-bidiagonal and a few percent dense.  ``rank`` and ``rref`` share one
-sparse Gaussian elimination on rows stored as ``{col: value}``.  Over the
-rationals it is fraction-free: rows are scaled to integers, combined by
-cross-multiplying and divided by the gcd of their entries.  Over GF(p)
-entries are canonical residues, so results are exact for every prime,
-however large.  Outputs are canonical (fully reduced rref with ``Fraction``
-entries over QQ, unit vectors at the free columns), so callers may compare
-them directly.
+Rank and reduced row echelon form are the elimination kernels of the
+package: every hom table entry takes two ranks of a Hom complex into a
+module, and quotients and projective covers take one rref per vertex.
+Resolutions past the cover are read off paths and do no linear algebra.
+``rank`` and ``rref`` share one sparse Gaussian elimination on rows stored
+as ``{col: value}``.  Over the rationals it is fraction-free: rows are
+scaled to integers, combined by cross-multiplying and divided by the gcd
+of their entries.  Over GF(p) entries are canonical residues, so results
+are exact for every prime, however large.  ``rref`` output is canonical (fully reduced, with
+``Fraction`` entries over QQ), so callers may compare it directly.
 
 Matrices are lists of rows; linear maps act on row vectors, i.e. a map
 ``V -> W`` is stored as a ``dim V x dim W`` matrix and composition is plain
@@ -59,51 +59,6 @@ def rref(rows, ncols, field):
         out.append(dense)
     out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
-
-
-def right_nullspace(rows, ncols, field):
-    """Basis of ``{x : A x = 0}`` as row vectors, plus the free columns.
-
-    The basis is canonical: vector ``i`` has entry 1 in column
-    ``free_cols[i]`` and 0 in every other free column, so coordinates of a
-    vector in the span can be read off at the free columns.
-    """
-    red, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [field.coerce(0)] * ncols
-        vec[f] = field.coerce(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.reduce(-red[i][f])
-        basis.append(vec)
-    return basis, free_cols
-
-
-def left_nullspace(rows, ncols, field):
-    """Basis of ``{x : x A = 0}`` (row vectors of length ``len(rows)``)."""
-    nrows = len(rows)
-    if nrows == 0:
-        return [], []
-    tr = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    return right_nullspace(tr, nrows, field)
-
-
-def coords_in_span(basis, free_cols, vec, field):
-    """Coordinates of ``vec`` in the span of a canonical nullspace basis.
-
-    Returns ``None`` when ``vec`` is not in the span.
-    """
-    coeffs = [vec[f] for f in free_cols]
-    residual = list(vec)
-    for c, b in zip(coeffs, basis):
-        if not field.is_zero(c):
-            for j, x in enumerate(b):
-                residual[j] = field.reduce(residual[j] - c * x)
-    if any(not field.is_zero(x) for x in residual):
-        return None
-    return coeffs
 
 
 def mat_mul(a, b, ncols_b, field):

@@ -240,8 +240,6 @@ def test_hereditary_decisions():
 def test_tree_gentle_flag():
     tree = parse_presentation(A3_REL)
     assert is_derived_discrete(tree).verdict == "yes"
-    strict = is_derived_discrete(tree, tree_gentle_is_discrete=False)
-    assert strict.verdict == "unknown"
 
 
 def test_discreteness_aggregation():

@@ -1,11 +1,13 @@
 """Homological engine: modules, resolutions, hom and ext dimensions."""
 
+import inspect
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from ddisc import cli, homology
+from ddisc import cli, homology, linalg
 from ddisc import (
     GF,
     QQ,
@@ -35,6 +37,17 @@ from ddisc.homology import (
 )
 
 A2 = "vertex 1\nvertex 2\narrow a 1 2\n"
+KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
+# gentle tree: a b is a relation, a c is not
+GENTLE_TREE = (
+    "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+    "arrow a 1 2\narrow b 2 3\narrow c 2 4\nrelation a b\n"
+)
+A4_ABC = (
+    "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+    "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
+)
+CUBED_LOOP = "vertex 0\narrow a 0 0\nrelation a a a\n"
 
 
 def module_pool(pres):
@@ -230,18 +243,71 @@ def test_resolution_of_projective_is_a_stalk():
         assert not C.diffs
 
 
+def assert_minimal_exact_resolution(M, depth):
+    """Radical differentials, d∘d = 0, and cohomology M in degree 0 only.
+
+    Degree -depth is left out: the truncation leaves cohomology there.
+    """
+    C = resolve(M, depth)
+    for i, d in C.diffs.items():
+        assert d.is_radical()
+        nxt = C.diffs.get(i + 1)
+        if nxt is not None:
+            assert d.then(nxt).is_zero()
+    cohomology = {k: h for k, h in cohomology_dim_vector(C).items() if k > -depth}
+    assert cohomology == ({0: M.total_dim()} if M.total_dim() else {})
+
+
 def test_resolutions_are_minimal_and_square_zero():
-    rng = random.Random(3)
     pool = []
     for rst in [(1, 2, 0), (2, 2, 0), (2, 2, 1), (3, 3, 0)]:
         pool.extend(module_pool(build_lambda(*rst)))
-    for M in rng.sample(pool, 10):
-        C = resolve(M, 4)
-        for i, d in C.diffs.items():
-            assert d.is_radical() or M.total_dim() == 0
-            nxt = C.diffs.get(i + 1)
-            if nxt is not None:
-                assert d.then(nxt).is_zero()
+    for s, t in [(2, 1), (3, 2)]:
+        objs = list(_string_objects(build_lambda(s, s, t), s, t).values())
+        pool.extend(objs)
+        pool.append(module_direct_sum(objs))
+    for text in (GENTLE_TREE, A4_ABC, CUBED_LOOP):
+        mods = module_pool(parse_presentation(text))
+        pool.extend(mods)
+        pool.append(module_direct_sum(mods))
+    for M in pool:
+        assert_minimal_exact_resolution(M, 4)
+
+
+def test_resolutions_do_linear_algebra_only_in_the_cover(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in list(vars(linalg).items()):
+        if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, name, counted(name, fn))
+    monkeypatch.setattr(
+        homology, "projective_cover", counted("cover", homology.projective_cover)
+    )
+    L = build_lambda(3, 3, 2)
+    seen = []
+    for depth in (10, 300):
+        calls.clear()
+        C = resolve(build_string_object(L, "X", 0), depth)
+        assert min(C.summands) == -depth
+        seen.append((calls.pop("cover", 0), sum(calls.values())))
+    assert seen[0][0] == 1 and seen[0] == seen[1], seen
+
+
+def test_band_modules_get_a_typed_refusal():
+    pres = parse_presentation(KRONECKER)
+    one = [[QQ.coerce(1)]]
+    band = RepModule(pres, {"1": 1, "2": 1}, {"a": one, "b": one})
+    with pytest.raises(PreconditionError, match="not spanned by paths"):
+        resolve(band, 2)
+    with pytest.raises(PreconditionError, match="not spanned by paths"):
+        ext_dim(pres, band, simple_module(pres, "2"), 1)
 
 
 def test_resolve_extension_is_consistent():
@@ -534,10 +600,5 @@ def test_infinite_gldim_check():
 
 
 def test_infinite_gldim_check_non_gentle():
-    finite = parse_presentation(
-        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
-        "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
-    )
-    assert infinite_gldim_check(finite) == "no"
-    cubed_loop = parse_presentation("vertex 0\narrow a 0 0\nrelation a a a\n")
-    assert infinite_gldim_check(cubed_loop) == "unknown"
+    assert infinite_gldim_check(parse_presentation(A4_ABC)) == "no"
+    assert infinite_gldim_check(parse_presentation(CUBED_LOOP)) == "unknown"

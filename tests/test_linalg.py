@@ -48,45 +48,10 @@ def test_rref_keeps_zero_rows():
     assert rows[1] == [0, 0] and rows[2] == [0, 0]
 
 
-def test_right_nullspace_units_at_free_columns():
-    for field in (QQ, GF(5)):
-        mat = [[1, 2, 3], [0, 1, 1]]
-        basis, free = linalg.right_nullspace(mat, 3, field)
-        assert free == [2] and len(basis) == 1
-        [b] = basis
-        assert b[2] == field.coerce(1)
-        for row in mat:
-            s = sum(x * y for x, y in zip(row, b))
-            assert field.is_zero(field.reduce(s))
-
-
-def test_left_nullspace_annihilates():
-    for field in (QQ, GF(5)):
-        mat = [[1, 2], [2, 4], [0, 1]]
-        basis, _ = linalg.left_nullspace(mat, 2, field)
-        assert len(basis) == 1
-        for x in basis:
-            image = linalg.mat_mul([list(x)], mat, 2, field)[0]
-            assert all(field.is_zero(e) for e in image)
-
-
-def test_coords_in_span_reads_free_columns():
-    mat = [[1, 0, 1, 0], [0, 1, 1, 1]]
-    basis, free = linalg.right_nullspace(mat, 4, QQ)
-    vec = [sum(2 * b[j] for b in basis) for j in range(4)]
-    vec = [vec[j] + basis[0][j] for j in range(4)]  # 3*b0 + 2*b1
-    coords = linalg.coords_in_span(basis, free, vec, QQ)
-    assert coords == [3, 2]
-    assert linalg.coords_in_span(basis, free, [1, 0, 0, 0], QQ) is None
-
-
 def test_empty_and_degenerate_shapes():
     assert linalg.rank([], 3, QQ) == 0
     assert linalg.rank([[0, 0]], 2, QQ) == 0
     assert linalg.rref([], 2, QQ) == ([], [])
-    basis, free = linalg.right_nullspace([], 2, QQ)
-    assert free == [0, 1] and len(basis) == 2
-    assert linalg.left_nullspace([], 2, QQ) == ([], [])
     assert linalg.mat_mul([], [[1]], 1, QQ) == []
 
 
@@ -112,13 +77,6 @@ def _random_matrix(rng, nrows, ncols, field):
     return [[_random_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def _annihilates(vec, rows, field):
-    return all(
-        field.is_zero(field.reduce(sum(x * y for x, y in zip(row, vec))))
-        for row in rows
-    )
-
-
 def test_kernel_invariants_on_random_matrices():
     rng = random.Random(20259)
     fields = [QQ, GF(5), GF(32003), GF(2**61 - 1)]
@@ -130,19 +88,6 @@ def test_kernel_invariants_on_random_matrices():
         red, pivots = linalg.rref(mat, ncols, field)
         assert rank == len(pivots), mat
         assert linalg.rref(red, ncols, field) == (red, pivots), mat
-        right, free = linalg.right_nullspace(mat, ncols, field)
-        assert len(right) == ncols - rank, mat
-        assert all(_annihilates(x, mat, field) for x in right), mat
-        left, _ = linalg.left_nullspace(mat, ncols, field)
-        assert len(left) == nrows - rank, mat
-        columns = [list(col) for col in zip(*mat)]
-        assert all(_annihilates(y, columns, field) for y in left), mat
-        coeffs = [field.coerce(rng.randint(-3, 3)) for _ in right]
-        combo = [
-            field.reduce(sum(c * x[j] for c, x in zip(coeffs, right)))
-            for j in range(ncols)
-        ]
-        assert linalg.coords_in_span(right, free, combo, field) == coeffs, mat
 
 
 def test_prime_field_scalar_rules():

@@ -1,7 +1,7 @@
 """Property tests: relation scans against their definition, radical
-projectivity from path counts against a module computation, relabeling
-invariance of classify, factors and series, and hom tables that do not
-depend on the field.
+projectivity from path counts against a module computation, minimal exact
+resolutions read off paths, relabeling invariance of classify, factors and
+series, and hom tables that do not depend on the field.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -23,9 +23,18 @@ from ddisc import (
     verify_trace,
 )
 from ddisc.fields import GF, QQ
-from ddisc.homology import RepModule, build_string_object, hom_table, projective_cover
+from ddisc.homology import (
+    RepModule,
+    build_string_object,
+    hom_table,
+    indec_projective,
+    module_direct_sum,
+    projective_cover,
+    simple_module,
+)
 from ddisc.presentation import BoundQuiverPresentation, Path, Quiver, path_basis
 from test_classify import relabel
+from test_homology import assert_minimal_exact_resolution
 
 FIXED = settings(
     derandomize=True,
@@ -153,6 +162,19 @@ def test_radical_projectivity_matches_modules_on_lambda():
         for s in range(1, n + 1):
             for r in range(1, s + 1):
                 assert_radical_projectivity_matches_modules(build_lambda(r, s, n - s))
+
+
+@settings(FIXED, max_examples=400)
+@given(bound_quivers())
+def test_resolutions_are_minimal_and_exact_on_random_quivers(pres):
+    try:
+        path_basis(pres)
+    except InfiniteDimensionalError:
+        return
+    simples = [simple_module(pres, v) for v in pres.quiver.vertices]
+    projectives = [indec_projective(pres, v) for v in pres.quiver.vertices]
+    for M in simples + projectives + [module_direct_sum(simples + projectives)]:
+        assert_minimal_exact_resolution(M, 4)
 
 
 @st.composite
