@@ -9,11 +9,13 @@ every step's precondition, so a trace is auditable evidence rather than a
 claim.  ``composition_factors`` computes the factor multiset straight from
 the normal form, giving an independent cross-check on the trace.
 
-Every step's precondition is decided by the quiver's shape or by counting
-basis paths: for monomial relations, whether a vertex's projective has
-projective radical is a comparison of path counts (Green-Happel-Zacharia),
-so building and checking a series constructs no module and runs no linear
-algebra.
+Every step's precondition is decided by the quiver's shape or by basis-path
+counts, which ``path_counts`` reads off the relation automaton without
+listing a path: for monomial relations, whether a vertex's projective has
+projective radical is a comparison of those counts (Green-Happel-Zacharia).
+A corner algebra reads its generators off the arrows at the dropped vertex
+and is checked against the ambient Cartan counts.  So building and checking
+a series lists no path, constructs no module and runs no linear algebra.
 """
 
 from collections import Counter
@@ -30,10 +32,11 @@ from .classify import (
 )
 from .presentation import (
     BoundQuiverPresentation,
+    Path,
     Quiver,
     connected_components,
     grothendieck_rank,
-    path_basis,
+    path_counts,
     vertex_sort_key,
 )
 
@@ -159,15 +162,19 @@ def is_radical_projective(pres, v) -> RadicalProjectivity:
     start with a.  Each aA is a quotient of P_w with simple top, so it is
     projective exactly when it has as many basis paths as P_w; the defect
     sums the gaps, which is the kernel dimension of the cover by the P_w.
+    Both counts come from ``path_counts``: dim P_w is the trivial path at w
+    plus the paths by each first arrow out of w.
     """
     if v not in pres.quiver.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
     q = pres.quiver
-    basis = path_basis(pres)
-    by_source = Counter(p.source for p in basis)
-    by_first = Counter(p.arrows[0] for p in basis if p.arrows)
+    by_first = path_counts(pres)[1]
+
+    def dim_projective(w):
+        return 1 + sum(by_first[b] for b in q.arrows_from(w))
+
     outs = sorted(q.arrows_from(v), key=lambda a: vertex_sort_key(q.target(a)))
-    defect = sum(by_source[q.target(a)] - by_first[a] for a in outs)
+    defect = sum(dim_projective(q.target(a)) - by_first[a] for a in outs)
     return RadicalProjectivity(defect == 0, tuple(q.target(a) for a in outs), defect)
 
 
@@ -187,9 +194,12 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
 
     The dropped vertex must be a source, a sink, or radical-projective.
     Arrows of the corner are the kept-to-kept basis paths with no kept
-    interior vertex; relations are the length-2 arrow products vanishing in
-    the ambient algebra.  The result is validated against the corner's path
-    counts and rejected when quadratic monomial relations cannot present it.
+    interior vertex, read at the dropped vertex: the arrows between kept
+    vertices and the normal products a*b through it.  Relations are the
+    length-2 products of those that vanish in the ambient algebra.  The
+    result is validated by ``path_counts``: its Cartan counts must equal the
+    ambient ones between kept vertices, else quadratic monomial relations
+    cannot present the corner and it is rejected.
     """
     kept = set(keep)
     unknown = kept - set(pres.quiver.vertices)
@@ -209,12 +219,27 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
-    corner = [p for p in path_basis(pres) if p.source in kept and p.target in kept]
-    target = pres.quiver.target
+    # the ambient Cartan rows of the kept vertices, without column v
+    expected = {
+        u: {w: n for w, n in row.items() if w != v} if v in row else row
+        for u, row in path_counts(pres)[0].items()
+        if u != v
+    }
+    # Generators, read at v: the arrows between kept vertices and the normal
+    # products a*b through v.  Nothing longer passes through v, as v carries
+    # no loop: it would be no source and no sink, and for a loop x the
+    # summand xA of rad P_v is smaller than P_v, so rad P_v is not projective.
+    q = pres.quiver
     gens = [
-        p
-        for p in corner
-        if len(p) >= 1 and not any(target(a) in kept for a in p.arrows[:-1])
+        Path(src, tgt, (a,))
+        for a, (src, tgt) in q.arrows.items()
+        if src in kept and tgt in kept
+    ]
+    gens += [
+        Path(q.source(a), q.target(b), (a, b))
+        for a in q.arrows_into(v)
+        for b in q.arrows_from(v)
+        if pres._extension_is_normal((a, b))
     ]
     arrows = [(p.label(), p.source, p.target) for p in gens]
     gens_from = {}
@@ -228,9 +253,7 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     ]
     out = BoundQuiverPresentation(Quiver(kept, arrows), relations)
     # the quadratic presentation must reproduce the corner's path counts
-    expected = Counter((p.source, p.target) for p in corner)
-    found = Counter((p.source, p.target) for p in path_basis(out))
-    if expected != found:
+    if path_counts(out)[0] != expected:
         raise PreconditionError(
             "corner algebra is not quadratic monomial on these generators"
         )

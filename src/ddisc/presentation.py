@@ -269,60 +269,95 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
 # -- path basis ------------------------------------------------------------
 
 
-def _assert_finite_dimensional(pres: BoundQuiverPresentation):
-    """Structural check: no relation-free cycle in the suffix automaton.
+def _automaton(pres: BoundQuiverPresentation):
+    """The suffix automaton's reachable states, children before parents.
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
-    that window determines which one-arrow extensions stay normal.  A cycle
-    among reachable states pumps to arbitrarily long normal paths.
+    that window determines which one-arrow extensions stay normal, so the
+    basis paths from v are the walks from (v, ()).  One iterative
+    depth-first search from every (v, ()) builds each state's (arrow, next
+    state) pairs on first visit and lists the states in post-order.  A
+    cycle among reachable states pumps to arbitrarily long normal paths:
+    that raises InfiniteDimensionalError, a structural check rather than a
+    cutoff.  Returns the post-order and the pairs per state.
     """
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
-
-    def step(state, a):
-        vertex, window = state
-        word = window + (a,)
-        if not pres._extension_is_normal(word):
-            return None
-        return (q.target(a), word[-width:] if width else ())
-
-    states = {(v, ()) for v in q.vertices}
-    frontier = list(states)
     edges = {}
-    while frontier:
-        state = frontier.pop()
-        outs = []
-        for a in q.arrows_from(state[0]):
-            nxt = step(state, a)
-            if nxt is not None:
-                outs.append(nxt)
-                if nxt not in states:
-                    states.add(nxt)
-                    frontier.append(nxt)
-        edges[state] = outs
+    order = []
+    active = set()  # states on the search stack
 
-    color = dict.fromkeys(states, 0)  # 0 new, 1 active, 2 done
-    for root in states:
-        if color[root]:
+    def visit(state):
+        vertex, window = state
+        outs = []
+        for a in q.arrows_from(vertex):
+            word = window + (a,)
+            if pres._extension_is_normal(word):
+                outs.append((a, (q.target(a), word[-width:] if width else ())))
+        edges[state] = outs
+        active.add(state)
+        return state, iter(outs)
+
+    for v in q.vertices:
+        if (v, ()) in edges:
             continue
-        stack = [(root, iter(edges[root]))]
-        color[root] = 1
+        stack = [visit((v, ()))]
         while stack:
             node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
+            for _, nxt in it:
+                if nxt in active:
                     raise InfiniteDimensionalError(
                         "relation-free cycle: the path basis is infinite"
                     )
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
+                if nxt not in edges:
+                    stack.append(visit(nxt))
                     break
-            if not advanced:
-                color[node] = 2
+            else:
+                active.discard(node)
+                order.append(node)
                 stack.pop()
+    return order, edges
+
+
+def _assert_finite_dimensional(pres: BoundQuiverPresentation):
+    """Raise InfiniteDimensionalError when the path basis is infinite."""
+    _automaton(pres)
+
+
+def path_counts(pres: BoundQuiverPresentation):
+    """Basis-path counts, read off the suffix automaton without listing paths.
+
+    Returns ``(cartan, by_first)`` with nonzero entries only:
+    ``cartan[u][w]`` counts the basis paths from u to w, and
+    ``by_first[a]`` those whose first arrow is a (every arrow has one).
+    One pass over the automaton, children first, gives every state the
+    counts by target of the walks from it; the walks from (v, ()) are the
+    basis paths from v, so those counts are row v of the Cartan matrix.
+    Cached on the presentation; callers must not mutate the result.
+    Raises InfiniteDimensionalError like ``path_basis``.
+    """
+    cached = pres._cache.get("path_counts")
+    if cached is not None:
+        return cached
+    order, edges = _automaton(pres)
+    below = {}
+    for state in order:
+        outs = edges[state]
+        # copying the first child's dict runs in C; most states have one
+        ends = dict(below[outs[0][1]]) if outs else {}
+        for _, nxt in outs[1:]:
+            for w, count in below[nxt].items():
+                ends[w] = ends.get(w, 0) + count
+        ends[state[0]] = ends.get(state[0], 0) + 1
+        below[state] = ends
+    cartan = {}
+    by_first = {}
+    for v in pres.quiver.vertices:
+        cartan[v] = below[(v, ())]
+        for a, nxt in edges[(v, ())]:
+            by_first[a] = sum(below[nxt].values())
+    pres._cache["path_counts"] = cached = (cartan, by_first)
+    return cached
 
 
 def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
@@ -354,10 +389,8 @@ def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
 def cartan_matrix(pres: BoundQuiverPresentation) -> dict:
     """Entry ``(u, w)`` counts basis paths from u to w."""
     verts = pres.quiver.vertices
-    counts = {(u, w): 0 for u in verts for w in verts}
-    for p in path_basis(pres):
-        counts[(p.source, p.target)] += 1
-    return counts
+    rows = path_counts(pres)[0]
+    return {(u, w): rows[u].get(w, 0) for u in verts for w in verts}
 
 
 def grothendieck_rank(pres: BoundQuiverPresentation) -> int:
@@ -382,6 +415,10 @@ def connected_components(pres: BoundQuiverPresentation):
     groups = {}
     for v in pres.quiver.vertices:
         groups.setdefault(find(v), set()).add(v)
+    if len(groups) == 1:
+        # presentations are immutable, so the input itself is the one part,
+        # and it keeps its cached path data
+        return [pres]
     comps = sorted(groups.values(), key=lambda g: min(vertex_sort_key(v) for v in g))
     out = []
     for group in comps:

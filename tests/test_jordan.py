@@ -15,6 +15,7 @@ from ddisc import (
     SeriesTrace,
     build_lambda,
     composition_factors,
+    connected_components,
     direct_sum,
     grothendieck_rank,
     idempotent_subalgebra,
@@ -296,6 +297,78 @@ def test_verify_trace_accepts_its_own_series():
         assert report.ok and report.failures == (), pres
 
 
+def terminal_factor(comp):
+    """The factor of a retired shape, else None: a lone vertex, or a cycle
+    whose consecutive arrow pairs are all relations (with in- and
+    out-degree 1 everywhere, those are its only composable pairs)."""
+    q = comp.quiver
+    if len(q.vertices) == 1 and not q.arrows:
+        return K
+    one_in_one_out = all(
+        len(q.arrows_from(v)) == len(q.arrows_into(v)) == 1 for v in q.vertices
+    )
+    quadratic = all(len(rel) == 2 for rel in comp.relations)
+    if one_in_one_out and quadratic and len(comp.relations) == len(q.vertices):
+        return two_truncated_cycle(len(q.vertices))
+    return None
+
+
+def random_order_trace(pres, rng):
+    """A series trace taking each strip at random among the applicable ones.
+
+    Built from the public radical projectivity test and corner algebra,
+    with the splits and terminals of ``strip_series``; a terminal component
+    is retired, never stripped.
+    """
+    steps, factors = [], []
+    stack = [pres]
+    at_top = True
+    while stack:
+        comp = stack.pop()
+        parts = connected_components(comp)
+        if at_top or len(parts) > 1:
+            at_top = False
+            steps.append(SeriesStep("split", parts=len(parts)))
+            stack.extend(reversed(parts))
+            continue
+        factor = terminal_factor(comp)
+        if factor is not None:
+            steps.append(SeriesStep("terminal", factor=factor))
+            factors.append(factor)
+            continue
+        q = comp.quiver
+        choices = (
+            [("strip-source", v) for v in q.vertices if not q.arrows_into(v)]
+            + [("strip-sink", v) for v in q.vertices if not q.arrows_from(v)]
+            + [
+                ("drop-radical", v)
+                for v in q.vertices
+                if is_radical_projective(comp, v)
+            ]
+        )
+        assert choices, comp
+        op, v = rng.choice(choices)
+        steps.append(SeriesStep(op, vertex=v))
+        factors.append(K)
+        stack.append(idempotent_subalgebra(comp, [w for w in q.vertices if w != v]))
+    return SeriesTrace(pres, tuple(steps), tuple(factors))
+
+
+def test_every_strip_order_gives_the_same_factors():
+    # Jordan-Hoelder uniqueness: any order of valid strips verifies and ends
+    # in the factor multiset of the normal form
+    for s in range(1, 7):
+        for r in range(1, min(s, 5) + 1):
+            for t in range(4):
+                pres = build_lambda(r, s, t)
+                expected = composition_factors(lambda_normal_form(pres))
+                for seed in range(3):
+                    rng = random.Random(f"{r},{s},{t}/{seed}")
+                    trace = random_order_trace(pres, rng)
+                    assert verify_trace(pres, trace).ok, (r, s, t, seed)
+                    assert trace.factor_multiset() == expected, (r, s, t, seed)
+
+
 def test_verify_trace_rejects_forged_radical_drop():
     pres = build_lambda(2, 2, 0)
     forged = SeriesTrace(
@@ -399,8 +472,11 @@ def test_series_needs_no_isomorphism_search(monkeypatch):
 
 
 def test_series_needs_no_linear_algebra(monkeypatch):
+    # path counts decide every step, so series and its replay list no path
     def refuse(*args, **kwargs):
-        raise AssertionError("module or linear algebra on the series path")
+        raise AssertionError(
+            "module, linear algebra or path listing on the series path"
+        )
 
     banned = [
         value
@@ -409,7 +485,7 @@ def test_series_needs_no_linear_algebra(monkeypatch):
         if not name.startswith("_")
         and callable(value)
         and getattr(value, "__module__", None) == module.__name__
-    ]
+    ] + [ddisc.presentation.path_basis]
     ddisc_modules = [
         m for name, m in sys.modules.items() if name.split(".")[0] == "ddisc"
     ]
@@ -418,6 +494,7 @@ def test_series_needs_no_linear_algebra(monkeypatch):
             if any(value is fn for fn in banned):
                 monkeypatch.setattr(module, name, refuse)
     assert ddisc.jordan.projective_cover is refuse
+    assert ddisc.presentation.path_basis is refuse
     inputs = [
         build_lambda(1, 4, 2),
         build_lambda(3, 5, 0),

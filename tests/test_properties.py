@@ -1,21 +1,27 @@
-"""Property tests: relation scans against their definition, radical
-projectivity from path counts against a module computation, minimal exact
-resolutions read off paths, relabeling invariance of classify, factors and
-series, and hom tables that do not depend on the field.
+"""Property tests: relation scans against their definition, path counts
+and corner algebras against the listed path basis, radical projectivity
+from path counts against a module computation, minimal exact resolutions
+read off paths, relabeling invariance of classify, factors and series, and
+hom tables that do not depend on the field.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
+import sys
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ddisc import (
+    DdiscError,
     InfiniteDimensionalError,
+    PreconditionError,
     build_lambda,
     composition_factors,
     direct_sum,
+    idempotent_subalgebra,
     is_derived_discrete,
     is_radical_projective,
     lambda_normal_form,
@@ -32,7 +38,13 @@ from ddisc.homology import (
     projective_cover,
     simple_module,
 )
-from ddisc.presentation import BoundQuiverPresentation, Path, Quiver, path_basis
+from ddisc.presentation import (
+    BoundQuiverPresentation,
+    Path,
+    Quiver,
+    path_basis,
+    path_counts,
+)
 from test_classify import relabel
 from test_homology import assert_minimal_exact_resolution
 
@@ -111,6 +123,96 @@ def test_relation_scans_match_the_definition(data):
             assert product == path(word, start)
         else:
             assert product is None
+
+
+def counts_by_listing(pres):
+    """Reference: the path basis listed, then counted."""
+    basis = path_basis(pres)
+    cartan = {v: Counter() for v in pres.quiver.vertices}
+    for p in basis:
+        cartan[p.source][p.target] += 1
+    return cartan, Counter(p.arrows[0] for p in basis if p.arrows)
+
+
+def corner_by_listing(pres, v):
+    """Reference: the corner algebra dropping v, read off the whole listed
+    path basis."""
+    q = pres.quiver
+    kept = set(q.vertices) - {v}
+    if q.arrows_into(v) and q.arrows_from(v):
+        basis = path_basis(pres)
+        by_source = Counter(p.source for p in basis)
+        by_first = Counter(p.arrows[0] for p in basis if p.arrows)
+        if sum(by_source[q.target(a)] - by_first[a] for a in q.arrows_from(v)):
+            raise PreconditionError(
+                f"vertex {v!r} is not a source, a sink, or radical-projective"
+            )
+    corner = [p for p in path_basis(pres) if p.source in kept and p.target in kept]
+    gens = [
+        p
+        for p in corner
+        if len(p) >= 1 and not any(q.target(a) in kept for a in p.arrows[:-1])
+    ]
+    relations = [
+        (g.label(), h.label())
+        for g in gens
+        for h in gens
+        if h.source == g.target and pres.path_product(g, h) is None
+    ]
+    out = BoundQuiverPresentation(
+        Quiver(kept, [(p.label(), p.source, p.target) for p in gens]), relations
+    )
+    expected = Counter((p.source, p.target) for p in corner)
+    if expected != Counter((p.source, p.target) for p in path_basis(out)):
+        raise PreconditionError(
+            "corner algebra is not quadratic monomial on these generators"
+        )
+    return out
+
+
+def outcome(build, *args):
+    """The result, or the type and text of the error raised instead."""
+    try:
+        return build(*args)
+    except DdiscError as e:
+        return type(e), str(e)
+
+
+def assert_counts_and_corners_match_listing(pres):
+    try:
+        expected = counts_by_listing(pres)
+    except InfiniteDimensionalError:
+        with pytest.raises(InfiniteDimensionalError):
+            path_counts(pres)
+    else:
+        assert path_counts(pres) == expected
+    for v in pres.quiver.vertices:
+        keep = [w for w in pres.quiver.vertices if w != v]
+        got = outcome(idempotent_subalgebra, pres, keep)
+        assert got == outcome(corner_by_listing, pres, v), v
+
+
+@settings(FIXED, max_examples=400)
+@given(bound_quivers())
+def test_path_counts_and_corners_match_listing_on_random_quivers(pres):
+    assert_counts_and_corners_match_listing(pres)
+
+
+def test_path_counts_and_corners_match_listing_on_lambda():
+    for n in range(1, 9):
+        for s in range(1, n + 1):
+            for r in range(1, s + 1):
+                assert_counts_and_corners_match_listing(build_lambda(r, s, n - s))
+
+
+def test_path_counts_walk_paths_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    pres = BoundQuiverPresentation(Quiver([str(i) for i in range(n)], arrows))
+    cartan, by_first = path_counts(pres)
+    assert cartan["0"][str(n - 1)] == 1
+    assert sum(len(row) for row in cartan.values()) == n * (n + 1) // 2
+    assert by_first["a0"] == n - 1
 
 
 def radical_projectivity_by_modules(pres, v):
