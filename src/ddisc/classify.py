@@ -1,16 +1,25 @@
 """Derived discreteness classification.
 
-The decision table, per connected component:
+The decision table lives in :func:`_classify_component` and nowhere else.
+Per connected component it gives a verdict, a reason and a normal form:
 
-* no relations and the underlying graph is Dynkin: discrete (hereditary of
-  finite representation type);
+* infinite dimensional: refused with an error;
+* no relations, Dynkin underlying graph: discrete (hereditary of finite
+  representation type), normal form that Dynkin type;
 * no relations otherwise: not discrete;
-* gentle with first Betti number 1: discrete exactly when the two traversal
-  orientations of the unique cycle carry different numbers of relations (the
-  clock condition fails);
-* gentle tree: discrete (gentle tree algebras are derived equivalent to
-  type A_n, Assem-Happel 1981);
-* anything else: unknown, with the obstacle spelled out.
+* not gentle: unknown, naming the first violated gentleness condition;
+* gentle with more than one independent cycle: unknown;
+* gentle tree: discrete (derived equivalent to type A_n, Assem-Happel
+  1981), normal form A_n when the invariant confirms it;
+* gentle with one cycle: discrete exactly when the two traversal
+  orientations of the cycle carry different numbers of relations (the
+  clock condition fails), normal form the ``Lambda(r,s,t)`` that matches
+  the invariant.
+
+A normal form the invariant does not confirm is unknown.  Verdicts follow
+Vossieck (2001), normal forms Bobinski-Geiss-Skowronski (2004).
+:func:`is_derived_discrete` and :func:`lambda_normal_form` read one pass
+over the components, cached on the presentation.
 
 Normal forms inside the one-cycle discrete class are read off the
 thread-pairing invariant computed by :func:`ag_invariant`: it sends
@@ -223,64 +232,6 @@ def dynkin_type(pres: BoundQuiverPresentation):
     return None
 
 
-# -- discreteness decision ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscretenessVerdict:
-    verdict: str  # yes | no | unknown
-    components: tuple  # (verdict, reason) per connected component
-
-
-def is_derived_discrete(pres: BoundQuiverPresentation) -> DiscretenessVerdict:
-    """Decide derived discreteness; unknown cases name the obstacle."""
-    reports = []
-    for comp in connected_components(pres):
-        _assert_finite_dimensional(comp)
-        if not comp.relations:
-            dt = dynkin_type(comp)
-            if dt is not None:
-                reports.append(("yes", f"hereditary of Dynkin type {dt[0]}{dt[1]}"))
-            else:
-                reports.append(("no", "hereditary with non-Dynkin underlying graph"))
-            continue
-        cert = is_gentle(comp)
-        if not cert.gentle:
-            cond, witness = cert.violations[0]
-            reports.append(("unknown", f"not gentle ({cond}: {witness})"))
-            continue
-        betti = cycle_count(comp)
-        if betti == 0:
-            reports.append(("yes", "gentle tree (assumed discrete, classical fact)"))
-        elif betti == 1:
-            clock = clock_condition(comp)
-            if clock.satisfied:
-                reports.append(
-                    (
-                        "no",
-                        "one-cycle gentle with balanced cycle relations "
-                        f"({clock.with_count} both ways)",
-                    )
-                )
-            else:
-                reports.append(
-                    (
-                        "yes",
-                        "one-cycle gentle, unbalanced cycle relations "
-                        f"({clock.with_count} vs {clock.against_count})",
-                    )
-                )
-        else:
-            reports.append(("unknown", f"gentle with {betti} independent cycles"))
-    if any(r[0] == "no" for r in reports):
-        verdict = "no"
-    elif any(r[0] == "unknown" for r in reports):
-        verdict = "unknown"
-    else:
-        verdict = "yes"
-    return DiscretenessVerdict(verdict, tuple(reports))
-
-
 # -- relation-full cycles -------------------------------------------------------
 
 
@@ -466,7 +417,7 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
     return AGInvariant(tuple(sorted(pairs)))
 
 
-# -- normal forms --------------------------------------------------------------
+# -- classification results -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -500,6 +451,12 @@ class DerivedEquivClass:
         return any(isinstance(c, UnknownClass) for c in self.components)
 
 
+@dataclass(frozen=True)
+class DiscretenessVerdict:
+    verdict: str  # yes | no | unknown
+    components: tuple  # (verdict, reason) per connected component
+
+
 def _lambda_from_invariant(inv: AGInvariant, n: int):
     """The (r,s,t) with s+t = n whose Lambda(r,s,t) has invariant ``inv``.
 
@@ -520,39 +477,76 @@ def _lambda_from_invariant(inv: AGInvariant, n: int):
     return LambdaDescriptor(r, s, t)
 
 
+# -- the decision table ----------------------------------------------------------
+
+
 def _classify_component(comp: BoundQuiverPresentation):
+    """(verdict, reason, normal form) of one connected component."""
     _assert_finite_dimensional(comp)
     n = len(comp.quiver.vertices)
     if not comp.relations:
         dt = dynkin_type(comp)
         if dt is not None:
-            return DynkinHereditary(dt[0], dt[1])
-        return UnknownClass("hereditary non-Dynkin; not derived discrete")
-
+            name = f"{dt[0]}{dt[1]}"
+            return "yes", f"hereditary of Dynkin type {name}", DynkinHereditary(*dt)
+        nf = UnknownClass("hereditary non-Dynkin; not derived discrete")
+        return "no", "hereditary with non-Dynkin underlying graph", nf
     cert = is_gentle(comp)
     if not cert.gentle:
-        cond, witness = cert.violations[0]
-        return UnknownClass(f"not gentle ({cond}: {witness})")
+        reason = "not gentle ({}: {})".format(*cert.violations[0])
+        return "unknown", reason, UnknownClass(reason)
     betti = cycle_count(comp)
-    if betti == 0:
-        # gentle trees are derived equivalent to a hereditary line; accept
-        # only when the invariant confirms it
-        if ag_invariant(comp) == AGInvariant(((n + 1, n - 1),)):
-            return DynkinHereditary("A", n)
-        return UnknownClass("gentle tree with unexpected invariant")
     if betti > 1:
-        return UnknownClass(f"gentle with {betti} independent cycles")
+        reason = f"gentle with {betti} independent cycles"
+        return "unknown", reason, UnknownClass(reason)
+    if betti == 0:
+        if ag_invariant(comp) == AGInvariant(((n + 1, n - 1),)):
+            nf = DynkinHereditary("A", n)
+        else:
+            nf = UnknownClass("gentle tree with unexpected invariant")
+        return "yes", "gentle tree (assumed discrete, classical fact)", nf
     clock = clock_condition(comp)
     if clock.satisfied:
-        return UnknownClass("one-cycle gentle satisfying the clock condition")
+        reason = (
+            "one-cycle gentle with balanced cycle relations "
+            f"({clock.with_count} both ways)"
+        )
+        nf = UnknownClass("one-cycle gentle satisfying the clock condition")
+        return "no", reason, nf
     desc = _lambda_from_invariant(ag_invariant(comp), n)
     if desc is None:
-        return UnknownClass("invariant matches no one-cycle normal form")
-    return LambdaClass(desc)
+        nf = UnknownClass("invariant matches no one-cycle normal form")
+    else:
+        nf = LambdaClass(desc)
+    reason = (
+        "one-cycle gentle, unbalanced cycle relations "
+        f"({clock.with_count} vs {clock.against_count})"
+    )
+    return "yes", reason, nf
+
+
+def _classification(pres: BoundQuiverPresentation) -> tuple:
+    """:func:`_classify_component` of every component, cached on ``pres``."""
+    rows = pres._cache.get("classification")
+    if rows is None:
+        rows = tuple(_classify_component(c) for c in connected_components(pres))
+        pres._cache["classification"] = rows
+    return rows
+
+
+def is_derived_discrete(pres: BoundQuiverPresentation) -> DiscretenessVerdict:
+    """Decide derived discreteness; unknown cases name the obstacle."""
+    reports = tuple((verdict, reason) for verdict, reason, _ in _classification(pres))
+    verdicts = {verdict for verdict, _ in reports}
+    if "no" in verdicts:
+        verdict = "no"
+    elif "unknown" in verdicts:
+        verdict = "unknown"
+    else:
+        verdict = "yes"
+    return DiscretenessVerdict(verdict, reports)
 
 
 def lambda_normal_form(pres: BoundQuiverPresentation) -> DerivedEquivClass:
     """Classify each connected component up to derived equivalence."""
-    return DerivedEquivClass(
-        tuple(_classify_component(c) for c in connected_components(pres))
-    )
+    return DerivedEquivClass(tuple(nf for _, _, nf in _classification(pres)))

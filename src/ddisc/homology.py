@@ -28,9 +28,9 @@ from __future__ import annotations
 from .errors import PreconditionError
 from .fields import QQ
 from . import linalg
-from .classify import is_gentle, relation_full_cycles
 from .presentation import (
     BoundQuiverPresentation,
+    _assert_finite_dimensional,
     lambda_descriptor_of,
     path_basis,
     vertex_sort_key,
@@ -819,19 +819,37 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
 # -- global dimension --------------------------------------------------------------
 
 
-def infinite_gldim_check(pres, *, cutoff: int = None) -> str:
-    """"yes" when the global dimension is provably infinite, "no" when
-    provably finite, "unknown" past the syzygy cutoff.
+def infinite_gldim_check(pres) -> str:
+    """"yes" when the global dimension is infinite, "no" when it is finite.
 
-    Gentle inputs are decided exactly by relation-full cycles; otherwise
-    every simple is resolved up to the cutoff.
+    Exact, with no cutoff.  In :func:`resolve` of the simple at v the
+    summands of degree -1 are the arrows out of v, and below a summand with
+    differential x come those of :func:`_annihilator_generators` of x.  So
+    the global dimension is infinite iff the graph on basis paths with the
+    edges x -> each annihilator generator of x has a cycle reachable from an
+    arrow (Green-Happel-Zacharia): the graph is finite, so a resolution
+    without end revisits a path.  An iterative depth-first search finds it.
     """
-    basis = path_basis(pres)
-    if is_gentle(pres).gentle:
-        return "yes" if relation_full_cycles(pres) else "no"
-    if cutoff is None:
-        cutoff = len(basis) + 2
-    for v in pres.quiver.vertices:
-        if projective_dimension(simple_module(pres, v), cutoff) is None:
-            return "unknown"
+    # the generator search never stops on an infinite dimensional algebra
+    _assert_finite_dimensional(pres)
+    on_stack, done = set(), set()
+    for a in pres.quiver.arrows:
+        root = _arrow_path(pres, a)
+        if root in done:
+            continue
+        on_stack.add(root)
+        stack = [(root, iter(_annihilator_generators(pres, root)))]
+        while stack:
+            x, children = stack[-1]
+            for y in children:
+                if y in on_stack:
+                    return "yes"
+                if y not in done:
+                    on_stack.add(y)
+                    stack.append((y, iter(_annihilator_generators(pres, y))))
+                    break
+            else:
+                stack.pop()
+                on_stack.discard(x)
+                done.add(x)
     return "no"

@@ -1,5 +1,6 @@
 """Classifier: gentleness, clock condition, invariant values, normal forms."""
 
+import pathlib
 import random
 
 import pytest
@@ -10,7 +11,10 @@ from ddisc import (
     build_lambda,
     direct_sum,
     parse_presentation,
+    strip_series,
+    verify_trace,
 )
+from ddisc import classify
 from ddisc.classify import (
     AGInvariant,
     DerivedEquivClass,
@@ -461,3 +465,42 @@ def test_relabeled_large_input_classifies():
 def test_invariant_frozen_nonliteral():
     expected = AGInvariant(((1, 2), (2, 1)))
     assert ag_invariant(parse_presentation(TRIANGLE)) == expected
+
+
+# -- one classification pass -----------------------------------------------------
+
+
+def counted_classification(monkeypatch):
+    """Count the calls of the table's clock and invariant steps."""
+    calls = {"clock_condition": 0, "ag_invariant": 0}
+    for name in calls:
+        inner = getattr(classify, name)
+
+        def counted(pres, name=name, inner=inner):
+            calls[name] += 1
+            return inner(pres)
+
+        monkeypatch.setattr(classify, name, counted)
+    return calls
+
+
+def two_component_input():
+    data = pathlib.Path(__file__).parent / "data"
+    text = (data / "sum_relabeled_2_2_1_literal_1_3_0.txt").read_text("utf-8")
+    return parse_presentation(text)
+
+
+def test_verdict_and_normal_form_share_one_pass(monkeypatch):
+    pres = two_component_input()
+    calls = counted_classification(monkeypatch)
+    assert is_derived_discrete(pres).verdict == "yes"
+    assert not lambda_normal_form(pres).has_unknown()
+    # both components have one cycle: one clock and one invariant each
+    assert calls == {"clock_condition": 2, "ag_invariant": 2}
+
+
+def test_series_and_its_verification_share_one_pass(monkeypatch):
+    pres = two_component_input()
+    calls = counted_classification(monkeypatch)
+    assert verify_trace(pres, strip_series(pres)).ok
+    assert calls == {"clock_condition": 2, "ag_invariant": 2}

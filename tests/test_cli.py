@@ -21,6 +21,11 @@ GOLDEN_NONZERO = {
     ("two_cycles", "classify"): 2,
     ("two_cycles", "factors"): 2,
     ("two_cycles", "series"): 2,
+    ("a4_long_relation", "classify"): 2,
+    ("a4_long_relation", "factors"): 2,
+    ("a4_long_relation", "series"): 2,
+    ("sum_kronecker_lambda_2_2_1", "factors"): 2,
+    ("sum_kronecker_lambda_2_2_1", "series"): 2,
 }
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"

@@ -11,6 +11,7 @@ from ddisc import cli, homology, linalg
 from ddisc import (
     GF,
     QQ,
+    InfiniteDimensionalError,
     PreconditionError,
     build_lambda,
     cartan_matrix,
@@ -601,4 +602,21 @@ def test_infinite_gldim_check():
 
 def test_infinite_gldim_check_non_gentle():
     assert infinite_gldim_check(parse_presentation(A4_ABC)) == "no"
-    assert infinite_gldim_check(parse_presentation(CUBED_LOOP)) == "unknown"
+    # k[a]/a^3: the syzygies of the simple alternate between a^2 A and aA
+    assert infinite_gldim_check(parse_presentation(CUBED_LOOP)) == "yes"
+
+
+def test_infinite_gldim_check_two_loops():
+    # two loops with every quadratic relation among them, plus a tail: the
+    # minimal resolutions grow exponentially, the annihilator graph does not
+    pres = parse_presentation(
+        "vertex 0\nvertex 1\nvertex 2\nvertex 3\n"
+        "arrow a0 0 0\narrow a1 0 1\narrow a2 0 0\narrow a3 1 2\narrow a4 2 3\n"
+        "relation a0 a0\nrelation a0 a2\nrelation a2 a0\nrelation a2 a2\n"
+    )
+    assert infinite_gldim_check(pres) == "yes"
+
+
+def test_infinite_gldim_check_needs_finite_dimension():
+    with pytest.raises(InfiniteDimensionalError):
+        infinite_gldim_check(parse_presentation("vertex 0\narrow a 0 0\n"))

@@ -1,7 +1,8 @@
 """Property tests: relation scans against their definition, path counts
 and corner algebras against the listed path basis, radical projectivity
 from path counts against a module computation, minimal exact resolutions
-read off paths, relabeling invariance of classify, factors and series, and
+read off paths, relabeling invariance of classify, factors and series,
+classification, series and global dimension of random gentle quivers, and
 hom tables that do not depend on the field.
 
 Examples are derandomized, so every run checks the same cases.
@@ -28,12 +29,14 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
+from ddisc.classify import UnknownClass, relation_full_cycles
 from ddisc.fields import GF, QQ
 from ddisc.homology import (
     RepModule,
     build_string_object,
     hom_table,
     indec_projective,
+    infinite_gldim_check,
     module_direct_sum,
     projective_cover,
     simple_module,
@@ -307,6 +310,93 @@ def test_classify_factors_series_are_relabeling_invariant(pair):
     trace = strip_series(pres)
     assert verify_trace(pres, trace).ok
     assert trace.factor_multiset() == factors
+
+
+@st.composite
+def gentle_quivers(draw):
+    """A connected gentle quiver on 2..8 vertices.
+
+    A random tree, oriented at random, plus up to two more arrows (loops
+    allowed): trees, one-cycle and two-cycle shapes all come up.  At every
+    vertex the relations are a random gentle choice: the length-2 pairs
+    through it split into a relation matching and a nonzero matching.
+    """
+    verts = [str(i) for i in range(draw(st.integers(2, 8)))]
+    arrows = []
+    ins, outs = Counter(), Counter()
+
+    def add(src, tgt):
+        arrows.append((f"a{len(arrows)}", src, tgt))
+        outs[src] += 1
+        ins[tgt] += 1
+
+    for i, v in enumerate(verts[1:], 1):
+        # some earlier vertex has a free slot either way: the tree so far
+        # uses i - 1 of 2i slots on each side
+        if draw(st.booleans()):
+            add(draw(st.sampled_from([w for w in verts[:i] if outs[w] < 2])), v)
+        else:
+            add(v, draw(st.sampled_from([w for w in verts[:i] if ins[w] < 2])))
+    for _ in range(draw(st.integers(0, 2))):
+        sources = [v for v in verts if outs[v] < 2]
+        targets = [v for v in verts if ins[v] < 2]
+        if sources and targets:
+            add(draw(st.sampled_from(sources)), draw(st.sampled_from(targets)))
+    quiver = Quiver(verts, arrows)
+    relations = []
+    for v in verts:
+        into, out = quiver.arrows_into(v), quiver.arrows_from(v)
+        if not into or not out:
+            continue
+        if len(into) == len(out) == 1:
+            if draw(st.booleans()):
+                relations.append((into[0], out[0]))
+            continue
+        # with two arrows on one side, each arrow on the other side has one
+        # relation and one nonzero continuation
+        flip = draw(st.integers(0, 1))
+        if len(into) == 2 and len(out) == 2:
+            relations += [(into[0], out[flip]), (into[1], out[1 - flip])]
+        elif len(into) == 2:
+            relations.append((into[flip], out[0]))
+        else:
+            relations.append((into[0], out[flip]))
+    return BoundQuiverPresentation(quiver, relations)
+
+
+def finite_dimensional(pres):
+    try:
+        path_counts(pres)
+    except InfiniteDimensionalError:
+        return False
+    return True
+
+
+@settings(FIXED, max_examples=300)
+@given(st.lists(gentle_quivers(), min_size=1, max_size=2).map(direct_sum))
+def test_random_gentle_quivers_classify_and_strip(pres):
+    if not finite_dimensional(pres):
+        with pytest.raises(InfiniteDimensionalError):
+            is_derived_discrete(pres)
+        return
+    verdict = is_derived_discrete(pres)
+    nf = lambda_normal_form(pres)
+    assert len(verdict.components) == len(nf.components)
+    for (component_verdict, _), form in zip(verdict.components, nf.components):
+        if component_verdict != "yes":
+            assert isinstance(form, UnknownClass)
+    if verdict.verdict == "yes":
+        trace = strip_series(pres)
+        assert verify_trace(pres, trace).ok
+        assert trace.factor_multiset() == composition_factors(nf)
+
+
+@settings(FIXED, max_examples=300)
+@given(gentle_quivers())
+def test_random_gentle_global_dimension_matches_relation_full_cycles(pres):
+    if finite_dimensional(pres):
+        expected = "yes" if relation_full_cycles(pres) else "no"
+        assert infinite_gldim_check(pres) == expected
 
 
 @st.composite
