@@ -37,6 +37,7 @@ from .presentation import (
     BoundQuiverPresentation,
     LambdaDescriptor,
     _assert_finite_dimensional,
+    _cached,
     connected_components,
     vertex_sort_key,
 )
@@ -60,7 +61,12 @@ def is_gentle(pres: BoundQuiverPresentation) -> GentleCertificate:
     G1 vertex degrees <= 2 on each side; G2 relations have length exactly 2;
     G3 every arrow extends to at most one relation on each side; G4 every
     arrow extends to at most one non-relation composite on each side.
+    Computed once per presentation.
     """
+    return _cached(pres, "gentle", _gentleness)
+
+
+def _gentleness(pres):
     q = pres.quiver
     violations = []
     for v in q.vertices:
@@ -94,12 +100,14 @@ def is_gentle(pres: BoundQuiverPresentation) -> GentleCertificate:
 
 
 def cycle_count(pres: BoundQuiverPresentation) -> int:
-    """First Betti number of the underlying multigraph."""
-    return (
-        len(pres.quiver.arrows)
-        - len(pres.quiver.vertices)
-        + len(connected_components(pres))
-    )
+    """First Betti number of the underlying multigraph, computed once per
+    presentation."""
+    return _cached(pres, "betti", _betti)
+
+
+def _betti(pres):
+    q = pres.quiver
+    return len(q.arrows) - len(q.vertices) + len(connected_components(pres))
 
 
 @dataclass(frozen=True)
@@ -118,12 +126,17 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
 
     Preconditions: gentle, first Betti number 1.  Out of the two opposite
     traversals the one chosen is canonical, and swapping it swaps the two
-    counts, so ``satisfied`` is orientation independent.
+    counts, so ``satisfied`` is orientation independent.  Computed once per
+    presentation.
     """
     if cycle_count(pres) != 1:
         raise PreconditionError("clock condition needs exactly one cycle")
     if not is_gentle(pres).gentle:
         raise PreconditionError("clock condition needs a gentle presentation")
+    return _cached(pres, "clock", _clock_walk)
+
+
+def _clock_walk(pres):
     q = pres.quiver
 
     # strip leaves until only the unique cycle remains
@@ -527,11 +540,11 @@ def _classify_component(comp: BoundQuiverPresentation):
 
 def _classification(pres: BoundQuiverPresentation) -> tuple:
     """:func:`_classify_component` of every component, cached on ``pres``."""
-    rows = pres._cache.get("classification")
-    if rows is None:
-        rows = tuple(_classify_component(c) for c in connected_components(pres))
-        pres._cache["classification"] = rows
-    return rows
+    return _cached(
+        pres,
+        "classification",
+        lambda p: tuple(_classify_component(c) for c in connected_components(p)),
+    )
 
 
 def is_derived_discrete(pres: BoundQuiverPresentation) -> DiscretenessVerdict:

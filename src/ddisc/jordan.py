@@ -16,6 +16,16 @@ projective radical is a comparison of those counts (Green-Happel-Zacharia).
 A corner algebra reads its generators off the arrows at the dropped vertex
 and is checked against the ambient Cartan counts.  So building and checking
 a series lists no path, constructs no module and runs no linear algebra.
+
+A strip step costs work in proportion to the dropped vertex's neighbourhood
+(plus copies of the ambient's tables, which run in C).  The corner is
+patched from the ambient.  When its relations have the ambient's length (2,
+or none), its counts are too: only the automaton states at the dropped
+vertex's neighbours and the states that reach them are walked again.  The
+other states keep their edges, so their counts are exact copies.
+``strip_series`` looks for components again only after dropping a vertex
+with two or more neighbours; a connected algebra minus a leaf stays
+connected.  ``verify_trace`` builds every corner anew from its own replay.
 """
 
 from collections import Counter
@@ -32,8 +42,8 @@ from .classify import (
 )
 from .presentation import (
     BoundQuiverPresentation,
-    Path,
-    Quiver,
+    _corner,
+    _reaching,
     connected_components,
     grothendieck_rank,
     path_counts,
@@ -192,20 +202,24 @@ def _is_sink(pres, v):
 def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     """Corner algebra on the kept vertices, for single-vertex drops.
 
-    The dropped vertex must be a source, a sink, or radical-projective.
+    The dropped vertex v must be a source, a sink, or radical-projective.
     Arrows of the corner are the kept-to-kept basis paths with no kept
-    interior vertex, read at the dropped vertex: the arrows between kept
-    vertices and the normal products a*b through it.  Relations are the
-    length-2 products of those that vanish in the ambient algebra.  The
-    result is validated by ``path_counts``: its Cartan counts must equal the
-    ambient ones between kept vertices, else quadratic monomial relations
-    cannot present the corner and it is rejected.
+    interior vertex, read at v: the arrows between kept vertices and the
+    normal products a*b through v, each product named apart from every
+    arrow of the input.  Relations are the length-2 products of those that
+    vanish in the ambient algebra.  The corner is patched from the ambient,
+    not rebuilt: lists change at v's neighbours only, and when the window
+    width stays the same, its path counts are recounted only at the
+    automaton states that reach v's neighbours (see ``path_counts``).  The
+    result is validated by ``path_counts``: its Cartan counts must equal
+    the ambient ones between kept vertices, else quadratic monomial
+    relations cannot present the corner and it is rejected.
     """
     kept = set(keep)
-    unknown = kept - set(pres.quiver.vertices)
+    unknown = kept.difference(pres.quiver.vertices)
     if unknown:
         raise PreconditionError(f"unknown vertices {sorted(unknown)}")
-    dropped = [v for v in pres.quiver.vertices if v not in kept]
+    dropped = set(pres.quiver.vertices).difference(kept)
     if len(dropped) != 1:
         raise PreconditionError(
             f"exactly one vertex must be dropped, got {len(dropped)}"
@@ -220,44 +234,26 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
     # the ambient Cartan rows of the kept vertices, without column v
-    expected = {
-        u: {w: n for w, n in row.items() if w != v} if v in row else row
-        for u, row in path_counts(pres)[0].items()
-        if u != v
-    }
-    # Generators, read at v: the arrows between kept vertices and the normal
-    # products a*b through v.  Nothing longer passes through v, as v carries
-    # no loop: it would be no source and no sink, and for a loop x the
-    # summand xA of rad P_v is smaller than P_v, so rad P_v is not projective.
-    q = pres.quiver
-    gens = [
-        Path(src, tgt, (a,))
-        for a, (src, tgt) in q.arrows.items()
-        if src in kept and tgt in kept
-    ]
-    gens += [
-        Path(q.source(a), q.target(b), (a, b))
-        for a in q.arrows_into(v)
-        for b in q.arrows_from(v)
-        if pres._extension_is_normal((a, b))
-    ]
-    arrows = [(p.label(), p.source, p.target) for p in gens]
-    gens_from = {}
-    for h in gens:
-        gens_from.setdefault(h.source, []).append(h)
-    relations = [
-        (g.label(), h.label())
-        for g in gens
-        for h in gens_from.get(g.target, ())
-        if pres.path_product(g, h) is None
-    ]
-    out = BoundQuiverPresentation(Quiver(kept, arrows), relations)
+    rows = path_counts(pres)[0]
+    expected = dict(rows)
+    del expected[v]
+    for u in _reaching(pres, v):
+        expected[u] = {w: n for w, n in rows[u].items() if w != v}
+    # Nothing longer than a*b passes through v, as v carries no loop: it
+    # would be no source and no sink, and for a loop x the summand xA of
+    # rad P_v is smaller than P_v, so rad P_v is not projective.
+    out = _corner(pres, v)
     # the quadratic presentation must reproduce the corner's path counts
     if path_counts(out)[0] != expected:
         raise PreconditionError(
             "corner algebra is not quadratic monomial on these generators"
         )
     return out
+
+
+def _without(vertices, v):
+    i = vertices.index(v)
+    return vertices[:i] + vertices[i + 1 :]
 
 
 # -- series traces ---------------------------------------------------------------
@@ -321,7 +317,7 @@ def _is_two_truncated_cycle(pres, n) -> bool:
     n vertices and the relations are the n consecutive arrow pairs of it.
     """
     q = pres.quiver
-    if n < 1 or len(q.vertices) != n or len(q.arrows) != n:
+    if n < 1 or not len(q.vertices) == len(q.arrows) == len(pres.relations) == n:
         return False
     if any(len(q.arrows_from(v)) != 1 for v in q.vertices):
         return False
@@ -335,9 +331,7 @@ def _is_two_truncated_cycle(pres, n) -> bool:
     if len(cycle) != n:
         return False
     pairs = {(a, cycle[(i + 1) % n]) for i, a in enumerate(cycle)}
-    return len(pres.relations) == n and all(
-        rel.arrows in pairs for rel in pres.relations
-    )
+    return all(rel.arrows in pairs for rel in pres.relations)
 
 
 def _terminal_step(comp):
@@ -373,22 +367,25 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         )
     steps = []
     factors = []
-    stack = [pres]
+    # (presentation, known to be connected): components are, and so is a
+    # connected presentation minus a vertex with at most one neighbour
+    stack = [(pres, False)]
     at_top = True
     while stack:
-        comp = stack.pop()
-        parts = connected_components(comp)
-        if at_top or len(parts) > 1:
-            at_top = False
-            steps.append(
-                SeriesStep(
-                    "split",
-                    parts=len(parts),
-                    witness="; ".join(",".join(p.quiver.vertices) for p in parts),
+        comp, connected = stack.pop()
+        if not connected:
+            parts = connected_components(comp)
+            if at_top or len(parts) > 1:
+                at_top = False
+                steps.append(
+                    SeriesStep(
+                        "split",
+                        parts=len(parts),
+                        witness="; ".join(",".join(p.quiver.vertices) for p in parts),
+                    )
                 )
-            )
-            stack.extend(reversed(parts))
-            continue
+                stack.extend((p, True) for p in reversed(parts))
+                continue
         done = _terminal_step(comp)
         if done is not None:
             steps.append(done)
@@ -402,9 +399,11 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         op, v, witness = found
         steps.append(SeriesStep(op, vertex=v, witness=witness))
         factors.append(K)
-        stack.append(
-            idempotent_subalgebra(comp, [w for w in comp.quiver.vertices if w != v])
-        )
+        q = comp.quiver
+        neighbours = {q.source(a) for a in q.arrows_into(v)}
+        neighbours.update(q.target(a) for a in q.arrows_from(v))
+        corner = idempotent_subalgebra(comp, _without(q.vertices, v))
+        stack.append((corner, len(neighbours) <= 1))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
         raise PreconditionError(
@@ -458,9 +457,7 @@ def _replay_step(current, step, stack, emitted):
     else:
         return f"unknown op {step.op!r}"
     try:
-        corner = idempotent_subalgebra(
-            current, [w for w in current.quiver.vertices if w != v]
-        )
+        corner = idempotent_subalgebra(current, _without(current.quiver.vertices, v))
     except DdiscError as e:
         return f"corner construction failed: {e}"
     stack.append(corner)

@@ -13,6 +13,7 @@ numerically so the Lambda(r,s,t) builders, which label vertices
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -76,6 +77,18 @@ class Quiver:
             self._out[src].append(name)
             self._in[tgt].append(name)
 
+    @classmethod
+    def _assemble(cls, vertices, arrows, out, into):
+        """A quiver from parts another quiver already validated: vertices in
+        sort order, arrows sorted by name, and the per-vertex arrow lists in
+        name order.  The lists may be shared, as quivers never change."""
+        quiver = object.__new__(cls)
+        quiver.vertices = vertices
+        quiver.arrows = arrows
+        quiver._out = out
+        quiver._in = into
+        return quiver
+
     def source(self, a: str) -> str:
         return self.arrows[a][0]
 
@@ -116,16 +129,22 @@ class BoundQuiverPresentation:
                 raise PresentationError(f"relation {names} shorter than 2")
             rels.append(self.make_path(names))
         rels.sort(key=Path.sort_key)
-        self.relations = tuple(rels)
-        self._relset = frozenset(p.arrows for p in rels)
-        if len(self._relset) != len(rels):
+        relset = frozenset(p.arrows for p in rels)
+        if len(relset) != len(rels):
             raise PresentationError("duplicate relation")
-        self._maxrel = max((len(p) for p in rels), default=0)
         # relations indexed by their last arrow: a relation occurs in a word
         # only where that arrow does, so scans look up one bucket per position
-        self._by_last = {}
+        by_last = {}
         for rel in rels:
-            self._by_last.setdefault(rel.arrows[-1], []).append(rel.arrows)
+            by_last.setdefault(rel.arrows[-1], []).append(rel.arrows)
+        maxrel = max((len(p) for p in rels), default=0)
+        self._set_relations(tuple(rels), relset, maxrel, by_last)
+
+    def _set_relations(self, relations, relset, maxrel, by_last):
+        self.relations = relations
+        self._relset = relset
+        self._maxrel = maxrel
+        self._by_last = by_last
         self._cache = {}
 
     # -- path arithmetic -------------------------------------------------
@@ -269,59 +288,95 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
 # -- path basis ------------------------------------------------------------
 
 
-def _automaton(pres: BoundQuiverPresentation):
-    """The suffix automaton's reachable states, children before parents.
+def _cached(pres, key, compute):
+    """``compute(pres)``, computed once per presentation and kept in its
+    cache; presentations never change, and callers must not mutate it."""
+    value = pres._cache.get(key)
+    if value is None:
+        value = pres._cache[key] = compute(pres)
+    return value
+
+
+def _walk(pres, edges, below, roots):
+    """Depth-first search of the suffix automaton from ``roots``.
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
     that window determines which one-arrow extensions stay normal, so the
-    basis paths from v are the walks from (v, ()).  One iterative
-    depth-first search from every (v, ()) builds each state's (arrow, next
-    state) pairs on first visit and lists the states in post-order.  A
-    cycle among reachable states pumps to arbitrarily long normal paths:
-    that raises InfiniteDimensionalError, a structural check rather than a
-    cutoff.  Returns the post-order and the pairs per state.
+    basis paths from v are the walks from (v, ()).  A state is done once it
+    has ``below``, the counts by target vertex of the walks from it: the
+    search enters no done state, sets ``edges`` (the (arrow, next state)
+    pairs) of every state it enters, and finishes states children first.  A cycle among entered states pumps to arbitrarily long
+    normal paths: that raises InfiniteDimensionalError, a structural check
+    rather than a cutoff.
     """
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
-    edges = {}
-    order = []
     active = set()  # states on the search stack
 
-    def visit(state):
+    def enter(state):
         vertex, window = state
-        outs = []
+        outs = edges[state] = []
         for a in q.arrows_from(vertex):
             word = window + (a,)
             if pres._extension_is_normal(word):
                 outs.append((a, (q.target(a), word[-width:] if width else ())))
-        edges[state] = outs
         active.add(state)
         return state, iter(outs)
 
-    for v in q.vertices:
-        if (v, ()) in edges:
+    for root in roots:
+        if root in below:
             continue
-        stack = [visit((v, ()))]
+        stack = [enter(root)]
         while stack:
-            node, it = stack[-1]
+            state, it = stack[-1]
             for _, nxt in it:
                 if nxt in active:
                     raise InfiniteDimensionalError(
                         "relation-free cycle: the path basis is infinite"
                     )
-                if nxt not in edges:
-                    stack.append(visit(nxt))
+                if nxt not in below:
+                    stack.append(enter(nxt))
                     break
             else:
-                active.discard(node)
-                order.append(node)
+                active.discard(state)
                 stack.pop()
-    return order, edges
+                outs = edges[state]
+                # copying the first child's dict runs in C; most states have one
+                ends = dict(below[outs[0][1]]) if outs else {}
+                for _, nxt in outs[1:]:
+                    for w, count in below[nxt].items():
+                        ends[w] = ends.get(w, 0) + count
+                ends[state[0]] = ends.get(state[0], 0) + 1
+                below[state] = ends
+
+
+def _automaton(pres):
+    """Edges and per-state counts of every reachable state, walked from
+    every (v, ()) from scratch."""
+    edges, below = {}, {}
+    _walk(pres, edges, below, [(v, ()) for v in pres.quiver.vertices])
+    return edges, below
+
+
+def _states(pres):
+    """``_automaton`` of ``pres``, cached; a corner may have it patched in."""
+    return _cached(pres, "automaton", _automaton)
 
 
 def _assert_finite_dimensional(pres: BoundQuiverPresentation):
     """Raise InfiniteDimensionalError when the path basis is infinite."""
-    _automaton(pres)
+    _states(pres)
+
+
+def _counts_from_states(pres):
+    edges, below = _states(pres)
+    cartan = {}
+    by_first = {}
+    for v in pres.quiver.vertices:
+        cartan[v] = below[(v, ())]
+        for a, nxt in edges[(v, ())]:
+            by_first[a] = sum(below[nxt].values())
+    return cartan, by_first
 
 
 def path_counts(pres: BoundQuiverPresentation):
@@ -333,31 +388,21 @@ def path_counts(pres: BoundQuiverPresentation):
     One pass over the automaton, children first, gives every state the
     counts by target of the walks from it; the walks from (v, ()) are the
     basis paths from v, so those counts are row v of the Cartan matrix.
-    Cached on the presentation; callers must not mutate the result.
+
+    The states, their edges and their counts stay cached on the
+    presentation.  A corner that drops vertex v from an ambient with the
+    same window width (at most one arrow: relations of length 2, or none)
+    is counted when it is built, from the ambient's cache: only its states
+    at v's neighbours and the states that reach them are walked again.
+    Every other state has the same edges in both automata, as its vertex
+    keeps its arrows and its window its relations, and it reaches only
+    states like itself, so its counts carry over; a new cycle would pass
+    through a state whose edges changed, which is walked again, so
+    InfiniteDimensionalError still fires.  Inputs and every other corner
+    are counted from scratch.  Callers must not mutate the result.
     Raises InfiniteDimensionalError like ``path_basis``.
     """
-    cached = pres._cache.get("path_counts")
-    if cached is not None:
-        return cached
-    order, edges = _automaton(pres)
-    below = {}
-    for state in order:
-        outs = edges[state]
-        # copying the first child's dict runs in C; most states have one
-        ends = dict(below[outs[0][1]]) if outs else {}
-        for _, nxt in outs[1:]:
-            for w, count in below[nxt].items():
-                ends[w] = ends.get(w, 0) + count
-        ends[state[0]] = ends.get(state[0], 0) + 1
-        below[state] = ends
-    cartan = {}
-    by_first = {}
-    for v in pres.quiver.vertices:
-        cartan[v] = below[(v, ())]
-        for a, nxt in edges[(v, ())]:
-            by_first[a] = sum(below[nxt].values())
-    pres._cache["path_counts"] = cached = (cartan, by_first)
-    return cached
+    return _cached(pres, "path_counts", _counts_from_states)
 
 
 def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
@@ -395,6 +440,171 @@ def cartan_matrix(pres: BoundQuiverPresentation) -> dict:
 
 def grothendieck_rank(pres: BoundQuiverPresentation) -> int:
     return len(pres.quiver.vertices)
+
+
+# -- corners -----------------------------------------------------------------
+
+
+def _corner(pres: BoundQuiverPresentation, v: str) -> BoundQuiverPresentation:
+    """The quadratic presentation on every vertex but v, patched from ``pres``.
+
+    v must carry no loop.  Its generators are the arrows that avoid v and
+    the normal products a*b through v, each product labelled by a name that
+    no arrow of ``pres`` carries.  Its relations are the length-2 products
+    of generators that vanish in ``pres``.  Two arrows multiply to zero
+    exactly when they form a relation, so the relations of ``pres`` of
+    length 2 that avoid v carry over unchecked; only pairs with a product
+    go through ``path_product``.  Vertex and arrow lists are rebuilt at v's
+    neighbours only.  When the corner has the window width of ``pres``, its
+    counts are patched from those of ``pres`` (see ``path_counts``).
+    Whether the corner is the idempotent subalgebra is for the caller to
+    check.
+    """
+    q = pres.quiver
+    ins, outs = q.arrows_into(v), q.arrows_from(v)
+    gone = set(ins + outs)
+    products = {}
+    for a in ins:
+        for b in outs:
+            if pres._extension_is_normal((a, b)):
+                label = f"{a}*{b}"
+                while label in q.arrows or label in products:
+                    label += "'"
+                products[label] = Path(q.source(a), q.target(b), (a, b))
+
+    i = q.vertices.index(v)
+    arrows = dict(q.arrows)
+    for a in gone:
+        del arrows[a]
+    if products:
+        arrows.update((name, (p.source, p.target)) for name, p in products.items())
+        arrows = dict(sorted(arrows.items()))
+    out, into = dict(q._out), dict(q._in)
+    del out[v], into[v]
+    neighbours = {q.source(a) for a in ins} | {q.target(b) for b in outs}
+    for x in neighbours:
+        out[x] = sorted(
+            a for a in (*q._out[x], *products) if a in arrows and arrows[a][0] == x
+        )
+        into[x] = sorted(
+            a for a in (*q._in[x], *products) if a in arrows and arrows[a][1] == x
+        )
+    quiver = Quiver._assemble(q.vertices[:i] + q.vertices[i + 1 :], arrows, out, into)
+
+    # relations of pres that touch v (they end at an arrow at v or start at
+    # one out of v), and all longer ones
+    dead = {rel for a in gone for rel in pres._by_last.get(a, ())}
+    dead.update(
+        (b, c)
+        for b in outs
+        for c in q.arrows_from(q.target(b))
+        if (b, c) in pres._relset
+    )
+    if pres._maxrel > 2:
+        dead.update(rel.arrows for rel in pres.relations if len(rel) > 2)
+
+    def path_of(name):  # the path of pres that a generator stands for
+        return products.get(name) or Path(*q.arrows[name], (name,))
+
+    # new relations: the pairs with a product in them that vanish in pres
+    pairs = {(g, name) for name, p in products.items() for g in into[p.source]}
+    pairs.update((name, h) for name, p in products.items() for h in out[p.target])
+    born = [
+        Path(arrows[g][0], arrows[h][1], (g, h))
+        for g, h in sorted(pairs)
+        if pres.path_product(path_of(g), path_of(h)) is None
+    ]
+
+    relations = list(pres.relations)
+    for names in dead:
+        key = (len(names), vertex_sort_key(q.source(names[0])), names)
+        del relations[bisect.bisect_left(relations, key, key=Path.sort_key)]
+    for rel in born:
+        bisect.insort(relations, rel, key=Path.sort_key)
+    by_last = dict(pres._by_last)
+    for names in dead:
+        rest = [rel for rel in by_last.pop(names[-1], ()) if rel != names]
+        if rest:
+            by_last[names[-1]] = rest
+    for rel in born:
+        by_last[rel.arrows[-1]] = [*by_last.get(rel.arrows[-1], ()), rel.arrows]
+    relset = pres._relset.difference(dead).union(rel.arrows for rel in born)
+    corner = object.__new__(BoundQuiverPresentation)
+    corner.quiver = quiver
+    corner._set_relations(tuple(relations), relset, 2 if relations else 0, by_last)
+    if corner._maxrel == pres._maxrel:
+        _patch_counts(pres, corner, v, neighbours)
+    return corner
+
+
+def _predecessors(pres, state):
+    """The states with an edge into ``state``, for window width at most 1."""
+    q = pres.quiver
+    vertex, window = state
+    if not pres._maxrel:
+        return [(q.source(a), ()) for a in q.arrows_into(vertex)]
+    if not window:
+        return []
+    [a] = window
+    x = q.source(a)
+    return [(x, ())] + [
+        (x, (c,)) for c in q.arrows_into(x) if (c, a) not in pres._relset
+    ]
+
+
+def _upstream(pres, vertices):
+    """The automaton states at ``vertices`` and every state that reaches one,
+    for window width at most 1, found from the states backwards.  Every
+    (y, ()) is a state, and so is (target(a), (a,)) for each arrow a when the
+    width is 1, as single arrows are normal."""
+    todo = [(y, ()) for y in vertices]
+    if pres._maxrel:
+        todo += [(y, (a,)) for y in vertices for a in pres.quiver.arrows_into(y)]
+    found = dict.fromkeys(todo)
+    while todo:
+        for state in _predecessors(pres, todo.pop()):
+            if state not in found:
+                found[state] = None
+                todo.append(state)
+    return found
+
+
+def _reaching(pres, v):
+    """The vertices other than v with a basis path to v."""
+    if pres._maxrel > 2:
+        return [u for u, row in path_counts(pres)[0].items() if v in row and u != v]
+    return [u for u, window in _upstream(pres, [v]) if not window and u != v]
+
+
+def _patch_counts(pres, corner, v, neighbours):
+    """Cache the corner's states and counts, walking again only its states
+    at ``neighbours`` (v's) and the states that reach them."""
+    q = corner.quiver
+    width = max(corner._maxrel - 1, 0)
+    upstream = _upstream(corner, neighbours)
+    at_v = pres.quiver.arrows_into(v) + pres.quiver.arrows_from(v)
+    edges, below = (dict(d) for d in _states(pres))
+    # states of pres at v, or behind an arrow at v, are none of the corner's
+    lost = [(v, ())]
+    if width:
+        lost += [(pres.quiver.target(a), (a,)) for a in at_v]
+    for state in (*lost, *upstream):
+        edges.pop(state, None)
+        below.pop(state, None)
+    _walk(corner, edges, below, upstream)
+
+    cartan, by_first = (dict(d) for d in path_counts(pres))
+    del cartan[v]
+    for a in at_v:
+        del by_first[a]
+    for state in upstream:
+        y, window = state
+        if not window:
+            cartan[y] = below[state]
+        for a in window if width else q.arrows_into(y):
+            by_first[a] = sum(below[state].values())
+    corner._cache["automaton"] = edges, below
+    corner._cache["path_counts"] = cartan, by_first
 
 
 # -- components and sums -----------------------------------------------------

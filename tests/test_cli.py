@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from ddisc import TraceReport, build_lambda, parse_presentation
+from ddisc import classify, presentation
 import ddisc.cli as cli
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -87,6 +88,34 @@ def test_reports_match_golden_files(name, command, capsys):
     assert code == GOLDEN_NONZERO.get((name, command), 0)
     expected = (DATA / f"{name}.{command}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["classify", "factors", "series"])
+def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
+    # gentleness, cycles and the clock walk are cached on the presentation,
+    # and the finite-dimension check reuses the counted automaton
+    calls = {}
+
+    def counted(module, name):
+        compute = getattr(module, name)
+
+        def wrapper(pres):
+            calls[name] = calls.get(name, 0) + 1
+            return compute(pres)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_gentleness", "_betti", "_clock_walk"):
+        counted(classify, name)
+    counted(presentation, "_automaton")
+    assert cli.main([command, "--lambda", "2", "3", "1"]) == 0
+    capsys.readouterr()
+    expected = dict.fromkeys(("_gentleness", "_betti", "_clock_walk", "_automaton"), 1)
+    if command == "series":
+        # corners are patched, except those that lose their last relation
+        del expected["_automaton"]
+        calls.pop("_automaton")
+    assert calls == expected
 
 
 def test_optimized_interpreter_prints_the_same_series():

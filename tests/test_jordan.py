@@ -1,9 +1,11 @@
 """Composition factors, radical drops, series traces and their replay."""
 
+import contextlib
 import pathlib
 import random
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -27,8 +29,15 @@ from ddisc import (
     two_truncated_cycle,
     verify_trace,
 )
+from ddisc import jordan, presentation
 from ddisc.classify import DerivedEquivClass, LambdaClass
-from ddisc.presentation import LambdaDescriptor
+from ddisc.presentation import (
+    BoundQuiverPresentation,
+    LambdaDescriptor,
+    Quiver,
+    path_counts,
+    serialize_presentation,
+)
 from test_classify import relabel
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -170,6 +179,62 @@ def test_corner_composite_arrow_through_dropped_vertex():
     # with the through-path relation the corner falls apart entirely
     dead = idempotent_subalgebra(parse_presentation(A3_REL), ["1", "3"])
     assert not dead.quiver.arrows
+
+
+def test_corner_products_get_names_no_arrow_has():
+    # Lambda(1,3,0) twice: an arrow named like the product x*a that dropping
+    # vertex 0 creates, and the same arrow named b
+    clash = parse_presentation((DATA / "product_name_clash.txt").read_text("utf-8"))
+    plain = parse_presentation(
+        "vertex 0\nvertex 1\nvertex 2\n"
+        "arrow a 0 1\narrow b 1 2\narrow x 2 0\nrelation b x\n"
+    )
+    corner = idempotent_subalgebra(clash, ["1", "2"])
+    assert corner.quiver.arrows == {"x*a": ("1", "2"), "x*a'": ("2", "1")}
+    assert [rel.arrows for rel in corner.relations] == [("x*a", "x*a'")]
+    traces = [strip_series(pres) for pres in (clash, plain)]
+    assert traces[0].steps == traces[1].steps
+    assert traces[0].factors == traces[1].factors
+    assert verify_trace(clash, traces[0]).ok
+
+
+def assert_corner_matches_reference(corner):
+    """A patched corner counts like its own text form reparsed, and equals
+    the presentation the public constructors build from its arrows and
+    relations, down to the order of arrows and relations."""
+    q = corner.quiver
+    reparsed = parse_presentation(serialize_presentation(corner))
+    assert path_counts(corner) == path_counts(reparsed)
+    ref = BoundQuiverPresentation(
+        Quiver(q.vertices, [(a, src, tgt) for a, (src, tgt) in q.arrows.items()]),
+        [rel.arrows for rel in corner.relations],
+    )
+    assert corner == ref and corner.relations == ref.relations
+    assert list(q.arrows.items()) == list(ref.quiver.arrows.items())
+    for v in q.vertices:
+        assert q.arrows_from(v) == ref.quiver.arrows_from(v)
+        assert q.arrows_into(v) == ref.quiver.arrows_into(v)
+    assert corner._maxrel == ref._maxrel
+    assert {a: sorted(rels) for a, rels in corner._by_last.items()} == {
+        a: sorted(rels) for a, rels in ref._by_last.items()
+    }
+
+
+@contextlib.contextmanager
+def checking_corners():
+    """While active, every corner jordan builds is checked against its
+    reference and listed."""
+    built = []
+    build = jordan.idempotent_subalgebra
+
+    def checked(pres, keep):
+        corner = build(pres, keep)
+        assert_corner_matches_reference(corner)
+        built.append(corner)
+        return corner
+
+    with mock.patch.object(jordan, "idempotent_subalgebra", checked):
+        yield built
 
 
 def test_corner_rejects_unsupported_drops():
@@ -356,7 +421,8 @@ def random_order_trace(pres, rng):
 
 def test_every_strip_order_gives_the_same_factors():
     # Jordan-Hoelder uniqueness: any order of valid strips verifies and ends
-    # in the factor multiset of the normal form
+    # in the factor multiset of the normal form; the replay rebuilds every
+    # corner of the trace, and each matches its reference
     for s in range(1, 7):
         for r in range(1, min(s, 5) + 1):
             for t in range(4):
@@ -365,8 +431,32 @@ def test_every_strip_order_gives_the_same_factors():
                 for seed in range(3):
                     rng = random.Random(f"{r},{s},{t}/{seed}")
                     trace = random_order_trace(pres, rng)
-                    assert verify_trace(pres, trace).ok, (r, s, t, seed)
+                    with checking_corners() as built:
+                        assert verify_trace(pres, trace).ok, (r, s, t, seed)
+                    assert len(built) == sum(
+                        step.op.startswith(("strip", "drop")) for step in trace.steps
+                    )
                     assert trace.factor_multiset() == expected, (r, s, t, seed)
+
+
+def test_series_walks_the_automaton_from_scratch_a_fixed_number_of_times(
+    monkeypatch,
+):
+    # a strip step recounts only the automaton states upstream of the
+    # dropped vertex, so walks from scratch do not grow with the input
+    walks = []
+    walk = presentation._automaton
+
+    def counted(pres):
+        walks[-1] += 1
+        return walk(pres)
+
+    monkeypatch.setattr(presentation, "_automaton", counted)
+    for r in (10, 80):
+        walks.append(0)
+        pres = build_lambda(r, 2 * r, r)
+        assert verify_trace(pres, strip_series(pres)).ok
+    assert walks[0] == walks[1] <= 3, walks
 
 
 def test_verify_trace_rejects_forged_radical_drop():
