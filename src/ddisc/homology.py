@@ -12,18 +12,19 @@ off paths: over a monomial algebra every syzygy of a path quotient is a sum
 of right ideals qA, and every differential is left multiplication by one
 path (see :func:`resolve`).
 
-Hom dimensions in the derived category are computed two independent ways,
-both by :func:`hom_shift_dim`: the ladder route takes chain maps modulo
-homotopies between complexes of projectives (complex target), and the stalk
-route takes cohomology of the Hom complex into a module (module target, as
-in :func:`ext_dim`).  :func:`hom_table` takes the stalk route, which is
-exact from one resolution of the source; the ladder route is the
-independent cross-check the tests run against it.  Sign conventions for
-shifts are irrelevant here since rescaling chain maps degreewise is a
-linear bijection; only dimensions are reported.
+Hom dimensions in the derived category are Ext groups between modules,
+Hom(M, N[h]) = Ext^h(M, N), and they are counted off paths (see
+:func:`_ext_counts`): each differential of the resolution of M is one path,
+and a path acts on the path basis of N by a partial injection, so the Hom
+complex into N has at most one nonzero per column and each of its ranks is
+a count.  No matrix of the Hom complex is built; the tests keep the two
+matrix routes (ranks of the Hom complex into a module, and chain maps
+modulo homotopy between resolutions) as independent references.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .errors import PreconditionError
 from .fields import QQ
@@ -329,6 +330,54 @@ def _cover_action(pres, field, summands, a):
     return rows
 
 
+def _path_cover(M: RepModule):
+    """The cover of M with its coordinates split by the epimorphism.
+
+    Returns ``(summands, kernel, basis)``: the cover summands, the cover
+    coordinates (i, p) (see ``_proj_coords``) that map to zero, and the
+    others.  Raises :class:`PreconditionError` unless the former span the
+    cover kernel.  Then the others map onto a basis of M, and a path x
+    sends (i, p) to (i, p*x), or to zero when p*x is zero or in the kernel.
+    """
+    pres, field = M.pres, M.field
+    summands, epi = projective_cover(M)
+    coords, _ = _proj_coords(pres, summands)
+    kernel, basis = [], []
+    for w in pres.quiver.vertices:
+        for key, row in zip(coords[w], epi[w]):
+            zero = all(field.is_zero(x) for x in row)
+            (kernel if zero else basis).append(key)
+    if len(basis) != M.total_dim():
+        raise PreconditionError("cover kernel is not spanned by paths")
+    return summands, kernel, basis
+
+
+def _levels(M: RepModule):
+    """Terms of the minimal resolution of a nonzero M, degree 0 down.
+
+    Yields each nonempty degree as a list of (i, x): a summand P_{t(x)}
+    whose differential is left multiplication by the path x into summand i
+    of the degree above.  Degree 0 is the cover, listed as (None, e_u).
+    See :func:`resolve` for why every term is read off paths.
+    """
+    pres = M.pres
+    cover, kernel, _ = _path_cover(M)
+    yield [(None, pres.trivial_path(u)) for u in cover]
+    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
+    # not in it has no proper prefix in it
+    words = {(i, p.arrows) for i, p in kernel}
+    level = [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
+    while level:
+        # summands in vertex order, as projective_cover lists them
+        level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
+        yield level
+        level = [
+            (j, y)
+            for j, (_, x) in enumerate(level)
+            for y in _annihilator_generators(pres, x)
+        ]
+
+
 def resolve(M: RepModule, depth: int):
     """Minimal projective resolution truncated to degrees [-depth, 0].
 
@@ -349,40 +398,19 @@ def resolve(M: RepModule, depth: int):
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     pres, field = M.pres, M.field
-    if M.total_dim() == 0:
-        return ProjComplex(pres, {}, {}, field)
-    cover, epi = projective_cover(M)
-    coords, _ = _proj_coords(pres, cover)
-    kernel = [
-        key
-        for w in pres.quiver.vertices
-        for key, row in zip(coords[w], epi[w])
-        if all(field.is_zero(x) for x in row)
-    ]
-    if len(kernel) != sum(len(rows) for rows in epi.values()) - M.total_dim():
-        raise PreconditionError("cover kernel is not spanned by paths")
-    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
-    # not in it has no proper prefix in it
-    words = {(i, p.arrows) for i, p in kernel}
-    # (index of the summand one degree up, path of the differential into it)
-    level = [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
-    summands, diffs = {0: cover}, {}
-    for k in range(1, depth + 1):
-        if not level:
-            break
-        # summands in vertex order, as projective_cover lists them
-        level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
-        summands[-k] = tuple(x.target for _, x in level)
-        width = len(summands[-k + 1])
-        entries = [
-            [{x: 1} if col == i else {} for col in range(width)] for i, x in level
-        ]
-        diffs[-k] = PathMatrix(pres, field, summands[-k], summands[-k + 1], entries)
-        level = [
-            (j, y)
-            for j, (_, x) in enumerate(level)
-            for y in _annihilator_generators(pres, x)
-        ]
+    summands, diffs = {}, {}
+    if M.total_dim():
+        for k, level in enumerate(islice(_levels(M), depth + 1)):
+            summands[-k] = tuple(x.target for _, x in level)
+            if k:
+                width = len(summands[1 - k])
+                entries = [
+                    [{x: 1} if col == i else {} for col in range(width)]
+                    for i, x in level
+                ]
+                diffs[-k] = PathMatrix(
+                    pres, field, summands[-k], summands[1 - k], entries
+                )
     return ProjComplex(pres, summands, diffs, field)
 
 
@@ -404,14 +432,6 @@ def _annihilator_generators(pres, x):
             else:
                 stack.append(longer)
     return found
-
-
-def projective_dimension(M: RepModule, cutoff: int):
-    """Projective dimension if it is at most cutoff, else None."""
-    C = resolve(M, cutoff + 1)
-    if -(cutoff + 1) in C.summands:
-        return None
-    return -min(C.summands, default=0)
 
 
 # -- complexes of projectives -----------------------------------------------------
@@ -490,23 +510,6 @@ class PathMatrix:
             len(p) > 0 for row in self.entries for cell in row for p in cell
         )
 
-    def vertex_matrix(self, w):
-        """Underlying linear map between the coordinate fibers at w."""
-        dom_coords, _ = _proj_coords(self.pres, self.domain)
-        cod_coords, cod_index = _proj_coords(self.pres, self.codomain)
-        rows = []
-        for j, p in dom_coords[w]:
-            row = [self.field.coerce(0)] * len(cod_coords[w])
-            for k in range(len(self.codomain)):
-                for x, c in self.entries[j][k].items():
-                    prod = self.pres.path_product(x, p)
-                    if prod is None:
-                        continue
-                    pos = cod_index[w][(k, prod)]
-                    row[pos] = self.field.reduce(row[pos] + c)
-            rows.append(row)
-        return rows
-
     def __eq__(self, other):
         return (
             isinstance(other, PathMatrix)
@@ -571,211 +574,66 @@ class ProjComplex:
             check=False,
         )
 
-    def dim_at(self, i) -> int:
-        coords, _ = _proj_coords(self.pres, self.summands.get(i, ()))
-        return sum(len(lst) for lst in coords.values())
-
     def __repr__(self):
         parts = ", ".join(f"{i}: {t}" for i, t in sorted(self.summands.items()))
         return f"ProjComplex({parts})"
 
 
-def module_as_complex(M: RepModule):
-    """A projective module placed in degree 0 (cover must be an iso)."""
-    summands, epi = projective_cover(M)
-    for w in M.pres.quiver.vertices:
-        if len(epi[w]) != M.dims[w]:
-            raise PreconditionError("module is not projective")
-    return ProjComplex(M.pres, {0: summands}, {}, M.field)
-
-
-def cohomology_dim_vector(C: ProjComplex) -> dict:
-    """Degreewise cohomology dimensions of the underlying complex."""
-    out = {}
-    ranks = {}
-    for i, d in C.diffs.items():
-        ranks[i] = sum(
-            linalg.rank(d.vertex_matrix(w), _ncols_at(C, i + 1, w), C.field)
-            for w in C.pres.quiver.vertices
-        )
-    for i in C.degrees():
-        dim = C.dim_at(i)
-        h = dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
-        if h:
-            out[i] = h
-    return out
-
-
-def _ncols_at(C, i, w):
-    coords, _ = _proj_coords(C.pres, C.summands.get(i, ()))
-    return len(coords[w])
-
-
 # -- hom dimensions ---------------------------------------------------------------
 
 
-def _hom_block(pres, dom_summands, cod_summands):
-    """Basis of Hom between two sums of projectives: (j, k, path) triples."""
-    basis = []
-    for j, x in enumerate(dom_summands):
-        for k, y in enumerate(cod_summands):
-            for p in _paths_from_to(pres, y, x):
-                basis.append((j, k, p))
-    return basis
+def _ext_counts(M: RepModule, N: RepModule, hmax: int):
+    """dim Ext^h(M, N) for 0 <= h <= hmax, counted off paths.
 
-
-def _ladder_rank_and_vars(C, D, g):
-    """Matrix of u -> u∘d_C - d_D∘u on degreewise maps C^i -> D^{i+g}.
-
-    Returns (number of variables, rank of the operator).  Chain maps are its
-    kernel at g = h and null-homotopic maps its image at g = h - 1; the sign
-    of the d_D term does not change the rank (substitute u_i -> (-1)^i u_i).
+    Hom(P_u, N) is N·e_u, so the Hom complex into N has one block per
+    summand σ of the resolution of M, with the basis {(j, b) : b ends at
+    t(σ)} of :func:`_path_cover`, and its differential sends (σ, (j, b)) to
+    the sum of (τ, (j, b·x_τ)) over the children τ of σ.  A target (τ,
+    (j, c)) determines σ (the parent of τ) and b (c less its suffix x_τ),
+    so every column holds at most one nonzero: the rank is the number of
+    *live* rows, those with some b·x_τ nonzero in N, and the kernel is
+    spanned by the *dead* ones.  So Ext^h = dead_h - live_{h-1}, whatever
+    the field.
     """
-    pres, field = C.pres, C.field
-    var_blocks = {}
-    var_index = {}
-    nvars = 0
-    for i in C.degrees():
-        if (i + g) not in D.summands:
-            continue
-        block = _hom_block(pres, C.summands[i], D.summands[i + g])
-        var_blocks[i] = block
-        for pos, key in enumerate(block):
-            var_index[(i,) + key] = nvars + pos
-        nvars += len(block)
-    out_index = {}
-    nout = 0
-    for i in C.degrees():
-        if (i + g + 1) not in D.summands:
-            continue
-        block = _hom_block(pres, C.summands[i], D.summands[i + g + 1])
-        for pos, key in enumerate(block):
-            out_index[(i,) + key] = nout + pos
-        nout += len(block)
-    if nvars == 0:
-        return 0, 0
-    rows = [{} for _ in range(nvars)]
-    for (i, j, k, pi), col in var_index.items():
-        row = rows[col]
-        # d_D ∘ u lands in degree i, blocks over D^{i+g+1}
-        dD = D.diffs.get(i + g)
-        if dD is not None:
-            for l in range(len(dD.codomain)):
-                for q, cq in dD.entries[k][l].items():
-                    prod = pres.path_product(q, pi)
-                    if prod is None:
-                        continue
-                    out = out_index.get((i, j, l, prod))
-                    if out is not None:
-                        row[out] = row.get(out, 0) - cq
-        # u ∘ d_C contributes to the equation block of degree i-1
-        dC = C.diffs.get(i - 1)
-        if dC is not None:
-            for j2 in range(len(dC.domain)):
-                for rho, cr in dC.entries[j2][j].items():
-                    prod = pres.path_product(pi, rho)
-                    if prod is None:
-                        continue
-                    out = out_index.get((i - 1, j2, k, prod))
-                    if out is not None:
-                        row[out] = row.get(out, 0) + cr
-    return nvars, linalg.rank(_sparse_rows(rows, field), nout, field)
-
-
-def _sparse_rows(rows, field):
-    """``{col: value}`` accumulators as :class:`linalg.SparseRow` rows."""
-    out = []
-    for row in rows:
-        reduced = ((j, field.reduce(x)) for j, x in row.items())
-        out.append(linalg.SparseRow((j, x) for j, x in reduced if not field.is_zero(x)))
+    if M.total_dim() == 0 or N.total_dim() == 0:
+        return [0] * (hmax + 1)
+    pres = M.pres
+    _, _, basis = _path_cover(N)
+    survivors = set(basis)
+    ending_at = {}
+    for j, b in basis:
+        ending_at.setdefault(b.target, []).append((j, b))
+    levels = _levels(M)
+    level, out, live_above = next(levels), [], 0
+    for _ in range(hmax + 1):
+        below = next(levels, [])
+        children = [[] for _ in level]
+        for i, y in below:
+            children[i].append(y)
+        rows = live = 0
+        for (_, x), ys in zip(level, children):
+            for j, b in ending_at.get(x.target, ()):
+                rows += 1
+                # a zero product is None, and (j, None) is no survivor
+                live += any((j, pres.path_product(b, y)) in survivors for y in ys)
+        out.append(rows - live - live_above)
+        level, live_above = below, live
     return out
 
 
-def _hom_into_module_matrix(C, N, i):
-    """Matrix of precomposition Hom(C^{i+1}, N) -> Hom(C^i, N) with d_C^i."""
-    field = C.field
-    d = C.diffs.get(i)
-    dom = C.summands.get(i + 1, ())
-    cod = C.summands.get(i, ())
-    nrows = sum(N.dims[v] for v in dom)
-    ncols = sum(N.dims[v] for v in cod)
-    rows = [{} for _ in range(nrows)]
-    if d is None or nrows == 0 or ncols == 0:
-        return _sparse_rows(rows, field), ncols
-    col_off = []
-    acc = 0
-    for v in cod:
-        col_off.append(acc)
-        acc += N.dims[v]
-    row_off = []
-    acc = 0
-    for v in dom:
-        row_off.append(acc)
-        acc += N.dims[v]
-    # d maps C^i -> C^{i+1}: entries[j][k] with j over cod, k over dom
-    for j, vj in enumerate(cod):
-        for k, vk in enumerate(dom):
-            for p, c in d.entries[j][k].items():
-                act = N.act_by_path(p)
-                for a in range(N.dims[vk]):
-                    for b in range(N.dims[vj]):
-                        val = act[a][b]
-                        if not field.is_zero(val):
-                            r, cc = row_off[k] + a, col_off[j] + b
-                            rows[r][cc] = rows[r].get(cc, 0) + c * val
-    return _sparse_rows(rows, field), ncols
-
-
-def _rank_precompose(C, N, i):
-    """Rank of Hom(C^{i+1}, N) -> Hom(C^i, N)."""
-    rows, ncols = _hom_into_module_matrix(C, N, i)
-    if not rows or ncols == 0:
-        return 0
-    return linalg.rank(rows, ncols, C.field)
-
-
-def hom_shift_dim(C: ProjComplex, D, h: int) -> int:
-    """dim Hom in the derived category from C to D shifted by h.
-
-    D may be another complex of projectives (chain maps modulo homotopy)
-    or a module, treated as a stalk in degree 0 (cohomology of the Hom
-    complex).  For stalks the value is exact as soon as C carries degree
-    -(h+1); for truncated resolutions on both sides the caller controls
-    accuracy through the truncation depth.
-    """
-    if isinstance(D, RepModule):
-        if D.pres != C.pres:
-            raise PreconditionError("mismatched algebras")
-        dim_block = sum(D.dims[v] for v in C.summands.get(-h, ()))
-        if dim_block == 0:
-            return 0
-        return dim_block - _rank_precompose(C, D, -h - 1) - _rank_precompose(C, D, -h)
-    if not isinstance(D, ProjComplex):
-        raise PreconditionError("target must be a complex or a module")
-    if D.pres != C.pres:
-        raise PreconditionError("mismatched algebras")
-    nvars, rank_phi = _ladder_rank_and_vars(C, D, h)
-    _, rank_psi = _ladder_rank_and_vars(C, D, h - 1)
-    return (nvars - rank_phi) - rank_psi
-
-
 def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
-    """dim Ext^h(M, N) from a depth h+1 resolution of M.
+    """dim Ext^h(M, N), counted off a resolution of M to depth h + 1.
 
-    M must be a module :func:`resolve` accepts (a direct sum of path
+    M and N must be modules :func:`resolve` accepts (direct sums of path
     quotients such as simples, projectives and string objects); any other,
-    such as a band module, raises :class:`PreconditionError`.  This is the
-    stalk route of :func:`hom_shift_dim` (module target): the Hom complex
-    into N is assembled directly and only its two relevant ranks are taken,
-    independently of the ladder route between resolutions.
+    such as a band module, as source or as target raises
+    :class:`PreconditionError`.  A zero module on either side gives 0.
     """
     if h < 0:
         raise PreconditionError("ext degree must be nonnegative")
     if M.pres != pres or N.pres != pres:
         raise PreconditionError("mismatched algebras")
-    if M.total_dim() == 0 or N.total_dim() == 0:
-        return 0
-    return hom_shift_dim(resolve(M, h + 1), N, h)
+    return _ext_counts(M, N, h)[h]
 
 
 # -- hom tables --------------------------------------------------------------------
@@ -800,11 +658,9 @@ class HomTable:
 def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """Derived hom dimensions Hom(X, Y[h]) for 0 <= h <= hmax.
 
-    X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): every entry is
-    :func:`ext_dim`'s stalk route of :func:`hom_shift_dim` (module target),
-    taken on one resolution of X to depth hmax + 1.  Calling ``ext_dim``
-    per shift would build and check a new truncated complex for every h,
-    which is quadratic in hmax.
+    X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): the entries are the
+    counts of :func:`ext_dim`, taken in one pass down one resolution of X to
+    depth hmax + 1, so a table is linear in hmax.
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
@@ -812,8 +668,7 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
         raise PreconditionError("hom tables are keyed to Lambda(r,s,t) input")
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
-    C = resolve(X, hmax + 1)
-    return HomTable(hom_shift_dim(C, Y, h) for h in range(hmax + 1))
+    return HomTable(_ext_counts(X, Y, hmax))
 
 
 # -- global dimension --------------------------------------------------------------

@@ -611,7 +611,19 @@ def _patch_counts(pres, corner, v, neighbours):
 
 
 def connected_components(pres: BoundQuiverPresentation):
-    """Split into connected subpresentations, ordered by smallest vertex."""
+    """Split into connected subpresentations, ordered by smallest vertex.
+
+    A tuple, computed once per presentation and cached on it.
+    """
+    # presentations are immutable, so a connected input is its own one part
+    # and keeps its cached path data.  Its cache holds () instead: a
+    # presentation that referred to itself would wait for the cycle
+    # collector to be freed.
+    return _cached(pres, "components", _components) or (pres,)
+
+
+def _components(pres):
+    """The connected parts of a presentation, or () when it is connected."""
     parent = {v: v for v in pres.quiver.vertices}
 
     def find(v):
@@ -626,9 +638,7 @@ def connected_components(pres: BoundQuiverPresentation):
     for v in pres.quiver.vertices:
         groups.setdefault(find(v), set()).add(v)
     if len(groups) == 1:
-        # presentations are immutable, so the input itself is the one part,
-        # and it keeps its cached path data
-        return [pres]
+        return ()
     comps = sorted(groups.values(), key=lambda g: min(vertex_sort_key(v) for v in g))
     out = []
     for group in comps:
@@ -639,7 +649,7 @@ def connected_components(pres: BoundQuiverPresentation):
         ]
         rels = [rel.arrows for rel in pres.relations if rel.source in group]
         out.append(BoundQuiverPresentation(Quiver(sorted(group), arrows), rels))
-    return out
+    return tuple(out)
 
 
 def direct_sum(presentations) -> BoundQuiverPresentation:

@@ -21,7 +21,6 @@ from ddisc import (
     direct_sum,
     ext_dim,
     grothendieck_rank,
-    hom_shift_dim,
     hom_table,
     indec_projective,
     is_derived_discrete,
@@ -35,6 +34,7 @@ from ddisc import (
     two_truncated_cycle,
     verify_trace,
 )
+from test_homology import hom_shift_dim
 
 GRID = [(s, t) for s in (1, 2, 3) for t in (0, 1, 2)]
 
@@ -308,11 +308,12 @@ _ORACLE_VALUES = {}
 
 
 def _oracle_values(field):
-    """(ladder route, stalk route) per case; the two must agree exactly.
+    """(ladder route, Ext count) per case; the two must agree exactly.
 
-    The ladder route solves chain maps modulo homotopy between truncated
-    resolutions of both modules (target resolved deeper, stabilization
-    checked at two margins); the stalk route is the direct Ext formula.
+    The ladder route, a matrix reference kept in the tests, solves chain
+    maps modulo homotopy between truncated resolutions of both modules
+    (target resolved deeper, stabilization checked at two margins);
+    ``ext_dim`` counts paths.
     """
     if field.p in _ORACLE_VALUES:
         return _ORACLE_VALUES[field.p]
@@ -343,13 +344,13 @@ def test_c7_ladder_and_stalk_ext_routes_agree():
     assert len(values) == 200
     _line(
         7,
-        "hom_shift_dim between resolutions equals ext_dim on 200 random instances",
+        "the ladder route between resolutions equals ext_dim on 200 random instances",
         violations,
     )
 
 
 def test_c8_tables_equal_the_ladder_route():
-    # hom_table takes the stalk route; the ladder route solves chain maps
+    # hom_table counts paths; the ladder route solves chain maps
     # modulo homotopy between truncated resolutions of both objects, the
     # target resolved deeper so every source degree sees full equation and
     # homotopy data

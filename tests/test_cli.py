@@ -1,5 +1,6 @@
 """CLI: report schema, determinism, frozen outputs, exit codes."""
 
+import gc
 import json
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from ddisc import TraceReport, build_lambda, parse_presentation
+from ddisc import BoundQuiverPresentation, TraceReport, build_lambda, parse_presentation
 from ddisc import classify, presentation
 import ddisc.cli as cli
 
@@ -92,8 +93,9 @@ def test_reports_match_golden_files(name, command, capsys):
 
 @pytest.mark.parametrize("command", ["classify", "factors", "series"])
 def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
-    # gentleness, cycles and the clock walk are cached on the presentation,
-    # and the finite-dimension check reuses the counted automaton
+    # gentleness, cycles, the clock walk and the components are cached on
+    # the presentation, and the finite-dimension check reuses the counted
+    # automaton
     calls = {}
 
     def counted(module, name):
@@ -107,15 +109,41 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
 
     for name in ("_gentleness", "_betti", "_clock_walk"):
         counted(classify, name)
-    counted(presentation, "_automaton")
+    for name in ("_automaton", "_components"):
+        counted(presentation, name)
     assert cli.main([command, "--lambda", "2", "3", "1"]) == 0
     capsys.readouterr()
-    expected = dict.fromkeys(("_gentleness", "_betti", "_clock_walk", "_automaton"), 1)
+    expected = dict.fromkeys(
+        ("_gentleness", "_betti", "_clock_walk", "_automaton", "_components"), 1
+    )
     if command == "series":
-        # corners are patched, except those that lose their last relation
-        del expected["_automaton"]
-        calls.pop("_automaton")
+        # corners are patched, except those that lose their last relation,
+        # and each corner is split into components afresh
+        for name in ("_automaton", "_components"):
+            del expected[name]
+            calls.pop(name)
     assert calls == expected
+
+
+def test_ops_leave_no_presentation_to_the_cycle_collector(capsys):
+    # a cached value that refers back to its presentation would keep every
+    # presentation of an op alive until the cycle collector runs
+    def alive():
+        return sum(isinstance(o, BoundQuiverPresentation) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for command in ("classify", "factors", "series"):
+            assert cli.main([command, "--lambda", "2", "3", "1"]) == 0
+        argv = ["hom", "--lambda", "2", "2", "1", "--from", "Y-1", "--to", "X0"]
+        assert cli.main(argv + ["--max-shift", "4"]) == 0
+        after = alive()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert after == before
 
 
 def test_optimized_interpreter_prints_the_same_series():
