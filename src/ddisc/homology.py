@@ -7,6 +7,10 @@ differentials as matrices of path combinations; the differential entry in
 the row of summand P_a and column of summand P_b is spanned by paths from
 b to a, acting by left multiplication.
 
+Projectives and string objects are path quotients P_v/(q_1A+...+q_kA)
+(see :func:`path_quotient`): their bases are read off one cached table of
+basis paths by source, and arrows act by concatenation, with no rref.
+
 Minimal projective resolutions take one projective cover and are then read
 off paths: over a monomial algebra every syzygy of a path quotient is a sum
 of right ideals qA, and every differential is left multiplication by one
@@ -30,8 +34,9 @@ from .errors import PreconditionError
 from .fields import QQ
 from . import linalg
 from .presentation import (
-    BoundQuiverPresentation,
+    Path,
     _assert_finite_dimensional,
+    _cached,
     lambda_descriptor_of,
     path_basis,
     vertex_sort_key,
@@ -40,27 +45,25 @@ from .presentation import (
 # -- path bookkeeping -----------------------------------------------------------
 
 
-def _paths_by_ends(pres):
-    """Basis paths grouped by (source, target), in canonical order."""
-    cached = pres._cache.get("paths_by_ends")
-    if cached is None:
-        cached = {}
-        for p in path_basis(pres):
-            cached.setdefault((p.source, p.target), []).append(p)
-        pres._cache["paths_by_ends"] = cached
-    return cached
+def _path_table(pres):
+    """Basis paths by source, then by target, each list in canonical order."""
+    table = {v: {} for v in pres.quiver.vertices}
+    for p in path_basis(pres):
+        table[p.source].setdefault(p.target, []).append(p)
+    return table
 
 
-def _paths_from_to(pres, u, w):
-    return _paths_by_ends(pres).get((u, w), [])
+def _paths_from(pres, v):
+    """Basis paths from v by target, read off the cached path table."""
+    return _cached(pres, "path_table", _path_table)[v]
+
+
+def _arrow_paths(pres):
+    return {name: pres.make_path([name]) for name in pres.quiver.arrows}
 
 
 def _arrow_path(pres, a):
-    cached = pres._cache.get("arrow_paths")
-    if cached is None:
-        cached = {name: pres.make_path([name]) for name in pres.quiver.arrows}
-        pres._cache["arrow_paths"] = cached
-    return cached[a]
+    return _cached(pres, "arrow_paths", _arrow_paths)[a]
 
 
 def _proj_coords(pres, summands):
@@ -72,15 +75,9 @@ def _proj_coords(pres, summands):
     """
     coords = {w: [] for w in pres.quiver.vertices}
     for i, u in enumerate(summands):
-        for (src, tgt), paths in _paths_by_ends(pres).items():
-            if src != u:
-                continue
-            for p in paths:
-                coords[tgt].append((i, p))
-    index = {
-        w: {key: pos for pos, key in enumerate(lst)} for w, lst in coords.items()
-    }
-    return coords, index
+        for w, paths in _paths_from(pres, u).items():
+            coords[w].extend((i, p) for p in paths)
+    return coords
 
 
 # -- modules ----------------------------------------------------------------------
@@ -94,12 +91,20 @@ class RepModule:
     def __init__(self, pres, dims, maps, field=QQ):
         self.pres = pres
         self.field = field
-        full = {v: int(dims.get(v, 0)) for v in pres.quiver.vertices}
+        q = pres.quiver
+        for kind, given, known in (
+            ("vertex", dims, q.vertices),
+            ("arrow", maps, q.arrows),
+        ):
+            stray = next((key for key in given if key not in known), None)
+            if stray is not None:
+                raise PreconditionError(f"unknown {kind} {stray!r}")
+        full = {v: int(dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in full.values()):
             raise PreconditionError("negative dimension")
         self.dims = full
         fixed = {}
-        for a, (src, tgt) in pres.quiver.arrows.items():
+        for a, (src, tgt) in q.arrows.items():
             mat = maps.get(a)
             if mat is None:
                 mat = linalg.zeros(full[src], full[tgt], field)
@@ -111,7 +116,7 @@ class RepModule:
             fixed[a] = rows
         self.maps = fixed
         for rel in pres.relations:
-            if not _is_zero_matrix(self.act_by_path(rel), field):
+            if any(not field.is_zero(x) for row in self.act_by_path(rel) for x in row):
                 raise PreconditionError(f"relation {rel.label()} does not act as zero")
 
     def total_dim(self) -> int:
@@ -120,11 +125,9 @@ class RepModule:
     def act_by_path(self, path):
         """Matrix of the right action of a basis path (rows = source fiber)."""
         mat = linalg.identity(self.dims[path.source], self.field)
-        current = path.source
         for a in path.arrows:
             tgt = self.pres.quiver.target(a)
             mat = linalg.mat_mul(mat, self.maps[a], self.dims[tgt], self.field)
-            current = tgt
         return mat
 
     def __eq__(self, other):
@@ -144,24 +147,52 @@ class RepModule:
         return f"RepModule(dims={dims})"
 
 
-def _is_zero_matrix(mat, field):
-    return all(field.is_zero(x) for row in mat for x in row)
-
-
 def simple_module(pres, v, field=QQ) -> RepModule:
+    return RepModule(pres, {v: 1}, {}, field)
+
+
+def path_quotient(pres, v, paths, field=QQ) -> RepModule:
+    """P_v/(q_1A+...+q_kA) for basis paths q_i from v.
+
+    Its basis is the basis paths from v with no q_i as a prefix, and each
+    arrow acts by right concatenation: a product that is zero, or that has
+    some q_i as a prefix, is no basis path and so zero in the quotient.
+    Paths are given as :class:`Path` objects or as sequences of arrow names,
+    checked like relations; a path that does not start at v, or that is zero
+    in the algebra, raises :class:`PreconditionError`.
+    """
     if v not in pres.quiver.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
-    return RepModule(pres, {v: 1}, {}, field)
+    gens = []
+    for q in paths:
+        q = pres.make_path(q.arrows if isinstance(q, Path) else q)
+        if q.source != v:
+            raise PreconditionError(f"path {q.label()} does not start at {v}")
+        if not pres.is_normal(q.arrows):
+            raise PreconditionError(f"path {q.label()} is zero in the algebra")
+        gens.append(q.arrows)
+    basis = {
+        w: [p for p in ps if not any(p.arrows[: len(g)] == g for g in gens)]
+        for w, ps in _paths_from(pres, v).items()
+    }
+    dims = {w: len(ps) for w, ps in basis.items()}
+    index = {w: {p: pos for pos, p in enumerate(ps)} for w, ps in basis.items()}
+    zero, one = field.coerce(0), field.coerce(1)
+    maps = {}
+    for a, (src, tgt) in pres.quiver.arrows.items():
+        rows = maps[a] = []
+        for p in basis.get(src, ()):
+            row = [zero] * dims.get(tgt, 0)
+            pos = index.get(tgt, {}).get(Path(v, tgt, p.arrows + (a,)))
+            if pos is not None:
+                row[pos] = one
+            rows.append(row)
+    return RepModule(pres, dims, maps, field)
 
 
 def indec_projective(pres, v, field=QQ) -> RepModule:
     """P_v with basis the paths out of v; arrows act by right concatenation."""
-    if v not in pres.quiver.vertices:
-        raise PreconditionError(f"unknown vertex {v!r}")
-    coords, _ = _proj_coords(pres, (v,))
-    dims = {w: len(lst) for w, lst in coords.items()}
-    maps = {a: _cover_action(pres, field, (v,), a) for a in pres.quiver.arrows}
-    return RepModule(pres, dims, maps, field)
+    return path_quotient(pres, v, (), field)
 
 
 def module_direct_sum(modules) -> RepModule:
@@ -186,53 +217,6 @@ def module_direct_sum(modules) -> RepModule:
     return RepModule(pres, dims, maps, field)
 
 
-def quotient_module(M: RepModule, sub_rows) -> RepModule:
-    """Quotient by the submodule spanned per vertex by the given row vectors.
-
-    Raises when the span is not arrow-stable.
-    """
-    pres, field = M.pres, M.field
-    reduced = {}
-    for v in pres.quiver.vertices:
-        rows = [list(r) for r in sub_rows.get(v, [])]
-        red, pivots = linalg.rref(rows, M.dims[v], field)
-        red = [r for r in red[: len(pivots)]]
-        free = [j for j in range(M.dims[v]) if j not in set(pivots)]
-        reduced[v] = (red, pivots, free)
-
-    def project(v, vec):
-        red, pivots, free = reduced[v]
-        residual = list(vec)
-        for i, pc in enumerate(pivots):
-            c = residual[pc]
-            if not field.is_zero(c):
-                for j, x in enumerate(red[i]):
-                    residual[j] = field.reduce(residual[j] - c * x)
-        return residual, [residual[f] for f in free]
-
-    # arrow stability of the span
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        red, _, _ = reduced[src]
-        for r in red:
-            image = linalg.mat_mul([list(r)], M.maps[a], M.dims[tgt], field)[0]
-            _, quot = project(tgt, image)
-            if any(not field.is_zero(x) for x in quot):
-                raise PreconditionError("rows do not span a submodule")
-
-    dims = {v: len(reduced[v][2]) for v in pres.quiver.vertices}
-    maps = {}
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        rows = []
-        for f in reduced[src][2]:
-            lift = [field.coerce(0)] * M.dims[src]
-            lift[f] = field.coerce(1)
-            image = linalg.mat_mul([lift], M.maps[a], M.dims[tgt], field)[0]
-            _, quot = project(tgt, image)
-            rows.append(quot)
-        maps[a] = rows
-    return RepModule(pres, dims, maps, field)
-
-
 def build_string_object(pres, kind, index, field=QQ) -> RepModule:
     """The noncompact string objects over a two-truncated cycle with tail.
 
@@ -251,25 +235,19 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
         if t == 0 or not -t <= index <= -1:
             raise PreconditionError(f"Y index {index} outside {-t}..-1")
         v = str(index)
-        proj = indec_projective(pres, v, field)
-        outs = [
-            p
-            for (src, _), ps in _paths_by_ends(pres).items()
-            if src == v
-            for p in ps
-        ]
+        outs = [p for ps in _paths_from(pres, v).values() for p in ps]
         top_len = max(len(p) for p in outs)
-        candidates = [p for p in outs if len(p) == top_len]
-        if len(candidates) != 1:
-            raise PreconditionError("socle path is unique")
-        longest = candidates[0]
+        longest = [p for p in outs if len(p) == top_len]
+        if len(longest) != 1:
+            raise PreconditionError(f"P_{v} has {len(longest)} longest paths, not one")
         # the socle copy sits at vertex 1 (vertex 0 when s = 1)
-        if longest.target != ("1" if s >= 2 else "0"):
-            raise PreconditionError("socle path ends at vertex 1 (vertex 0 when s = 1)")
-        pos = _paths_from_to(pres, v, longest.target).index(longest)
-        row = [field.coerce(0)] * proj.dims[longest.target]
-        row[pos] = field.coerce(1)
-        return quotient_module(proj, {longest.target: [row]})
+        socle = "1" if s >= 2 else "0"
+        if longest[0].target != socle:
+            raise PreconditionError(
+                f"the longest path of P_{v} ends at vertex {longest[0].target}, "
+                f"not at vertex {socle}"
+            )
+        return path_quotient(pres, v, longest, field)
     raise PreconditionError(f"unknown string object kind {kind!r}")
 
 
@@ -285,49 +263,22 @@ def projective_cover(M: RepModule):
     if M.total_dim() == 0:
         raise PreconditionError("zero module has no projective cover")
     pres, field = M.pres, M.field
-    summands = []
-    lifts = []
+    # summand i covers the fiber coordinate tops[i] at its vertex, one per
+    # coordinate that the radical rows leave without a pivot
+    summands, tops = [], []
     for u in pres.quiver.vertices:
-        rad_rows = []
-        for a in pres.quiver.arrows_into(u):
-            src = pres.quiver.source(a)
-            rad_rows.extend(list(r) for r in M.maps[a])
+        rad_rows = [list(r) for a in pres.quiver.arrows_into(u) for r in M.maps[a]]
         _, pivots = linalg.rref(rad_rows, M.dims[u], field)
-        pivot_set = set(pivots)
-        for f in range(M.dims[u]):
-            if f in pivot_set:
-                continue
-            lift = [field.coerce(0)] * M.dims[u]
-            lift[f] = field.coerce(1)
+        for f in sorted(set(range(M.dims[u])) - set(pivots)):
             summands.append(u)
-            lifts.append(lift)
+            tops.append(f)
     epi = {}
-    coords, _ = _proj_coords(pres, tuple(summands))
+    coords = _proj_coords(pres, tuple(summands))
     for w in pres.quiver.vertices:
-        rows = []
-        for i, p in coords[w]:
-            rows.append(
-                linalg.mat_mul([lifts[i]], M.act_by_path(p), M.dims[w], field)[0]
-            )
-        epi[w] = rows
-        if linalg.rank(rows, M.dims[w], field) != M.dims[w]:
-            raise PreconditionError("cover is onto")
+        epi[w] = [M.act_by_path(p)[tops[i]] for i, p in coords[w]]
+        if linalg.rank(epi[w], M.dims[w], field) != M.dims[w]:
+            raise PreconditionError("cover is not onto")
     return tuple(summands), epi
-
-
-def _cover_action(pres, field, summands, a):
-    """Right action of an arrow on the coordinates of a sum of projectives."""
-    coords, index = _proj_coords(pres, summands)
-    src, tgt = pres.quiver.arrows[a]
-    arrow = _arrow_path(pres, a)
-    rows = []
-    for i, p in coords[src]:
-        row = [field.coerce(0)] * len(coords[tgt])
-        prod = pres.path_product(p, arrow)
-        if prod is not None:
-            row[index[tgt][(i, prod)]] = field.coerce(1)
-        rows.append(row)
-    return rows
 
 
 def _path_cover(M: RepModule):
@@ -341,7 +292,7 @@ def _path_cover(M: RepModule):
     """
     pres, field = M.pres, M.field
     summands, epi = projective_cover(M)
-    coords, _ = _proj_coords(pres, summands)
+    coords = _proj_coords(pres, summands)
     kernel, basis = [], []
     for w in pres.quiver.vertices:
         for key, row in zip(coords[w], epi[w]):

@@ -1,9 +1,10 @@
 """Exact linear algebra over QQ and GF(p).
 
 Rank and reduced row echelon form are the elimination kernels of the
-package: quotients and projective covers take one rref per vertex, and a
-cover checks that it is onto with one rank per vertex.  Resolutions past
-the cover, and the Ext counts read off them, do no linear algebra.
+package: a projective cover takes one rref per vertex and checks that it
+is onto with one rank per vertex.  Path quotients are read off paths with
+no rref, and resolutions past the cover, and the Ext counts read off
+them, do no linear algebra.
 ``rank`` and ``rref`` share one sparse Gaussian elimination on rows stored
 as ``{col: value}``.  Over the rationals it is fraction-free: rows are
 scaled to integers, combined by cross-multiplying and divided by the gcd

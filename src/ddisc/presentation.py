@@ -411,9 +411,10 @@ def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
     Raises InfiniteDimensionalError when the algebra is infinite dimensional;
     the check is structural, not an enumeration cutoff.
     """
-    cached = pres._cache.get("path_basis")
-    if cached is not None:
-        return cached
+    return _cached(pres, "path_basis", _path_basis)
+
+
+def _path_basis(pres):
     _assert_finite_dimensional(pres)
     q = pres.quiver
     basis = [pres.trivial_path(v) for v in q.vertices]
@@ -427,7 +428,6 @@ def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
                     basis.append(Path(v, q.target(a), new))
                     stack.append((q.target(a), new))
     basis.sort(key=Path.sort_key)
-    pres._cache["path_basis"] = basis
     return basis
 
 
@@ -722,15 +722,23 @@ def build_lambda(r: int, s: int, t: int) -> BoundQuiverPresentation:
 
 
 def lambda_descriptor_of(pres: BoundQuiverPresentation):
-    """The (r,s,t) with ``pres == build_lambda(r,s,t)`` literally, else None."""
+    """The (r,s,t) with ``pres == build_lambda(r,s,t)`` literally, else None.
+
+    Computed once per presentation and cached on it.
+    """
+    return _cached(pres, "lambda_descriptor", _lambda_descriptor) or None
+
+
+def _lambda_descriptor(pres):
+    """The descriptor of ``pres``, or () when it is no literal Lambda(r,s,t)."""
     # the literal tail vertices are exactly the negative ids, which fixes t
     n = len(pres.quiver.vertices)
     t = sum(1 for v in pres.quiver.vertices if v.startswith("-"))
     try:
         desc = LambdaDescriptor(len(pres.relations), n - t, t)
     except PresentationError:
-        return None
-    return desc if pres == build_lambda(desc.r, desc.s, desc.t) else None
+        return ()
+    return desc if pres == build_lambda(desc.r, desc.s, desc.t) else ()
 
 
 # -- isomorphism of labelled presentations -----------------------------------

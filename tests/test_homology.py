@@ -13,6 +13,7 @@ from ddisc import (
     QQ,
     InfiniteDimensionalError,
     PreconditionError,
+    PresentationError,
     build_lambda,
     cartan_matrix,
     parse_presentation,
@@ -21,7 +22,7 @@ from ddisc.homology import (
     PathMatrix,
     ProjComplex,
     RepModule,
-    _paths_from_to,
+    _paths_from,
     _proj_coords,
     build_string_object,
     ext_dim,
@@ -29,8 +30,8 @@ from ddisc.homology import (
     indec_projective,
     infinite_gldim_check,
     module_direct_sum,
+    path_quotient,
     projective_cover,
-    quotient_module,
     resolve,
     simple_module,
 )
@@ -69,8 +70,9 @@ def module_pool(pres):
 
 def vertex_matrix(d, w):
     """Underlying linear map of a path matrix between the fibers at w."""
-    dom_coords, _ = _proj_coords(d.pres, d.domain)
-    cod_coords, cod_index = _proj_coords(d.pres, d.codomain)
+    dom_coords = _proj_coords(d.pres, d.domain)
+    cod_coords = _proj_coords(d.pres, d.codomain)
+    cod_index = {key: pos for pos, key in enumerate(cod_coords[w])}
     rows = []
     for j, p in dom_coords[w]:
         row = [d.field.coerce(0)] * len(cod_coords[w])
@@ -79,15 +81,14 @@ def vertex_matrix(d, w):
                 prod = d.pres.path_product(x, p)
                 if prod is None:
                     continue
-                pos = cod_index[w][(k, prod)]
+                pos = cod_index[(k, prod)]
                 row[pos] = d.field.reduce(row[pos] + c)
         rows.append(row)
     return rows
 
 
 def _ncols_at(C, i, w):
-    coords, _ = _proj_coords(C.pres, C.summands.get(i, ()))
-    return len(coords[w])
+    return len(_proj_coords(C.pres, C.summands.get(i, ()))[w])
 
 
 def cohomology_dim_vector(C):
@@ -168,7 +169,7 @@ def _hom_block(pres, dom_summands, cod_summands):
         (j, k, p)
         for j, x in enumerate(dom_summands)
         for k, y in enumerate(cod_summands)
-        for p in _paths_from_to(pres, y, x)
+        for p in _paths_from(pres, y).get(x, ())
     ]
 
 
@@ -249,6 +250,14 @@ def test_repmodule_shape_check():
         RepModule(L, {"0": 2}, {"a0": [[QQ.coerce(0)]]})
 
 
+def test_repmodule_rejects_unknown_vertices_and_arrows():
+    L = build_lambda(2, 2, 1)
+    with pytest.raises(PreconditionError, match="unknown vertex 'zz'"):
+        RepModule(L, {"zz": 3, "0": 1}, {"nope": [[1]]})
+    with pytest.raises(PreconditionError, match="unknown arrow 'nope'"):
+        RepModule(L, {"0": 1}, {"nope": [[1]]})
+
+
 def test_simple_module():
     L = build_lambda(2, 2, 0)
     S = simple_module(L, "0")
@@ -306,20 +315,31 @@ def test_modules_over_separately_built_equal_fields():
     assert module_direct_sum([a, b]).dims == {"0": 2, "1": 0}
 
 
-def test_quotient_module_rejects_non_submodule():
-    L = build_lambda(1, 2, 0)
-    P = indec_projective(L, "0")  # basis at 0: e_0, a0*a1; at 1: a0
-    row = [QQ.coerce(1), QQ.coerce(0)]  # span{e_0} is not arrow stable
-    with pytest.raises(PreconditionError):
-        quotient_module(P, {"0": [row]})
+@pytest.mark.parametrize(
+    "pres",
+    [build_lambda(2, 2, 1), build_lambda(1, 1, 1)]
+    + [parse_presentation(t) for t in (A2, KRONECKER, GENTLE_TREE, A4_ABC, CUBED_LOOP)],
+)
+def test_path_quotients_give_projectives_and_simples(pres):
+    for v in pres.quiver.vertices:
+        assert path_quotient(pres, v, ()) == indec_projective(pres, v)
+        arrows = [[a] for a in pres.quiver.arrows_from(v)]
+        assert path_quotient(pres, v, arrows) == simple_module(pres, v)
 
 
-def test_quotient_module_socle():
-    L = build_lambda(1, 2, 0)
-    P = indec_projective(L, "0")
-    row = [QQ.coerce(0), QQ.coerce(1)]  # the path a0*a1 spans the socle at 0
-    Q = quotient_module(P, {"0": [row]})
-    assert Q.total_dim() == P.total_dim() - 1
+def test_path_quotient_input_checks():
+    L = build_lambda(2, 2, 1)
+    by_names = path_quotient(L, "-1", [("a-1", "a0")])
+    assert by_names == path_quotient(L, "-1", [L.make_path(["a-1", "a0"])])
+    assert by_names.total_dim() == indec_projective(L, "-1").total_dim() - 1
+    with pytest.raises(PreconditionError, match="does not start at -1"):
+        path_quotient(L, "-1", [("a0",)])
+    with pytest.raises(PreconditionError, match="zero in the algebra"):
+        path_quotient(L, "0", [("a0", "a1")])
+    with pytest.raises(PresentationError, match="unknown arrow"):
+        path_quotient(L, "0", [("nope",)])
+    with pytest.raises(PreconditionError, match="unknown vertex"):
+        path_quotient(L, "7", ())
 
 
 # -- string objects ---------------------------------------------------------------
@@ -353,6 +373,39 @@ def test_string_object_preconditions():
         build_string_object(L, "Y", -2)
     with pytest.raises(PreconditionError):
         build_string_object(build_lambda(2, 2, 0), "Y", -1)  # no tail
+
+
+def _delete_coordinate(M, w, j):
+    """Dims and maps of M with coordinate j at vertex w left out."""
+    dims = dict(M.dims, **{w: M.dims[w] - 1})
+    maps = {}
+    for a, (src, tgt) in M.pres.quiver.arrows.items():
+        rows = [row for i, row in enumerate(M.maps[a]) if (src, i) != (w, j)]
+        maps[a] = tuple(
+            tuple(x for k, x in enumerate(row) if (tgt, k) != (w, j)) for row in rows
+        )
+    return dims, maps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_y_objects_are_projectives_less_their_socle(field, monkeypatch):
+    calls = _count_linear_algebra(monkeypatch)
+    for s in range(1, 5):
+        for t in range(1, 4):
+            L = build_lambda(s, s, t)
+            for q in range(1, t + 1):
+                P = indec_projective(L, str(-q), field)
+                # the socle is the one coordinate that no arrow moves
+                [(w, j)] = [
+                    (w, j)
+                    for w in L.quiver.vertices
+                    for j in range(P.dims[w])
+                    if not any(any(P.maps[a][j]) for a in L.quiver.arrows_from(w))
+                ]
+                calls.clear()
+                Y = build_string_object(L, "Y", -q, field)
+                assert not {"rref", "rank", "cover"} & set(calls), calls
+                assert (Y.dims, Y.maps) == _delete_coordinate(P, w, j)
 
 
 # -- covers and resolutions ---------------------------------------------------------
@@ -710,8 +763,10 @@ def test_hom_tables_do_linear_algebra_only_in_the_covers(monkeypatch, capsys):
         L = build_lambda(r, s, t)
         assert hom_table(L, _named(L, src, F), _named(L, dst, F), hmax).entries == dims
     L = build_lambda(3, 3, 2)
-    X, Y = _named(L, "X1"), _named(L, "Y-2")
     calls = _count_linear_algebra(monkeypatch)
+    X, Y = _named(L, "X1"), _named(L, "Y-2")
+    # string objects are read off paths: no elimination and no cover
+    assert not {"rref", "rank", "cover"} & set(calls), calls
     seen = []
     for hmax in (10, 300):
         calls.clear()
