@@ -8,8 +8,9 @@ the row of summand P_a and column of summand P_b is spanned by paths from
 b to a, acting by left multiplication.
 
 Projectives and string objects are path quotients P_v/(q_1A+...+q_kA)
-(see :func:`path_quotient`): their bases are read off one cached table of
-basis paths by source, and arrows act by concatenation, with no rref.
+(see :func:`path_quotient`): their bases are the basis paths out of one
+vertex, listed by one search from it and cached, and arrows act by
+concatenation, with no rref.
 
 Minimal projective resolutions take one projective cover and are then read
 off paths: over a monomial algebra every syzygy of a path quotient is a sum
@@ -24,10 +25,20 @@ complex into N has at most one nonzero per column and each of its ranks is
 a count.  No matrix of the Hom complex is built; the tests keep the two
 matrix routes (ranks of the Hom complex into a module, and chain maps
 modulo homotopy between resolutions) as independent references.
+
+Those counts walk the resolution one term at a time, not one summand at a
+time.  Below the cover, the terms of a resolution are multisets of paths,
+and the counts of a summand depend on its path alone, so each distinct
+path is looked at once.  A term determines every term below it, so the
+walk stops at its first repeated term and later degrees are read by
+period.  When the multiplicities stay bounded, as over a gentle algebra,
+where a path has at most one annihilator generator, the work of a hom
+table does not grow with its depth.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 
 from .errors import PreconditionError
@@ -37,25 +48,29 @@ from .presentation import (
     Path,
     _assert_finite_dimensional,
     _cached,
+    _paths_from_vertex,
     lambda_descriptor_of,
-    path_basis,
     vertex_sort_key,
 )
 
 # -- path bookkeeping -----------------------------------------------------------
 
 
-def _path_table(pres):
-    """Basis paths by source, then by target, each list in canonical order."""
-    table = {v: {} for v in pres.quiver.vertices}
-    for p in path_basis(pres):
-        table[p.source].setdefault(p.target, []).append(p)
-    return table
-
-
 def _paths_from(pres, v):
-    """Basis paths from v by target, read off the cached path table."""
-    return _cached(pres, "path_table", _path_table)[v]
+    """Basis paths from v by target, each list in canonical order.
+
+    The paths from v are listed by one search from v the first time v is
+    asked for, and kept on the presentation, so a module lists only the
+    paths out of its own vertices and those of its cover.
+    """
+    table = _cached(pres, "paths_from", lambda _: {})
+    by_target = table.get(v)
+    if by_target is None:
+        by_target = {}
+        for p in sorted(_paths_from_vertex(pres, v), key=Path.sort_key):
+            by_target.setdefault(p.target, []).append(p)
+        table[v] = by_target
+    return by_target
 
 
 def _arrow_paths(pres):
@@ -272,10 +287,23 @@ def projective_cover(M: RepModule):
         for f in sorted(set(range(M.dims[u])) - set(pivots)):
             summands.append(u)
             tops.append(f)
+    # coordinate (i, p) maps to row tops[i] of the action of p: the image of
+    # p's one-arrow-shorter prefix times the matrix of p's last arrow
+    image = {}
+    for i, u in enumerate(summands):
+        top = [field.coerce(0)] * M.dims[u]
+        top[tops[i]] = field.coerce(1)
+        image[i, ()] = top
+        paths = sorted((p for ps in _paths_from(pres, u).values() for p in ps), key=len)
+        for p in paths[1:]:
+            a = p.arrows[-1]
+            (image[i, p.arrows],) = linalg.mat_mul(
+                [image[i, p.arrows[:-1]]], M.maps[a], M.dims[p.target], field
+            )
     epi = {}
     coords = _proj_coords(pres, tuple(summands))
     for w in pres.quiver.vertices:
-        epi[w] = [M.act_by_path(p)[tops[i]] for i, p in coords[w]]
+        epi[w] = [image[i, p.arrows] for i, p in coords[w]]
         if linalg.rank(epi[w], M.dims[w], field) != M.dims[w]:
             raise PreconditionError("cover is not onto")
     return tuple(summands), epi
@@ -303,6 +331,20 @@ def _path_cover(M: RepModule):
     return summands, kernel, basis
 
 
+def _kernel_generators(M: RepModule):
+    """The cover summands of a nonzero M and the generators of its kernel.
+
+    Returns ``(cover, gens)``: the summand vertices, as
+    :func:`projective_cover` lists them, and the prefix-minimal cover
+    coordinates (i, p) in the cover kernel, the kernel being ⊕ pA over them.
+    """
+    cover, kernel, _ = _path_cover(M)
+    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
+    # not in it has no proper prefix in it
+    words = {(i, p.arrows) for i, p in kernel}
+    return cover, [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
+
+
 def _levels(M: RepModule):
     """Terms of the minimal resolution of a nonzero M, degree 0 down.
 
@@ -312,12 +354,8 @@ def _levels(M: RepModule):
     See :func:`resolve` for why every term is read off paths.
     """
     pres = M.pres
-    cover, kernel, _ = _path_cover(M)
+    cover, level = _kernel_generators(M)
     yield [(None, pres.trivial_path(u)) for u in cover]
-    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
-    # not in it has no proper prefix in it
-    words = {(i, p.arrows) for i, p in kernel}
-    level = [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
     while level:
         # summands in vertex order, as projective_cover lists them
         level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
@@ -533,8 +571,75 @@ class ProjComplex:
 # -- hom dimensions ---------------------------------------------------------------
 
 
+def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
+    """Row and live counts of the Hom complex of M into N, degree 0 down.
+
+    Returns ``(counts, start)`` for nonzero M and N: ``counts[k]`` is the
+    pair (rows_k, live_k) of degree k (see :func:`_ext_counts`), listed up
+    to degree hmax or up to a repeat.  When the walk repeats, ``start`` is
+    the degree from which the pairs are periodic, with period
+    ``len(counts) - start``; otherwise it is None.
+
+    The cover's children are its kernel generators, but below the cover
+    the children of a summand with path x are the annihilator generators of
+    x, whatever its parent.  So the pair of such a summand depends on x
+    alone, and each degree k >= 1 is a multiset {x: multiplicity}, its
+    pair the weighted sum of the pairs of its paths, and the next degree
+    the weighted sum of their generators.  Each distinct path is looked at
+    once.  A degree determines every degree below it, so the walk stops at
+    the first degree k >= 1 whose multiset an earlier one had.
+    """
+    pres = M.pres
+    _, _, basis = _path_cover(N)
+    survivors = set(basis)
+    ending_at = {}
+    for j, b in basis:
+        ending_at.setdefault(b.target, []).append((j, b))
+
+    def pair(u, ys):
+        """(rows, live) of a summand P_u whose children have the paths ys."""
+        rows = ending_at.get(u, ())
+        # a zero product is None, and (j, None) is no survivor
+        live = sum(
+            any((j, pres.path_product(b, y)) in survivors for y in ys)
+            for j, b in rows
+        )
+        return len(rows), live
+
+    cover, gens = _kernel_generators(M)
+    children = [[] for _ in cover]
+    for i, y in gens:
+        children[i].append(y)
+    top = [pair(u, ys) for u, ys in zip(cover, children)]
+    counts = [(sum(r for r, _ in top), sum(live for _, live in top))]
+    known, seen = {}, {}
+    level = Counter(y for _, y in gens)
+    for k in range(1, hmax + 1):
+        key = frozenset(level.items())
+        if key in seen:
+            return counts, seen[key]
+        seen[key] = k
+        rows = live = 0
+        below = Counter()
+        for x, mult in level.items():
+            if x not in known:
+                ys = _annihilator_generators(pres, x)
+                known[x] = (*pair(x.target, ys), ys)
+            x_rows, x_live, ys = known[x]
+            rows += mult * x_rows
+            live += mult * x_live
+            for y in ys:
+                below[y] += mult
+        counts.append((rows, live))
+        level = below
+    return counts, None
+
+
 def _ext_counts(M: RepModule, N: RepModule, hmax: int):
-    """dim Ext^h(M, N) for 0 <= h <= hmax, counted off paths.
+    """dim Ext^h(M, N) for every h >= 0 as ``(head, cycle)``, counted off paths.
+
+    Ext^h is ``head[h]`` for h < len(head) and then runs through ``cycle``
+    over and over; ``cycle`` is empty only when ``head`` covers 0..hmax.
 
     Hom(P_u, N) is N·e_u, so the Hom complex into N has one block per
     summand σ of the resolution of M, with the basis {(j, b) : b ends at
@@ -543,38 +648,34 @@ def _ext_counts(M: RepModule, N: RepModule, hmax: int):
     (j, c)) determines σ (the parent of τ) and b (c less its suffix x_τ),
     so every column holds at most one nonzero: the rank is the number of
     *live* rows, those with some b·x_τ nonzero in N, and the kernel is
-    spanned by the *dead* ones.  So Ext^h = dead_h - live_{h-1}, whatever
-    the field.
+    spanned by the *dead* ones.  So Ext^h = rows_h - live_h - live_{h-1},
+    whatever the field.  The counts come from :func:`_hom_complex_counts`,
+    which stops at the first repeated degree, so the work grows with the
+    distinct paths and terms of the resolution before that repeat, not with
+    hmax.
     """
     if M.total_dim() == 0 or N.total_dim() == 0:
-        return [0] * (hmax + 1)
-    pres = M.pres
-    _, _, basis = _path_cover(N)
-    survivors = set(basis)
-    ending_at = {}
-    for j, b in basis:
-        ending_at.setdefault(b.target, []).append((j, b))
-    levels = _levels(M)
-    level, out, live_above = next(levels), [], 0
-    for _ in range(hmax + 1):
-        below = next(levels, [])
-        children = [[] for _ in level]
-        for i, y in below:
-            children[i].append(y)
-        rows = live = 0
-        for (_, x), ys in zip(level, children):
-            for j, b in ending_at.get(x.target, ()):
-                rows += 1
-                # a zero product is None, and (j, None) is no survivor
-                live += any((j, pres.path_product(b, y)) in survivors for y in ys)
-        out.append(rows - live - live_above)
-        level, live_above = below, live
-    return out
+        return [], [0]
+    counts, start = _hom_complex_counts(M, N, hmax)
+    if start is not None:
+        # the degree after the last one listed repeats degree start
+        counts.append(counts[start])
+    exts = [
+        rows - live - (counts[h - 1][1] if h else 0)
+        for h, (rows, live) in enumerate(counts)
+    ]
+    if start is None:
+        return exts, []
+    # Ext^h reads degrees h and h - 1, both periodic once h > start
+    return exts[: start + 1], exts[start + 1 :]
 
 
 def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
-    """dim Ext^h(M, N), counted off a resolution of M to depth h + 1.
+    """dim Ext^h(M, N), counted off paths (see :func:`_ext_counts`).
 
+    The resolution of M is walked until a degree repeats, and Ext^h is read
+    by period, so time and memory stay bounded in h once the walk repeats,
+    as it always does when the multiplicities of the terms stay bounded.
     M and N must be modules :func:`resolve` accepts (direct sums of path
     quotients such as simples, projectives and string objects); any other,
     such as a band module, as source or as target raises
@@ -584,7 +685,8 @@ def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
         raise PreconditionError("ext degree must be nonnegative")
     if M.pres != pres or N.pres != pres:
         raise PreconditionError("mismatched algebras")
-    return _ext_counts(M, N, h)[h]
+    head, cycle = _ext_counts(M, N, h)
+    return head[h] if h < len(head) else cycle[(h - len(head)) % len(cycle)]
 
 
 # -- hom tables --------------------------------------------------------------------
@@ -610,8 +712,9 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """Derived hom dimensions Hom(X, Y[h]) for 0 <= h <= hmax.
 
     X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): the entries are the
-    counts of :func:`ext_dim`, taken in one pass down one resolution of X to
-    depth hmax + 1, so a table is linear in hmax.
+    counts of :func:`ext_dim`, taken from one walk down one resolution of
+    X that stops at its first repeated degree, so the work does not grow
+    with hmax beyond writing the hmax + 1 entries.
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
@@ -619,7 +722,10 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
         raise PreconditionError("hom tables are keyed to Lambda(r,s,t) input")
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
-    return HomTable(_ext_counts(X, Y, hmax))
+    head, cycle = _ext_counts(X, Y, hmax)
+    if cycle:
+        head += cycle * (hmax // len(cycle) + 1)
+    return HomTable(head[: hmax + 1])
 
 
 # -- global dimension --------------------------------------------------------------

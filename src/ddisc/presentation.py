@@ -415,20 +415,28 @@ def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
 
 
 def _path_basis(pres):
-    _assert_finite_dimensional(pres)
-    q = pres.quiver
-    basis = [pres.trivial_path(v) for v in q.vertices]
-    for v in q.vertices:
-        stack = [(v, ())]
-        while stack:
-            vertex, word = stack.pop()
-            for a in q.arrows_from(vertex):
-                new = word + (a,)
-                if pres._extension_is_normal(new):
-                    basis.append(Path(v, q.target(a), new))
-                    stack.append((q.target(a), new))
+    basis = [p for v in pres.quiver.vertices for p in _paths_from_vertex(pres, v)]
     basis.sort(key=Path.sort_key)
     return basis
+
+
+def _paths_from_vertex(pres, v) -> list[Path]:
+    """The basis paths from v, unsorted, by one depth-first search from v.
+
+    Raises InfiniteDimensionalError like ``path_basis``, before searching:
+    a search on an infinite dimensional algebra might never end.
+    """
+    _assert_finite_dimensional(pres)
+    q = pres.quiver
+    found, stack = [pres.trivial_path(v)], [(v, ())]
+    while stack:
+        vertex, word = stack.pop()
+        for a in q.arrows_from(vertex):
+            new = word + (a,)
+            if pres._extension_is_normal(new):
+                found.append(Path(v, q.target(a), new))
+                stack.append((q.target(a), new))
+    return found
 
 
 def cartan_matrix(pres: BoundQuiverPresentation) -> dict:

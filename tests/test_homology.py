@@ -17,6 +17,7 @@ from ddisc import (
     build_lambda,
     cartan_matrix,
     parse_presentation,
+    path_basis,
 )
 from ddisc.homology import (
     PathMatrix,
@@ -35,6 +36,7 @@ from ddisc.homology import (
     resolve,
     simple_module,
 )
+from ddisc.presentation import BoundQuiverPresentation, Quiver
 
 A2 = "vertex 1\nvertex 2\narrow a 1 2\n"
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
@@ -48,6 +50,17 @@ A4_ABC = (
     "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
 )
 CUBED_LOOP = "vertex 0\narrow a 0 0\nrelation a a a\n"
+# two loops with every quadratic relation among them (and then a tail): the
+# resolution of the simple at 0 doubles at each degree, so no term repeats
+FREE_SQUARE = (
+    "vertex 0\narrow a 0 0\narrow b 0 0\n"
+    "relation a a\nrelation a b\nrelation b a\nrelation b b\n"
+)
+TWO_LOOPS_WITH_TAIL = (
+    "vertex 0\nvertex 1\nvertex 2\nvertex 3\n"
+    "arrow a0 0 0\narrow a1 0 1\narrow a2 0 0\narrow a3 1 2\narrow a4 2 3\n"
+    "relation a0 a0\nrelation a0 a2\nrelation a2 a0\nrelation a2 a2\n"
+)
 
 
 def module_pool(pres):
@@ -232,6 +245,38 @@ def hom_shift_dim(C, D, h):
     return (nvars - rank_phi) - rank_psi
 
 
+def ext_counts_per_summand(M, N, hmax):
+    """dim Ext^h(M, N) for 0 <= h <= hmax, one summand at a time.
+
+    The path count of the package walked without multisets or periods:
+    every degree down to hmax + 1 is listed summand by summand, and each
+    summand's rows are matched against its own children.
+    """
+    if M.total_dim() == 0 or N.total_dim() == 0:
+        return [0] * (hmax + 1)
+    pres = M.pres
+    _, _, basis = homology._path_cover(N)
+    survivors = set(basis)
+    ending_at = {}
+    for j, b in basis:
+        ending_at.setdefault(b.target, []).append((j, b))
+    levels = homology._levels(M)
+    level, out, live_above = next(levels), [], 0
+    for _ in range(hmax + 1):
+        below = next(levels, [])
+        children = [[] for _ in level]
+        for i, y in below:
+            children[i].append(y)
+        rows = live = 0
+        for (_, x), ys in zip(level, children):
+            for j, b in ending_at.get(x.target, ()):
+                rows += 1
+                live += any((j, pres.path_product(b, y)) in survivors for y in ys)
+        out.append(rows - live - live_above)
+        level, live_above = below, live
+    return out
+
+
 # -- modules -------------------------------------------------------------------
 
 
@@ -342,6 +387,28 @@ def test_path_quotient_input_checks():
         path_quotient(L, "7", ())
 
 
+@pytest.mark.parametrize(
+    "pres",
+    [build_lambda(3, 4, 2), build_lambda(2, 2, 0)]
+    + [parse_presentation(t) for t in (KRONECKER, GENTLE_TREE, A4_ABC, CUBED_LOOP)],
+)
+def test_paths_from_lists_the_path_basis_by_source_then_target(pres):
+    table = {v: {} for v in pres.quiver.vertices}
+    for p in path_basis(pres):
+        table[p.source].setdefault(p.target, []).append(p)
+    for v in reversed(pres.quiver.vertices):
+        assert list(_paths_from(pres, v).items()) == list(table[v].items())
+
+
+def test_paths_from_refuses_infinite_dimensional_algebras():
+    # b a a a ... never meets a relation: a search from 1 would not end
+    pres = parse_presentation("vertex 0\nvertex 1\narrow a 0 0\narrow b 1 0\n")
+    with pytest.raises(InfiniteDimensionalError):
+        _paths_from(pres, "1")
+    with pytest.raises(InfiniteDimensionalError):
+        indec_projective(pres, "1")
+
+
 # -- string objects ---------------------------------------------------------------
 
 
@@ -426,6 +493,27 @@ def test_projective_cover_of_string_quotient():
     L = build_lambda(2, 2, 1)
     summands, _ = projective_cover(build_string_object(L, "Y", -1))
     assert summands == ("-1",)
+
+
+def test_cover_images_are_the_action_of_paths():
+    # each coordinate (i, p) maps to the image of (i, e_u) moved along p
+    kron = parse_presentation(KRONECKER)
+    band = RepModule(
+        kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[3, 1], [0, 3]]}
+    )
+    L = build_lambda(3, 3, 2)
+    summed = module_direct_sum(module_pool(L) + [build_string_object(L, "Y", -2)])
+    for M in (band, summed):
+        summands, epi = projective_cover(M)
+        coords = _proj_coords(M.pres, summands)
+        tops = [
+            epi[u][coords[u].index((i, M.pres.trivial_path(u)))]
+            for i, u in enumerate(summands)
+        ]
+        for w in M.pres.quiver.vertices:
+            for (i, p), row in zip(coords[w], epi[w]):
+                expected = linalg.mat_mul([tops[i]], M.act_by_path(p), M.dims[w], M.field)
+                assert [row] == expected
 
 
 def test_cover_rejects_zero_module():
@@ -682,6 +770,75 @@ def test_ext_matches_stalk_hom_route():
         assert hom_shift_dim(C, N, h) == ext_dim(pres, M, N, h)
 
 
+def random_monomial_algebra(rng):
+    """A finite dimensional monomial algebra: 1..4 vertices, 1..6 arrows."""
+    while True:
+        verts = [str(i) for i in range(rng.randint(1, 4))]
+        arrows = [
+            (f"a{i}", rng.choice(verts), rng.choice(verts))
+            for i in range(rng.randint(1, 6))
+        ]
+        quiver = Quiver(verts, arrows)
+        rels = set()
+        for _ in range(rng.randint(1, 8)):
+            at, word = rng.choice(verts), []
+            for _ in range(rng.randint(2, 3)):
+                outs = quiver.arrows_from(at)
+                if not outs:
+                    break
+                word.append(rng.choice(outs))
+                at = quiver.target(word[-1])
+            if len(word) >= 2:
+                rels.add(tuple(word))
+        pres = BoundQuiverPresentation(quiver, sorted(rels))
+        try:
+            path_basis(pres)
+        except InfiniteDimensionalError:
+            continue
+        return pres
+
+
+def ext_pool(pres, rng):
+    """Simples, projectives and a path quotient P_v/qA per vertex v."""
+    pool = module_pool(pres)
+    for v in pres.quiver.vertices:
+        longer = [p for ps in _paths_from(pres, v).values() for p in ps if p.arrows]
+        if longer:
+            pool.append(path_quotient(pres, v, [rng.choice(longer)]))
+    return pool
+
+
+def test_ext_matches_the_per_summand_count_on_random_monomial_algebras():
+    rng = random.Random(13)
+    algebras = [parse_presentation(t) for t in (FREE_SQUARE, TWO_LOOPS_WITH_TAIL)]
+    algebras += [random_monomial_algebra(rng) for _ in range(80)]
+    above_one = 0
+    for pres in algebras:
+        pool = ext_pool(pres, rng)
+        for M in pool:
+            for N in rng.sample(pool, min(2, len(pool))):
+                expected = ext_counts_per_summand(M, N, 6)
+                assert [ext_dim(pres, M, N, h) for h in range(7)] == expected
+                above_one += max(expected) > 1
+    # the sample reaches resolutions whose multiplicities grow
+    assert above_one > 20, above_one
+
+
+def test_ext_reads_high_degrees_by_period():
+    L = build_lambda(3, 3, 2)
+    X, Y = _named(L, "X1"), _named(L, "Y-2")
+    for h in (10**9, 10**9 + 1, 10**9 + 2):
+        assert ext_dim(L, X, Y, h) == _closed_form_hom(3, "X1", "Y-2", h)
+
+
+def test_ext_of_growing_resolutions_is_exact():
+    pres = parse_presentation(FREE_SQUARE)
+    S = simple_module(pres, "0")
+    # the kth term of the resolution of S is 2^k copies of P_0
+    assert ext_dim(pres, S, S, 200) == 2**200
+    assert [ext_dim(pres, S, S, h) for h in range(6)] == [2**h for h in range(6)]
+
+
 # -- hom tables ------------------------------------------------------------------------
 
 
@@ -821,8 +978,31 @@ def test_hom_tables_match_the_closed_form(s, t):
 
 def test_long_hom_table_matches_the_closed_form():
     L = build_lambda(5, 5, 3)
-    expected = tuple(_closed_form_hom(5, "Y-2", "Y-1", h) for h in range(1001))
-    assert hom_table(L, _named(L, "Y-2"), _named(L, "Y-1"), 1000).entries == expected
+    for hmax in (1000, 10_000):
+        expected = tuple(_closed_form_hom(5, "Y-2", "Y-1", h) for h in range(hmax + 1))
+        assert hom_table(L, _named(L, "Y-2"), _named(L, "Y-1"), hmax).entries == expected
+
+
+def test_hom_table_work_does_not_grow_with_hmax(monkeypatch):
+    L = build_lambda(3, 3, 2)
+    X, Y = _named(L, "X1"), _named(L, "Y-2")
+    calls = Counter()
+    generators = homology._annihilator_generators
+
+    def counted(pres, x):
+        calls[x] += 1
+        return generators(pres, x)
+
+    monkeypatch.setattr(homology, "_annihilator_generators", counted)
+    seen = []
+    for hmax in (10, 10_000):
+        calls.clear()
+        table = hom_table(L, X, Y, hmax)
+        assert table.entries[-1] == _closed_form_hom(3, "X1", "Y-2", hmax)
+        # one search per distinct path of the resolution
+        assert set(calls.values()) == {1}, calls
+        seen.append(sum(calls.values()))
+    assert seen[0] == seen[1], seen
 
 
 def test_string_objects_have_no_maps_to_tail_projectives():
@@ -856,14 +1036,8 @@ def test_infinite_gldim_check_non_gentle():
 
 
 def test_infinite_gldim_check_two_loops():
-    # two loops with every quadratic relation among them, plus a tail: the
-    # minimal resolutions grow exponentially, the annihilator graph does not
-    pres = parse_presentation(
-        "vertex 0\nvertex 1\nvertex 2\nvertex 3\n"
-        "arrow a0 0 0\narrow a1 0 1\narrow a2 0 0\narrow a3 1 2\narrow a4 2 3\n"
-        "relation a0 a0\nrelation a0 a2\nrelation a2 a0\nrelation a2 a2\n"
-    )
-    assert infinite_gldim_check(pres) == "yes"
+    # the minimal resolutions grow exponentially, the annihilator graph does not
+    assert infinite_gldim_check(parse_presentation(TWO_LOOPS_WITH_TAIL)) == "yes"
 
 
 def test_infinite_gldim_check_needs_finite_dimension():
