@@ -7,15 +7,19 @@ differentials as matrices of path combinations; the differential entry in
 the row of summand P_a and column of summand P_b is spanned by paths from
 b to a, acting by left multiplication.
 
-Projectives and string objects are path quotients P_v/(q_1A+...+q_kA)
-(see :func:`path_quotient`): their bases are the basis paths out of one
-vertex, listed by one search from it and cached, and arrows act by
-concatenation, with no rref.
+Simples, projectives and string objects are path quotients
+P_v/(q_1A+...+q_kA) (see :func:`path_quotient`): their bases are the basis
+paths out of one vertex, listed by one search from it and cached, and
+arrows act by concatenation.  The cover of such a quotient is P_v with
+kernel ⊕ qA over the prefix-minimal q_i (Green-Happel-Zacharia), so it is
+recorded when the module is built, and the arrow matrices are made only
+when something reads them.
 
-Minimal projective resolutions take one projective cover and are then read
-off paths: over a monomial algebra every syzygy of a path quotient is a sum
-of right ideals qA, and every differential is left multiplication by one
-path (see :func:`resolve`).
+Minimal projective resolutions start from the module's cover and are then
+read off paths: over a monomial algebra every syzygy of a path quotient is
+a sum of right ideals qA, and every differential is left multiplication by
+one path (see :func:`resolve`).  Only a module given by matrices needs
+linear algebra, once, to find its cover (:func:`projective_cover`).
 
 Hom dimensions in the derived category are Ext groups between modules,
 Hom(M, N[h]) = Ext^h(M, N), and they are counted off paths (see
@@ -99,13 +103,20 @@ def _proj_coords(pres, summands):
 
 
 class RepModule:
-    """Finite dimensional right module presented as a quiver representation."""
+    """Finite dimensional right module presented as a quiver representation.
 
-    __slots__ = ("pres", "field", "dims", "maps")
+    A module keeps its projective cover (see :func:`_path_cover`).  A path
+    quotient (:func:`path_quotient`, :func:`simple_module`) records it when
+    built, and makes its matrices only when ``maps``, :meth:`act_by_path`
+    or ``==`` first reads them.
+    """
+
+    __slots__ = ("pres", "field", "dims", "_maps", "_cover")
 
     def __init__(self, pres, dims, maps, field=QQ):
         self.pres = pres
         self.field = field
+        self._cover = None
         q = pres.quiver
         for kind, given, known in (
             ("vertex", dims, q.vertices),
@@ -129,10 +140,37 @@ class RepModule:
             if len(rows) != full[src] or any(len(r) != full[tgt] for r in rows):
                 raise PreconditionError(f"map for arrow {a} has the wrong shape")
             fixed[a] = rows
-        self.maps = fixed
+        self._maps = fixed
         for rel in pres.relations:
             if any(not field.is_zero(x) for row in self.act_by_path(rel) for x in row):
                 raise PreconditionError(f"relation {rel.label()} does not act as zero")
+
+    @property
+    def maps(self):
+        """The matrix of each arrow, made on first read for a path quotient.
+
+        Its basis is the kept paths, and an arrow sends a kept path to its
+        concatenation with the arrow when that is kept, else to zero.
+        """
+        if self._maps is None:
+            # a kept path's arrows, and its position in the fiber at its target
+            fibers, pos = {}, {}
+            for _, p in self._cover[2]:
+                fiber = fibers.setdefault(p.target, [])
+                pos[p.arrows] = len(fiber)
+                fiber.append(p.arrows)
+            zero, one = self.field.coerce(0), self.field.coerce(1)
+            maps = {}
+            for a, (src, tgt) in self.pres.quiver.arrows.items():
+                rows = []
+                for word in fibers.get(src, ()):
+                    row = [zero] * self.dims[tgt]
+                    if word + (a,) in pos:
+                        row[pos[word + (a,)]] = one
+                    rows.append(tuple(row))
+                maps[a] = tuple(rows)
+            self._maps = maps
+        return self._maps
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -162,8 +200,38 @@ class RepModule:
         return f"RepModule(dims={dims})"
 
 
+def _quotient_of(pres, v, gens, basis, field) -> RepModule:
+    """P_v/(g_1A+...+g_kA) with its kept paths ``basis``, in cover order.
+
+    The relations are checked on paths: a relation r acts as zero when no
+    kept path p ending where r starts has p*r kept.  Kept paths are normal,
+    so this guards the path table that lists them, not the caller's input.
+    """
+    kept = {p.arrows for p in basis}
+    for rel in pres.relations:
+        if any(p.target == rel.source and p.arrows + rel.arrows in kept for p in basis):
+            raise PreconditionError(f"relation {rel.label()} does not act as zero")
+    M = object.__new__(RepModule)
+    M.pres, M.field, M._maps = pres, field, None
+    M.dims = dict.fromkeys(pres.quiver.vertices, 0)
+    for p in basis:
+        M.dims[p.target] += 1
+    M._cover = ((v,), tuple((0, g) for g in gens), tuple((0, p) for p in basis))
+    return M
+
+
 def simple_module(pres, v, field=QQ) -> RepModule:
-    return RepModule(pres, {v: 1}, {}, field)
+    """S_v = P_v/(a_1A+...+a_kA) over the arrows a_i out of v.
+
+    No path is listed, so simples exist over infinite dimensional algebras.
+    """
+    q = pres.quiver
+    if v not in q.vertices:
+        raise PreconditionError(f"unknown vertex {v!r}")
+    # the cover lists coordinates by target vertex, then by name
+    arrows = sorted(q.arrows_from(v), key=lambda a: (vertex_sort_key(q.target(a)), a))
+    gens = [Path(v, q.target(a), (a,)) for a in arrows]
+    return _quotient_of(pres, v, gens, [pres.trivial_path(v)], field)
 
 
 def path_quotient(pres, v, paths, field=QQ) -> RepModule:
@@ -172,37 +240,32 @@ def path_quotient(pres, v, paths, field=QQ) -> RepModule:
     Its basis is the basis paths from v with no q_i as a prefix, and each
     arrow acts by right concatenation: a product that is zero, or that has
     some q_i as a prefix, is no basis path and so zero in the quotient.
+    Its cover is P_v, with kernel the sum of q_iA over the prefix-minimal
+    q_i, so the module records it when built and no elimination runs.
     Paths are given as :class:`Path` objects or as sequences of arrow names,
     checked like relations; a path that does not start at v, or that is zero
     in the algebra, raises :class:`PreconditionError`.
     """
     if v not in pres.quiver.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
-    gens = []
+    words = set()
     for q in paths:
         q = pres.make_path(q.arrows if isinstance(q, Path) else q)
         if q.source != v:
             raise PreconditionError(f"path {q.label()} does not start at {v}")
         if not pres.is_normal(q.arrows):
             raise PreconditionError(f"path {q.label()} is zero in the algebra")
-        gens.append(q.arrows)
-    basis = {
-        w: [p for p in ps if not any(p.arrows[: len(g)] == g for g in gens)]
-        for w, ps in _paths_from(pres, v).items()
-    }
-    dims = {w: len(ps) for w, ps in basis.items()}
-    index = {w: {p: pos for pos, p in enumerate(ps)} for w, ps in basis.items()}
-    zero, one = field.coerce(0), field.coerce(1)
-    maps = {}
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        rows = maps[a] = []
-        for p in basis.get(src, ()):
-            row = [zero] * dims.get(tgt, 0)
-            pos = index.get(tgt, {}).get(Path(v, tgt, p.arrows + (a,)))
-            if pos is not None:
-                row[pos] = one
-            rows.append(row)
-    return RepModule(pres, dims, maps, field)
+        words.add(q.arrows)
+    gens, basis = [], []
+    by_target = _paths_from(pres, v)
+    for w in pres.quiver.vertices:
+        for p in by_target.get(w, ()):
+            cuts = [k for k in range(1, len(p) + 1) if p.arrows[:k] in words]
+            if not cuts:
+                basis.append(p)
+            elif cuts == [len(p)]:
+                gens.append(p)
+    return _quotient_of(pres, v, gens, basis, field)
 
 
 def indec_projective(pres, v, field=QQ) -> RepModule:
@@ -270,10 +333,11 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
 
 
 def projective_cover(M: RepModule):
-    """Cover summand vertices and the epimorphism, per vertex.
+    """Cover summand vertices and the epimorphism, per vertex, by rref.
 
     Returns ``(summands, epi)`` where ``epi[w]`` maps cover coordinates at
-    ``w`` (see ``_proj_coords``) onto the fiber of M at ``w``.
+    ``w`` (see ``_proj_coords``) onto the fiber of M at ``w``.  Only a
+    module given by matrices needs it, once (see :func:`_path_cover`).
     """
     if M.total_dim() == 0:
         raise PreconditionError("zero module has no projective cover")
@@ -310,39 +374,41 @@ def projective_cover(M: RepModule):
 
 
 def _path_cover(M: RepModule):
-    """The cover of M with its coordinates split by the epimorphism.
+    """The cover record of a nonzero M: ``(summands, gens, basis)``.
 
-    Returns ``(summands, kernel, basis)``: the cover summands, the cover
-    coordinates (i, p) (see ``_proj_coords``) that map to zero, and the
-    others.  Raises :class:`PreconditionError` unless the former span the
-    cover kernel.  Then the others map onto a basis of M, and a path x
-    sends (i, p) to (i, p*x), or to zero when p*x is zero or in the kernel.
+    ``summands`` are the cover's vertices as :func:`projective_cover` lists
+    them.  ``basis`` holds the cover coordinates (i, p) (see
+    ``_proj_coords``) that map onto a basis of M, and ``gens`` the
+    prefix-minimal ones among the others, the cover kernel being ⊕ pA over
+    them; both are listed by target vertex, then as ``_proj_coords`` lists
+    them.  A path x sends (i, p) to (i, p*x), or to zero when p*x is zero
+    or in the kernel.
+
+    A path quotient records its cover when built.  Any other module gets it
+    from :func:`projective_cover` on first use and keeps it; that raises
+    :class:`PreconditionError` unless the coordinates that map to zero span
+    the cover kernel.  A simple is built without listing paths, so the
+    algebra is checked here: no path search below the cover ends on an
+    infinite dimensional one.
     """
-    pres, field = M.pres, M.field
-    summands, epi = projective_cover(M)
-    coords = _proj_coords(pres, summands)
-    kernel, basis = [], []
-    for w in pres.quiver.vertices:
-        for key, row in zip(coords[w], epi[w]):
-            zero = all(field.is_zero(x) for x in row)
-            (kernel if zero else basis).append(key)
-    if len(basis) != M.total_dim():
-        raise PreconditionError("cover kernel is not spanned by paths")
-    return summands, kernel, basis
-
-
-def _kernel_generators(M: RepModule):
-    """The cover summands of a nonzero M and the generators of its kernel.
-
-    Returns ``(cover, gens)``: the summand vertices, as
-    :func:`projective_cover` lists them, and the prefix-minimal cover
-    coordinates (i, p) in the cover kernel, the kernel being ⊕ pA over them.
-    """
-    cover, kernel, _ = _path_cover(M)
-    # the kernel is a submodule, so a path whose one-arrow-shorter prefix is
-    # not in it has no proper prefix in it
-    words = {(i, p.arrows) for i, p in kernel}
-    return cover, [(i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words]
+    _assert_finite_dimensional(M.pres)
+    if M._cover is None:
+        pres, field = M.pres, M.field
+        summands, epi = projective_cover(M)
+        coords = _proj_coords(pres, summands)
+        kernel, basis = [], []
+        for w in pres.quiver.vertices:
+            for key, row in zip(coords[w], epi[w]):
+                zero = all(field.is_zero(x) for x in row)
+                (kernel if zero else basis).append(key)
+        if len(basis) != M.total_dim():
+            raise PreconditionError("cover kernel is not spanned by paths")
+        # the kernel is a submodule, so a path whose one-arrow-shorter prefix
+        # is not in it has no proper prefix in it
+        words = {(i, p.arrows) for i, p in kernel}
+        gens = tuple((i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words)
+        M._cover = (summands, gens, tuple(basis))
+    return M._cover
 
 
 def _levels(M: RepModule):
@@ -354,8 +420,9 @@ def _levels(M: RepModule):
     See :func:`resolve` for why every term is read off paths.
     """
     pres = M.pres
-    cover, level = _kernel_generators(M)
+    cover, gens, _ = _path_cover(M)
     yield [(None, pres.trivial_path(u)) for u in cover]
+    level = list(gens)
     while level:
         # summands in vertex order, as projective_cover lists them
         level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
@@ -370,12 +437,12 @@ def _levels(M: RepModule):
 def resolve(M: RepModule, depth: int):
     """Minimal projective resolution truncated to degrees [-depth, 0].
 
-    Linear algebra runs once, in :func:`projective_cover`; every later term
-    is read off paths (Green-Happel-Zacharia, monomial algebras).  When the
-    cover kernel is spanned by cover coordinates (i, p), it is the direct
-    sum of the right ideals qA over its prefix-minimal paths q, and the
-    kernel of P_{t(x)} -> xA, y -> xy, is spanned by the paths y with
-    xy = 0.  So each summand of degree -k is a P_{t(x)} whose differential
+    The cover is the module's own (see :func:`_path_cover`), and every
+    later term is read off paths (Green-Happel-Zacharia, monomial
+    algebras).  When the cover kernel is spanned by cover coordinates
+    (i, p), it is the direct sum of the right ideals qA over its
+    prefix-minimal paths q, and the kernel of P_{t(x)} -> xA, y -> xy, is
+    spanned by the paths y with xy = 0.  So each summand of degree -k is a P_{t(x)} whose differential
     is left multiplication by one path x, and its summands in degree -k-1
     are the prefix-minimal paths y out of t(x) with xy = 0.
 
@@ -606,7 +673,7 @@ def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
         )
         return len(rows), live
 
-    cover, gens = _kernel_generators(M)
+    cover, gens, _ = _path_cover(M)
     children = [[] for _ in cover]
     for i, y in gens:
         children[i].append(y)
@@ -714,7 +781,9 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     X and Y are modules, so Hom(X, Y[h]) is Ext^h(X, Y): the entries are the
     counts of :func:`ext_dim`, taken from one walk down one resolution of
     X that stops at its first repeated degree, so the work does not grow
-    with hmax beyond writing the hmax + 1 entries.
+    with hmax beyond writing the hmax + 1 entries.  String objects are path
+    quotients that carry their covers, so their tables take no linear
+    algebra and build no matrix.
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")

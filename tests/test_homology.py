@@ -313,6 +313,30 @@ def test_simple_module():
 
 
 @pytest.mark.parametrize(
+    "text", [A2, KRONECKER, GENTLE_TREE, CUBED_LOOP, FREE_SQUARE, TWO_LOOPS_WITH_TAIL]
+)
+def test_simples_are_the_one_dimensional_representations(text):
+    pres = parse_presentation(text)
+    for v in pres.quiver.vertices:
+        for field in (QQ, GF(5)):
+            assert simple_module(pres, v, field) == RepModule(pres, {v: 1}, {}, field)
+
+
+def test_simples_need_no_path_listing():
+    # k[x] is infinite dimensional: no search from 1 ends, yet S_1 exists
+    pres = parse_presentation("vertex 1\narrow x 1 1\n")
+    S = simple_module(pres, "1")
+    assert S == RepModule(pres, {"1": 1}, {})
+    assert S.maps == {"x": ((QQ.coerce(0),),)}
+    with pytest.raises(PreconditionError, match="unknown vertex"):
+        simple_module(pres, "2")
+    # resolving it would search k[x] without end: refused, as for any module
+    for compute in (lambda: resolve(S, 2), lambda: ext_dim(pres, S, S, 1)):
+        with pytest.raises(InfiniteDimensionalError):
+            compute()
+
+
+@pytest.mark.parametrize(
     "rst,v,dims,total",
     [
         ((2, 2, 0), "0", {"0": 1, "1": 1}, 2),
@@ -523,6 +547,56 @@ def test_cover_rejects_zero_module():
         projective_cover(Z)
 
 
+def _as_matrices(M):
+    """M given by its matrices, so that its cover takes the rref route."""
+    return RepModule(M.pres, M.dims, M.maps, M.field)
+
+
+def test_path_read_covers_match_the_rref_route():
+    rng = random.Random(13)
+    algebras = [parse_presentation(t) for t in (FREE_SQUARE, TWO_LOOPS_WITH_TAIL)]
+    algebras += [random_monomial_algebra(rng) for _ in range(80)]
+    pool = [M for pres in algebras for M in ext_pool(pres, rng)]
+    for field in (QQ, GF(32003)):
+        for s in range(1, 6):
+            for t in range(4):
+                L = build_lambda(s, s, t)
+                pool += [_named(L, name, field) for name in _string_names(s, t)]
+    for M in pool:
+        N = _as_matrices(M)
+        assert M._cover is not None and N._cover is None
+        assert homology._path_cover(M) == homology._path_cover(N)
+        C, D = resolve(M, 6), resolve(N, 6)
+        assert (C.summands, C.diffs) == (D.summands, D.diffs)
+
+
+def test_path_quotients_still_check_their_relations(monkeypatch):
+    # a relation listed among the basis paths would be kept, and then act
+    # on e_v as itself: the path check must refuse it
+    L = build_lambda(2, 2, 0)
+    rel = L.relations[0]
+    table = {rel.target: [rel]}
+    for w, ps in homology._paths_from(L, rel.source).items():
+        table.setdefault(w, []).extend(ps)
+    monkeypatch.setattr(homology, "_paths_from", lambda pres, v: table)
+    with pytest.raises(PreconditionError, match="does not act as zero"):
+        path_quotient(L, rel.source, ())
+
+
+def test_matrix_given_modules_take_one_cover_each(monkeypatch):
+    calls = _count_linear_algebra(monkeypatch)
+    L = build_lambda(3, 3, 2)
+    X = _as_matrices(_named(L, "X1"))
+    Y = _as_matrices(module_direct_sum([_named(L, "Y-2"), _named(L, "X0")]))
+    calls.clear()
+    dims = [ext_dim(L, X, Y, h) for h in range(7)]
+    assert dims == [
+        _closed_form_hom(3, "X1", "Y-2", h) + _closed_form_hom(3, "X1", "X0", h)
+        for h in range(7)
+    ]
+    assert calls["cover"] == 2, calls
+
+
 def test_resolution_period_two():
     L = build_lambda(2, 2, 0)
     C = resolve(simple_module(L, "0"), 4)
@@ -587,16 +661,20 @@ def test_resolutions_are_minimal_and_square_zero():
         assert_minimal_exact_resolution(M, 4)
 
 
-def test_resolutions_do_linear_algebra_only_in_the_cover(monkeypatch):
+def test_resolutions_of_string_objects_do_no_linear_algebra(monkeypatch):
     calls = _count_linear_algebra(monkeypatch)
     L = build_lambda(3, 3, 2)
-    seen = []
+    given = _as_matrices(build_string_object(L, "X", 0))
     for depth in (10, 300):
         calls.clear()
         C = resolve(build_string_object(L, "X", 0), depth)
         assert min(C.summands) == -depth
-        seen.append((calls.pop("cover", 0), sum(calls.values())))
-    assert seen[0][0] == 1 and seen[0] == seen[1], seen
+        # no elimination, no cover and no module matrix
+        assert not calls, calls
+        # the same module given by matrices takes one cover, kept after that
+        D = resolve(given, depth)
+        assert (C.summands, C.diffs) == (D.summands, D.diffs)
+        assert calls["cover"] == (1 if depth == 10 else 0), calls
 
 
 def test_band_modules_get_a_typed_refusal():
@@ -892,7 +970,10 @@ _SPOT_TABLES = [
 
 
 def _count_linear_algebra(monkeypatch):
-    """Count calls of every ``linalg`` function and of ``projective_cover``."""
+    """Count calls of every ``linalg`` function and of ``projective_cover``.
+
+    Reads of a module's matrices count too, as "maps".
+    """
     calls = Counter()
 
     def counted(name, fn):
@@ -908,10 +989,15 @@ def _count_linear_algebra(monkeypatch):
     monkeypatch.setattr(
         homology, "projective_cover", counted("cover", homology.projective_cover)
     )
+    monkeypatch.setattr(RepModule, "maps", property(counted("maps", RepModule.maps.fget)))
     return calls
 
 
-def test_hom_tables_do_linear_algebra_only_in_the_covers(monkeypatch, capsys):
+def test_hom_tables_of_string_objects_do_no_linear_algebra(monkeypatch, capsys):
+    # string objects record their covers when built, and a table is counted
+    # off paths: no elimination, no cover and no module matrix, by the CLI
+    # and by the library
+    calls = _count_linear_algebra(monkeypatch)
     F = GF(32003)
     for (r, s, t), src, dst, hmax, dims in _SPOT_TABLES:
         argv = ["hom", "--lambda", str(r), str(s), str(t), "--from", src, "--to", dst]
@@ -919,20 +1005,14 @@ def test_hom_tables_do_linear_algebra_only_in_the_covers(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["hom"]["dims"] == list(dims)
         L = build_lambda(r, s, t)
         assert hom_table(L, _named(L, src, F), _named(L, dst, F), hmax).entries == dims
+        assert not calls, calls
     L = build_lambda(3, 3, 2)
-    calls = _count_linear_algebra(monkeypatch)
     X, Y = _named(L, "X1"), _named(L, "Y-2")
-    # string objects are read off paths: no elimination and no cover
-    assert not {"rref", "rank", "cover"} & set(calls), calls
-    seen = []
     for hmax in (10, 300):
-        calls.clear()
         table = hom_table(L, X, Y, hmax)
         expected = tuple(_closed_form_hom(3, "X1", "Y-2", h) for h in range(hmax + 1))
         assert table.entries == expected
-        seen.append((calls.pop("cover", 0), sum(calls.values())))
-    # one cover of the source, one of the target, whatever the depth
-    assert seen[0][0] == 2 and seen[0] == seen[1], seen
+        assert not calls, calls
 
 
 def _named(L, name, field=QQ):
@@ -940,9 +1020,12 @@ def _named(L, name, field=QQ):
     return build_string_object(L, name[0], int(name[1:]), field)
 
 
+def _string_names(s, t):
+    return [f"X{p}" for p in range(s)] + [f"Y{-q}" for q in range(1, t + 1)]
+
+
 def _string_objects(L, s, t):
-    names = [f"X{p}" for p in range(s)] + [f"Y{-q}" for q in range(1, t + 1)]
-    return {name: _named(L, name) for name in names}
+    return {name: _named(L, name) for name in _string_names(s, t)}
 
 
 def _closed_form_hom(s, src, dst, h):
