@@ -21,18 +21,22 @@ Vossieck (2001), normal forms Bobinski-Geiss-Skowronski (2004).
 :func:`is_derived_discrete` and :func:`lambda_normal_form` read one pass
 over the components, cached on the presentation.
 
-Normal forms inside the one-cycle discrete class are read off the
-thread-pairing invariant computed by :func:`ag_invariant`: it sends
-``Lambda(r,s,t)`` to the pairs ``(r+t, t)`` and ``(s-r, s)``, which
-determine (r,s,t).  No step searches for an isomorphism, so classification
-is polynomial in the size of the input.
+Gentleness, relation-full cycles, finite dimension and the invariant read
+one arrow-link table (:func:`_links`), made by one linear pass over the
+vertices and cached.  A gentle component with relations is finite
+dimensional exactly when its nonzero successors (at most one per arrow)
+have no cycle, so classifying it walks no automaton; the other components
+are checked on the suffix automaton.  Normal forms of one-cycle classes
+are read off :func:`ag_invariant`, which sends ``Lambda(r,s,t)`` to the
+pairs ``(r+t, t)`` and ``(s-r, s)``.  No step searches for an isomorphism,
+so classification is polynomial in the size of the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InfiniteDimensionalError, PreconditionError
 from .presentation import (
     BoundQuiverPresentation,
     LambdaDescriptor,
@@ -70,30 +74,85 @@ def _gentleness(pres):
     q = pres.quiver
     violations = []
     for v in q.vertices:
-        if len(q.arrows_into(v)) > 2:
+        if len(q._in[v]) > 2:
             violations.append(("G1", f"vertex {v} has more than two in-arrows"))
-        if len(q.arrows_from(v)) > 2:
+        if len(q._out[v]) > 2:
             violations.append(("G1", f"vertex {v} has more than two out-arrows"))
-    relpairs = set()
     for rel in pres.relations:
         if len(rel) != 2:
             violations.append(("G2", f"relation {rel.label()} has length {len(rel)}"))
-        else:
-            relpairs.add(rel.arrows)
+    rel_next, rel_prev, nz_next, nz_prev = _links(pres)
     for b in q.arrows:
-        succ_rel = [c for c in q.arrows_from(q.target(b)) if (b, c) in relpairs]
-        prec_rel = [a for a in q.arrows_into(q.source(b)) if (a, b) in relpairs]
-        succ_nz = [c for c in q.arrows_from(q.target(b)) if (b, c) not in relpairs]
-        prec_nz = [a for a in q.arrows_into(q.source(b)) if (a, b) not in relpairs]
-        if len(succ_rel) > 1:
+        if len(rel_next[b]) > 1:
             violations.append(("G3", f"arrow {b} starts two relations"))
-        if len(prec_rel) > 1:
+        if len(rel_prev[b]) > 1:
             violations.append(("G3", f"arrow {b} ends two relations"))
-        if len(succ_nz) > 1:
+        if len(nz_next[b]) > 1:
             violations.append(("G4", f"arrow {b} has two nonzero continuations"))
-        if len(prec_nz) > 1:
+        if len(nz_prev[b]) > 1:
             violations.append(("G4", f"arrow {b} has two nonzero predecessors"))
     return GentleCertificate(not violations, tuple(violations))
+
+
+# -- the arrow-link table ----------------------------------------------------
+
+
+def _links(pres):
+    """``(rel_next, rel_prev, nz_next, nz_prev)``, cached: per arrow b, the
+    arrows c with b*c a relation, resp. nonzero, in ``arrows_from`` order,
+    and the arrows a with a*b so, in ``arrows_into`` order.  It holds arrow
+    names only."""
+    return _cached(pres, "links", _link_table)
+
+
+def _link_table(pres):
+    q = pres.quiver
+    relset = pres._relset
+    table = tuple({a: [] for a in q.arrows} for _ in range(4))
+    rel_next, rel_prev, nz_next, nz_prev = table
+    for v, ins in q._in.items():
+        outs = q._out[v]
+        for a in ins:
+            for c in outs:
+                if (a, c) in relset:
+                    rel_next[a].append(c)
+                    rel_prev[c].append(a)
+                else:
+                    nz_next[a].append(c)
+                    nz_prev[c].append(a)
+    return table
+
+
+def _cycles(succ):
+    """Cycles of the map b -> succ[b][0] (lists of at most one arrow), in
+    the order of a scan in name order (a quiver's arrow order)."""
+    cycles = []
+    done = set()
+    for a in succ:
+        path = {}  # arrows of this scan, by position
+        cur = a
+        while cur is not None and cur not in done and cur not in path:
+            path[cur] = len(path)
+            nxt = succ[cur]
+            cur = nxt[0] if nxt else None
+        if cur in path:
+            cycles.append(list(path)[path[cur] :])
+        done.update(path)
+    return cycles
+
+
+def _assert_gentle_finite(pres):
+    """Raise InfiniteDimensionalError when a gentle ``pres`` is infinite
+    dimensional, with the automaton's message.
+
+    Relations have length 2, so the suffix automaton's states below its
+    roots are the arrows and its edges their nonzero successors, at most
+    one each by G4: the basis is infinite exactly when that map has a cycle.
+    """
+    if _cached(pres, "nonzero_cycles", lambda p: _cycles(_links(p)[2])):
+        raise InfiniteDimensionalError(
+            "relation-free cycle: the path basis is infinite"
+        )
 
 
 # -- cycle structure ---------------------------------------------------------
@@ -187,7 +246,7 @@ def _clock_walk(pres):
     if current != start or len(used) != len(alive_arrows):
         raise PreconditionError("the arrows left after stripping leaves are no cycle")
 
-    relpairs = {rel.arrows for rel in pres.relations}
+    relpairs = pres._relset
     m_with = 0
     m_against = 0
     for i, (a1, d1) in enumerate(walk):
@@ -251,37 +310,19 @@ def dynkin_type(pres: BoundQuiverPresentation):
 def relation_full_cycles(pres: BoundQuiverPresentation) -> tuple:
     """Oriented arrow cycles whose consecutive pairs are all relations.
 
-    Needs unique relation successors/predecessors per arrow (gentleness
-    gives that).  Cycles come back as arrow tuples rotated to start at the
-    smallest arrow name.
+    Needs unique relation successors per arrow (gentleness gives that).
+    Cycles come back as arrow tuples rotated to start at the smallest arrow
+    name.
     """
-    q = pres.quiver
-    relpairs = {rel.arrows for rel in pres.relations if len(rel) == 2}
-    nxt = {}
-    for b in q.arrows:
-        succ = [c for c in q.arrows_from(q.target(b)) if (b, c) in relpairs]
+    rel_next = _links(pres)[0]
+    for b, succ in rel_next.items():
         if len(succ) > 1:
             raise PreconditionError(f"arrow {b} starts two relations")
-        nxt[b] = succ[0] if succ else None
-    cycles = []
-    done = set()
-    for a in sorted(q.arrows):
-        if a in done:
-            continue
-        stack = []
-        onstack = set()
-        cur = a
-        while cur is not None and cur not in done and cur not in onstack:
-            stack.append(cur)
-            onstack.add(cur)
-            cur = nxt[cur]
-        if cur is not None and cur in onstack:
-            idx = stack.index(cur)
-            cyc = stack[idx:]
-            k = min(range(len(cyc)), key=lambda i: cyc[i])
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
-        done.update(stack)
-    return tuple(cycles)
+    out = []
+    for cyc in _cycles(rel_next):
+        k = cyc.index(min(cyc))
+        out.append(tuple(cyc[k:] + cyc[:k]))
+    return tuple(out)
 
 
 # -- the thread-pairing invariant ---------------------------------------------
@@ -300,133 +341,79 @@ class AGInvariant:
         return out
 
 
+def _other(arrows, slot):
+    """The first of ``arrows`` other than ``slot``, or None."""
+    for a in arrows:
+        if a != slot:
+            return a
+    return None
+
+
 def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
     """Derived-equivalence invariant of a finite dimensional gentle algebra.
 
     Threads are maximal paths: permitted ones avoid relations, forbidden
-    ones consist of relations only.  A trivial thread sits at any vertex
-    with at most one arrow in and out; it is permitted when the in/out pair
-    composes to a nonzero path and forbidden when the pair is a relation
-    (or an arrow is missing, where both may coexist).  The walk pairs a
-    permitted thread end with the forbidden thread ending at the same
-    vertex on the other in-slot, then hops to the permitted thread leaving
-    the forbidden thread's start on the other out-slot; each orbit of that
-    permutation yields a pair (number of permitted threads consumed, total
-    forbidden length).  Oriented cycles all of whose consecutive pairs are
-    relations contribute (0, cycle length) each.
+    ones consist of relations only (chains of the link table's nonzero and
+    relation successors).  A trivial thread sits at any vertex with at most
+    one arrow in and out; it is permitted when the in/out pair composes to
+    a nonzero path and forbidden when the pair is a relation (or an arrow
+    is missing, where both may coexist).  Threads start and end at a
+    (vertex, slot), the slot being the end arrow (None if trivial).  The
+    walk pairs a permitted thread end with the forbidden thread ending at
+    the same vertex on the other in-slot, then hops to the permitted thread
+    leaving the forbidden thread's start on the other out-slot; each orbit
+    of that permutation yields a pair (number of permitted threads
+    consumed, total forbidden length).  Oriented cycles all of whose
+    consecutive pairs are relations contribute (0, cycle length) each.
     """
     cert = is_gentle(pres)
     if not cert.gentle:
         raise PreconditionError(f"not gentle: {cert.violations[0]}")
-    _assert_finite_dimensional(pres)
+    _assert_gentle_finite(pres)
     q = pres.quiver
-    relpairs = {rel.arrows for rel in pres.relations}
-
-    def unique(iterable):
-        items = list(iterable)
-        if len(items) > 1:
-            raise PreconditionError(f"not gentle: {items} continue one arrow alike")
-        return items[0] if items else None
-
-    nz_next = {}
-    nz_prev = {}
-    i_next = {}
-    i_prev = {}
-    for b in q.arrows:
-        nz_next[b] = unique(
-            c for c in q.arrows_from(q.target(b)) if (b, c) not in relpairs
-        )
-        nz_prev[b] = unique(
-            a for a in q.arrows_into(q.source(b)) if (a, b) not in relpairs
-        )
-        i_next[b] = unique(c for c in q.arrows_from(q.target(b)) if (b, c) in relpairs)
-        i_prev[b] = unique(a for a in q.arrows_into(q.source(b)) if (a, b) in relpairs)
-
-    def chains(next_map, prev_map):
-        out = []
-        for b in sorted(next_map):
-            if prev_map[b] is not None:
-                continue
-            chain = [b]
-            while next_map[chain[-1]] is not None:
-                chain.append(next_map[chain[-1]])
-            out.append(tuple(chain))
-        return out
-
-    permitted = [("word", w) for w in chains(nz_next, nz_prev)]
-    forbidden = [("word", w) for w in chains(i_next, i_prev)]
-    cycle_pairs = [(0, len(c)) for c in relation_full_cycles(pres)]
-
-    def trivial_slots(v):
-        ins = q.arrows_into(v)
-        outs = q.arrows_from(v)
+    rel_next, rel_prev, nz_next, nz_prev = _links(pres)
+    # permitted: start -> end slot; forbidden: end -> (start slot, length)
+    permitted, forbidden = {}, {}
+    for b, (src, _) in q.arrows.items():
+        if not nz_prev[b]:
+            e = b
+            while nz_next[e]:
+                e = nz_next[e][0]
+            permitted[src, b] = (q.arrows[e][1], e)
+        if not rel_prev[b]:
+            e, length = b, 1
+            while rel_next[e]:
+                e = rel_next[e][0]
+                length += 1
+            forbidden[q.arrows[e][1], e] = ((src, b), length)
+    for v, ins in q._in.items():
+        outs = q._out[v]
         if len(ins) > 1 or len(outs) > 1:
-            return False, False
-        if ins and outs:
-            is_rel = (ins[0], outs[0]) in relpairs
-            return (not is_rel), is_rel
-        return True, True
-
-    for v in q.vertices:
-        triv_perm, triv_forb = trivial_slots(v)
-        if triv_perm:
-            permitted.append(("vertex", v))
-        if triv_forb:
-            forbidden.append(("vertex", v))
-
-    def endpoints(thread):
-        kind, data = thread
-        if kind == "vertex":
-            return data, None, data, None
-        word = data
-        return q.source(word[0]), word[0], q.target(word[-1]), word[-1]
-
-    forbidden_by_end = {}
-    permitted_by_start = {}
-    for f in forbidden:
-        sv, sslot, ev, eslot = endpoints(f)
-        forbidden_by_end[(ev, eslot)] = f
-    for h in permitted:
-        sv, sslot, ev, eslot = endpoints(h)
-        permitted_by_start[(sv, sslot)] = h
-
-    def other_in_slot(v, slot):
-        ins = q.arrows_into(v)
-        if slot is None:
-            return ins[0] if ins else None
-        others = [a for a in ins if a != slot]
-        return others[0] if others else None
-
-    def other_out_slot(v, slot):
-        outs = q.arrows_from(v)
-        if slot is None:
-            return outs[0] if outs else None
-        others = [a for a in outs if a != slot]
-        return others[0] if others else None
-
-    pairs = list(cycle_pairs)
-    consumed = set()
-    order = sorted(permitted, key=lambda th: (th[0], th[1]))
-    for start_thread in order:
-        if start_thread in consumed:
             continue
-        h = start_thread
-        hops = 0
-        total_forbidden = 0
+        is_rel = bool(ins and outs and rel_next[ins[0]])
+        if not is_rel:
+            permitted[v, None] = (v, None)
+        if is_rel or not (ins and outs):
+            forbidden[v, None] = ((v, None), 0)
+
+    pairs = [(0, len(c)) for c in relation_full_cycles(pres)]
+    consumed = set()
+    for start in permitted:
+        if start in consumed:
+            continue
+        key, hops, total = start, 0, 0
         while True:
-            consumed.add(h)
+            consumed.add(key)
             hops += 1
-            _, _, ev, eslot = endpoints(h)
-            partner = forbidden_by_end[(ev, other_in_slot(ev, eslot))]
-            kind, data = partner
-            total_forbidden += 0 if kind == "vertex" else len(data)
-            fsv, fsslot, _, _ = endpoints(partner)
-            h = permitted_by_start[(fsv, other_out_slot(fsv, fsslot))]
-            if h == start_thread:
+            v, slot = permitted[key]
+            (v, slot), length = forbidden[v, _other(q._in[v], slot)]
+            total += length
+            key = (v, _other(q._out[v], slot))
+            if key == start:
                 break
-            if h in consumed:
+            if key in consumed:
                 raise PreconditionError("thread pairing is not a permutation")
-        pairs.append((hops, total_forbidden))
+        pairs.append((hops, total))
     return AGInvariant(tuple(sorted(pairs)))
 
 
@@ -495,9 +482,9 @@ def _lambda_from_invariant(inv: AGInvariant, n: int):
 
 def _classify_component(comp: BoundQuiverPresentation):
     """(verdict, reason, normal form) of one connected component."""
-    _assert_finite_dimensional(comp)
     n = len(comp.quiver.vertices)
     if not comp.relations:
+        _assert_finite_dimensional(comp)
         dt = dynkin_type(comp)
         if dt is not None:
             name = f"{dt[0]}{dt[1]}"
@@ -506,8 +493,10 @@ def _classify_component(comp: BoundQuiverPresentation):
         return "no", "hereditary with non-Dynkin underlying graph", nf
     cert = is_gentle(comp)
     if not cert.gentle:
+        _assert_finite_dimensional(comp)
         reason = "not gentle ({}: {})".format(*cert.violations[0])
         return "unknown", reason, UnknownClass(reason)
+    _assert_gentle_finite(comp)
     betti = cycle_count(comp)
     if betti > 1:
         reason = f"gentle with {betti} independent cycles"

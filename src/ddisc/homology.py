@@ -12,8 +12,9 @@ P_v/(q_1A+...+q_kA) (see :func:`path_quotient`): their bases are the basis
 paths out of one vertex, listed by one search from it and cached, and
 arrows act by concatenation.  The cover of such a quotient is P_v with
 kernel ⊕ qA over the prefix-minimal q_i (Green-Happel-Zacharia), so it is
-recorded when the module is built, and the arrow matrices are made only
-when something reads them.
+recorded when the module is built, and a direct sum of such modules
+records its cover from its parts'.  A quotient's arrow matrices are made
+only when something reads them.
 
 Minimal projective resolutions start from the module's cover and are then
 read off paths: over a monomial algebra every syzygy of a path quotient is
@@ -108,7 +109,8 @@ class RepModule:
     A module keeps its projective cover (see :func:`_path_cover`).  A path
     quotient (:func:`path_quotient`, :func:`simple_module`) records it when
     built, and makes its matrices only when ``maps``, :meth:`act_by_path`
-    or ``==`` first reads them.
+    or ``==`` first reads them.  A direct sum of modules that carry their
+    covers records its own from theirs (:func:`module_direct_sum`).
     """
 
     __slots__ = ("pres", "field", "dims", "_maps", "_cover")
@@ -274,6 +276,12 @@ def indec_projective(pres, v, field=QQ) -> RepModule:
 
 
 def module_direct_sum(modules) -> RepModule:
+    """The direct sum, its fibers stacked in the order of ``modules``.
+
+    When every nonzero part carries its cover record, the sum records its
+    own from them (see :func:`_summed_cover`), so covering it takes no
+    linear algebra; otherwise it is given by matrices.
+    """
     mods = list(modules)
     if not mods:
         raise PreconditionError("empty direct sum")
@@ -281,18 +289,43 @@ def module_direct_sum(modules) -> RepModule:
     if any(m.pres != pres or m.field != field for m in mods):
         raise PreconditionError("direct sum needs a common algebra and field")
     dims = {v: sum(m.dims[v] for m in mods) for v in pres.quiver.vertices}
+    zero = (field.coerce(0),)
     maps = {}
     for a, (src, tgt) in pres.quiver.arrows.items():
         rows = []
         for i, m in enumerate(mods):
             left = sum(n.dims[tgt] for n in mods[:i])
             right = sum(n.dims[tgt] for n in mods[i + 1 :])
-            for row in m.maps[a]:
-                rows.append(
-                    [field.coerce(0)] * left + list(row) + [field.coerce(0)] * right
-                )
-        maps[a] = rows
-    return RepModule(pres, dims, maps, field)
+            rows.extend(zero * left + tuple(row) + zero * right for row in m.maps[a])
+        maps[a] = tuple(rows)
+    covers = [m._cover for m in mods if m.total_dim()]
+    if not covers or None in covers:
+        return RepModule(pres, dims, maps, field)
+    M = object.__new__(RepModule)
+    M.pres, M.field, M.dims, M._maps = pres, field, dims, maps
+    M._cover = _summed_cover(pres, covers)
+    return M
+
+
+def _summed_cover(pres, covers):
+    """The cover record of a direct sum, from its nonzero parts' records.
+
+    Listed as :func:`projective_cover` lists the sum's own: the parts'
+    summands stably sorted by vertex, so parts keep their order at one
+    vertex, and each coordinate list by target vertex, then summand-major
+    (``_proj_coords`` order), each summand's paths in its part's order.
+    """
+    rank = {v: k for k, v in enumerate(pres.quiver.vertices)}
+    owned = [(u, m, i) for m, c in enumerate(covers) for i, u in enumerate(c[0])]
+    owned.sort(key=lambda umi: rank[umi[0]])
+    index = {(m, i): k for k, (_, m, i) in enumerate(owned)}
+
+    def merged(slot):
+        entries = [(index[m, i], p) for m, c in enumerate(covers) for i, p in c[slot]]
+        entries.sort(key=lambda ip: (rank[ip[1].target], ip[0]))
+        return tuple(entries)
+
+    return tuple(u for u, _, _ in owned), merged(1), merged(2)
 
 
 def build_string_object(pres, kind, index, field=QQ) -> RepModule:
@@ -384,8 +417,9 @@ def _path_cover(M: RepModule):
     them.  A path x sends (i, p) to (i, p*x), or to zero when p*x is zero
     or in the kernel.
 
-    A path quotient records its cover when built.  Any other module gets it
-    from :func:`projective_cover` on first use and keeps it; that raises
+    A path quotient records its cover when built, and a sum of modules that
+    carry theirs records it from them.  Any other module gets it from
+    :func:`projective_cover` on first use and keeps it; that raises
     :class:`PreconditionError` unless the coordinates that map to zero span
     the cover kernel.  A simple is built without listing paths, so the
     algebra is checked here: no path search below the cover ends on an

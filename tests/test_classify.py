@@ -14,7 +14,7 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
-from ddisc import classify
+from ddisc import classify, cli
 from ddisc.classify import (
     AGInvariant,
     DerivedEquivClass,
@@ -34,6 +34,8 @@ from ddisc.presentation import (
     BoundQuiverPresentation,
     LambdaDescriptor,
     Quiver,
+    _assert_finite_dimensional,
+    path_counts,
 )
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
@@ -504,3 +506,246 @@ def test_series_and_its_verification_share_one_pass(monkeypatch):
     calls = counted_classification(monkeypatch)
     assert verify_trace(pres, strip_series(pres)).ok
     assert calls == {"clock_condition": 2, "ag_invariant": 2}
+
+
+# -- the link table against the routes it replaced -------------------------------
+#
+# The parent routes of gentleness, relation-full cycles and the invariant,
+# each rebuilding its own successor lists and the invariant hashing whole
+# threads, kept as independent references for the link-table routes.
+
+
+def reference_gentleness(pres):
+    q = pres.quiver
+    violations = []
+    for v in q.vertices:
+        if len(q.arrows_into(v)) > 2:
+            violations.append(("G1", f"vertex {v} has more than two in-arrows"))
+        if len(q.arrows_from(v)) > 2:
+            violations.append(("G1", f"vertex {v} has more than two out-arrows"))
+    relpairs = set()
+    for rel in pres.relations:
+        if len(rel) != 2:
+            violations.append(("G2", f"relation {rel.label()} has length {len(rel)}"))
+        else:
+            relpairs.add(rel.arrows)
+    for b in q.arrows:
+        succ_rel = [c for c in q.arrows_from(q.target(b)) if (b, c) in relpairs]
+        prec_rel = [a for a in q.arrows_into(q.source(b)) if (a, b) in relpairs]
+        succ_nz = [c for c in q.arrows_from(q.target(b)) if (b, c) not in relpairs]
+        prec_nz = [a for a in q.arrows_into(q.source(b)) if (a, b) not in relpairs]
+        if len(succ_rel) > 1:
+            violations.append(("G3", f"arrow {b} starts two relations"))
+        if len(prec_rel) > 1:
+            violations.append(("G3", f"arrow {b} ends two relations"))
+        if len(succ_nz) > 1:
+            violations.append(("G4", f"arrow {b} has two nonzero continuations"))
+        if len(prec_nz) > 1:
+            violations.append(("G4", f"arrow {b} has two nonzero predecessors"))
+    return classify.GentleCertificate(not violations, tuple(violations))
+
+
+def reference_relation_full_cycles(pres):
+    q = pres.quiver
+    relpairs = {rel.arrows for rel in pres.relations if len(rel) == 2}
+    nxt = {}
+    for b in q.arrows:
+        succ = [c for c in q.arrows_from(q.target(b)) if (b, c) in relpairs]
+        if len(succ) > 1:
+            raise PreconditionError(f"arrow {b} starts two relations")
+        nxt[b] = succ[0] if succ else None
+    cycles = []
+    done = set()
+    for a in sorted(q.arrows):
+        if a in done:
+            continue
+        stack = []
+        onstack = set()
+        cur = a
+        while cur is not None and cur not in done and cur not in onstack:
+            stack.append(cur)
+            onstack.add(cur)
+            cur = nxt[cur]
+        if cur is not None and cur in onstack:
+            cyc = stack[stack.index(cur) :]
+            k = min(range(len(cyc)), key=lambda i: cyc[i])
+            cycles.append(tuple(cyc[k:] + cyc[:k]))
+        done.update(stack)
+    return tuple(cycles)
+
+
+def reference_ag_invariant(pres):
+    cert = reference_gentleness(pres)
+    if not cert.gentle:
+        raise PreconditionError(f"not gentle: {cert.violations[0]}")
+    _assert_finite_dimensional(pres)
+    q = pres.quiver
+    relpairs = {rel.arrows for rel in pres.relations}
+
+    def unique(iterable):
+        items = list(iterable)
+        if len(items) > 1:
+            raise PreconditionError(f"not gentle: {items} continue one arrow alike")
+        return items[0] if items else None
+
+    nz_next, nz_prev, i_next, i_prev = {}, {}, {}, {}
+    for b in q.arrows:
+        outs, ins = q.arrows_from(q.target(b)), q.arrows_into(q.source(b))
+        nz_next[b] = unique(c for c in outs if (b, c) not in relpairs)
+        nz_prev[b] = unique(a for a in ins if (a, b) not in relpairs)
+        i_next[b] = unique(c for c in outs if (b, c) in relpairs)
+        i_prev[b] = unique(a for a in ins if (a, b) in relpairs)
+
+    def chains(next_map, prev_map):
+        out = []
+        for b in sorted(next_map):
+            if prev_map[b] is not None:
+                continue
+            chain = [b]
+            while next_map[chain[-1]] is not None:
+                chain.append(next_map[chain[-1]])
+            out.append(("word", tuple(chain)))
+        return out
+
+    permitted = chains(nz_next, nz_prev)
+    forbidden = chains(i_next, i_prev)
+    for v in q.vertices:
+        ins, outs = q.arrows_into(v), q.arrows_from(v)
+        if len(ins) > 1 or len(outs) > 1:
+            continue
+        is_rel = bool(ins and outs) and (ins[0], outs[0]) in relpairs
+        if not is_rel:
+            permitted.append(("vertex", v))
+        if is_rel or not (ins and outs):
+            forbidden.append(("vertex", v))
+
+    def endpoints(thread):
+        kind, data = thread
+        if kind == "vertex":
+            return data, None, data, None
+        return q.source(data[0]), data[0], q.target(data[-1]), data[-1]
+
+    forbidden_by_end = {endpoints(f)[2:]: f for f in forbidden}
+    permitted_by_start = {endpoints(h)[:2]: h for h in permitted}
+
+    def other(arrows, slot):
+        others = [a for a in arrows if a != slot]
+        return others[0] if others else None
+
+    pairs = [(0, len(c)) for c in reference_relation_full_cycles(pres)]
+    consumed = set()
+    for start_thread in sorted(permitted):
+        if start_thread in consumed:
+            continue
+        h, hops, total_forbidden = start_thread, 0, 0
+        while True:
+            consumed.add(h)
+            hops += 1
+            _, _, ev, eslot = endpoints(h)
+            partner = forbidden_by_end[(ev, other(q.arrows_into(ev), eslot))]
+            total_forbidden += 0 if partner[0] == "vertex" else len(partner[1])
+            fsv, fsslot, _, _ = endpoints(partner)
+            h = permitted_by_start[(fsv, other(q.arrows_from(fsv), fsslot))]
+            if h == start_thread:
+                break
+            if h in consumed:
+                raise PreconditionError("thread pairing is not a permutation")
+        pairs.append((hops, total_forbidden))
+    return AGInvariant(tuple(sorted(pairs)))
+
+
+# a gentle algebra with a relation whose arrows a, b still cycle: (ab)^n != 0
+NONZERO_CYCLE = (
+    "vertex 1\nvertex 2\nvertex 3\n"
+    "arrow a 1 2\narrow b 2 1\narrow c 2 3\nrelation a c\n"
+)
+
+
+def outcome(route, pres):
+    """What ``route(pres)`` returns, or the type and text of what it raises."""
+    try:
+        return route(pres)
+    except (PreconditionError, InfiniteDimensionalError) as e:
+        return type(e), str(e)
+
+
+def assert_link_routes_match_the_references(pres):
+    assert classify._gentleness(pres) == reference_gentleness(pres)
+    pairs = [
+        (classify.relation_full_cycles, reference_relation_full_cycles),
+        (ag_invariant, reference_ag_invariant),
+    ]
+    for route, reference in pairs:
+        assert outcome(route, pres) == outcome(reference, pres), route.__name__
+
+
+def test_link_routes_match_on_every_small_literal_lambda():
+    for n in range(1, 13):
+        for s in range(1, n + 1):
+            for r in range(1, s + 1):
+                assert_link_routes_match_the_references(build_lambda(r, s, n - s))
+
+
+def test_link_routes_match_on_relabelings_and_sums():
+    rng = random.Random(5)
+    pool = [parse_presentation(t) for t in (KRONECKER, A3_REL, TRIANGLE)]
+    pool += [parse_presentation(SQUARE_BALANCED), build_lambda(3, 5, 2)]
+    # infinite dimensional: both routes raise the automaton's error
+    pool.append(parse_presentation(NONZERO_CYCLE))
+    two_loops = "vertex 1\narrow x 1 1\narrow y 1 1\nrelation x x\nrelation y y\n"
+    pool.append(parse_presentation(two_loops))
+    for pres in pool:
+        for _ in range(4):
+            assert_link_routes_match_the_references(relabel(pres, rng))
+    for _ in range(6):
+        summed = direct_sum([relabel(rng.choice(pool), rng) for _ in range(2)])
+        assert_link_routes_match_the_references(summed)
+
+
+def test_link_routes_match_on_non_gentle_inputs():
+    # every gentleness condition broken, some several times and together
+    texts = [
+        "vertex 0\nvertex 1\nvertex 2\nvertex 3\n"
+        "arrow a 0 1\narrow b 0 2\narrow c 0 3\n",
+        "vertex 0\nvertex 1\nvertex 2\nvertex 3\n"
+        "arrow a 1 0\narrow b 2 0\narrow c 3 0\narrow d 0 1\nrelation a d\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 2 4\nrelation a b\nrelation a c\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 3\narrow b 2 3\narrow c 3 4\nrelation a c\nrelation b c\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 2 4\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 3\narrow b 2 3\narrow c 3 4\n",
+        "vertex 1\narrow x 1 1\narrow y 1 1\nrelation x x\nrelation x y\n",
+    ]
+    # x has two of each kind of neighbour on each side, with and without
+    # relations
+    fan = "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+    fan += "arrow a 1 2\narrow b 1 2\narrow x 2 3\narrow c 3 4\narrow d 3 4\n"
+    texts += [fan, fan + "relation a x\nrelation b x\nrelation x c\nrelation x d\n"]
+    for text in texts:
+        pres = parse_presentation(text)
+        assert not is_gentle(pres).gentle
+        assert_link_routes_match_the_references(pres)
+
+
+
+def test_gentle_infinite_dimension_is_refused_as_the_automaton_refuses_it(
+    tmp_path, capsys
+):
+    pres = parse_presentation(NONZERO_CYCLE)
+    assert is_gentle(pres).gentle
+    with pytest.raises(InfiniteDimensionalError) as walked:
+        path_counts(parse_presentation(NONZERO_CYCLE))
+    for route in (is_derived_discrete, ag_invariant, lambda_normal_form):
+        with pytest.raises(InfiniteDimensionalError) as linked:
+            route(parse_presentation(NONZERO_CYCLE))
+        assert str(linked.value) == str(walked.value)
+    path = tmp_path / "nonzero_cycle.txt"
+    path.write_text(NONZERO_CYCLE, encoding="utf-8")
+    for command in ("classify", "factors", "series"):
+        assert cli.main([command, str(path)]) == 1
+    assert "infinite" in capsys.readouterr().err

@@ -93,9 +93,10 @@ def test_reports_match_golden_files(name, command, capsys):
 
 @pytest.mark.parametrize("command", ["classify", "factors", "series", "hom"])
 def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
-    # gentleness, cycles, the clock walk, the components and the Lambda
-    # recognizer are cached on the presentation, and the finite-dimension
-    # check reuses the counted automaton
+    # the link table, gentleness, cycles, the clock walk, the components
+    # and the Lambda recognizer are cached on the presentation; a gentle
+    # input proves finite dimension off the link table, walking no
+    # automaton unless its path counts are needed (series)
     calls = {}
 
     def counted(module, name):
@@ -107,7 +108,7 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_gentleness", "_betti", "_clock_walk"):
+    for name in ("_link_table", "_gentleness", "_betti", "_clock_walk"):
         counted(classify, name)
     for name in ("_automaton", "_components", "_lambda_descriptor"):
         counted(presentation, name)
@@ -119,15 +120,16 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
     else:
         argv = [command, "--lambda", "2", "3", "1"]
         expected = dict.fromkeys(
-            ("_gentleness", "_betti", "_clock_walk", "_automaton", "_components"), 1
+            ("_link_table", "_gentleness", "_betti", "_clock_walk", "_components"), 1
         )
     assert cli.main(argv) == 0
     capsys.readouterr()
     if command == "series":
-        # corners are patched, except those that lose their last relation,
-        # and each corner is split into components afresh
+        # the series walks the automaton for its path counts, corners are
+        # patched, except those that lose their last relation, and each
+        # corner is split into components afresh
         for name in ("_automaton", "_components"):
-            del expected[name]
+            expected.pop(name, None)
             calls.pop(name)
     assert calls == expected
 

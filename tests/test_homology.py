@@ -1126,3 +1126,57 @@ def test_infinite_gldim_check_two_loops():
 def test_infinite_gldim_check_needs_finite_dimension():
     with pytest.raises(InfiniteDimensionalError):
         infinite_gldim_check(parse_presentation("vertex 0\narrow a 0 0\n"))
+
+
+def _sum_of_path_quotients(L, zero):
+    """String objects, projectives and simples over L, and ``zero``, summed."""
+    parts = [_named(L, name) for name in ("Y-2", "X1", "X0")]
+    parts += [indec_projective(L, "2"), simple_module(L, "-1"), simple_module(L, "0")]
+    return module_direct_sum(parts + [zero])
+
+
+def test_sums_of_path_quotients_carry_their_covers(monkeypatch):
+    L = build_lambda(3, 3, 2)
+    zero = RepModule(L, {}, {})
+    given = _as_matrices(_sum_of_path_quotients(L, zero))
+    others = [_named(L, "X2"), indec_projective(L, "-2"), given]
+    # the matrix references: the stalk route, and resolutions from the rref cover
+    expected_from, expected_into = [], []
+    for N in others:
+        expected_from.append([hom_shift_dim(resolve(given, h + 1), N, h) for h in range(5)])
+        expected_into.append([hom_shift_dim(resolve(N, h + 1), given, h) for h in range(5)])
+    rref_cover = homology._path_cover(given)
+    rref_resolution = resolve(given, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum of path quotients needs no linear algebra")
+
+    for name, fn in list(vars(linalg).items()):
+        if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(homology, "projective_cover", refuse)
+    summed = _sum_of_path_quotients(L, zero)
+    # the record is the one the rref route lists, so resolutions agree too
+    assert summed._cover == rref_cover
+    C = resolve(summed, 6)
+    assert (C.summands, C.diffs) == (rref_resolution.summands, rref_resolution.diffs)
+    nested = module_direct_sum([summed])
+    assert nested._cover == rref_cover
+    for N, expected in zip(others[:2], expected_from):
+        assert [ext_dim(L, summed, N, h) for h in range(5)] == expected
+    for M, expected in zip(others[:2], expected_into):
+        assert [ext_dim(L, M, summed, h) for h in range(5)] == expected
+    monkeypatch.undo()
+    # its matrices are the parts' stacked
+    assert summed == given and summed.maps == given.maps
+    assert [ext_dim(L, summed, summed, h) for h in range(5)] == expected_from[2]
+
+
+def test_sums_with_a_matrix_given_part_take_the_rref_cover():
+    L = build_lambda(2, 2, 1)
+    parts = [_as_matrices(_named(L, "Y-1")), simple_module(L, "0")]
+    summed = module_direct_sum(parts)
+    assert summed._cover is None
+    reference = module_direct_sum([_named(L, "Y-1"), simple_module(L, "0")])
+    assert summed == reference
+    assert homology._path_cover(summed) == reference._cover

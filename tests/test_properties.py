@@ -29,7 +29,7 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
-from ddisc.classify import UnknownClass, relation_full_cycles
+from ddisc.classify import UnknownClass, _assert_gentle_finite, relation_full_cycles
 from ddisc.fields import GF, QQ
 from ddisc.homology import (
     RepModule,
@@ -48,7 +48,7 @@ from ddisc.presentation import (
     path_basis,
     path_counts,
 )
-from test_classify import relabel
+from test_classify import assert_link_routes_match_the_references, relabel
 from test_homology import assert_minimal_exact_resolution
 from test_jordan import checking_corners
 
@@ -391,6 +391,24 @@ def test_random_gentle_quivers_classify_and_strip(pres):
             trace = strip_series(pres)
             assert verify_trace(pres, trace).ok
         assert trace.factor_multiset() == composition_factors(nf)
+
+
+@settings(FIXED, max_examples=300)
+@given(st.lists(gentle_quivers(), min_size=1, max_size=2).map(direct_sum))
+def test_random_gentle_link_routes_match_the_references(pres):
+    # finite and infinite inputs alike: the infinite ones must raise the same
+    assert_link_routes_match_the_references(pres)
+
+
+@settings(FIXED, max_examples=300)
+@given(gentle_quivers())
+def test_random_gentle_link_finiteness_matches_the_automaton(pres):
+    try:
+        _assert_gentle_finite(pres)
+    except InfiniteDimensionalError:
+        assert not finite_dimensional(pres)
+    else:
+        assert finite_dimensional(pres)
 
 
 @settings(FIXED, max_examples=300)
