@@ -2,10 +2,7 @@
 
 Modules are quiver representations: a dimension per vertex and a matrix
 per arrow, acting on row vectors (an arrow ``a: u -> w`` maps the fiber at
-``u`` into the fiber at ``w``).  Complexes of projectives carry their
-differentials as matrices of path combinations; the differential entry in
-the row of summand P_a and column of summand P_b is spanned by paths from
-b to a, acting by left multiplication.
+``u`` into the fiber at ``w``).
 
 Simples, projectives and string objects are path quotients
 P_v/(q_1A+...+q_kA) (see :func:`path_quotient`): their bases are the basis
@@ -17,9 +14,14 @@ records its cover from its parts'.  A quotient's arrow matrices are made
 only when something reads them.
 
 Minimal projective resolutions start from the module's cover and are then
-read off paths: over a monomial algebra every syzygy of a path quotient is
-a sum of right ideals qA, and every differential is left multiplication by
-one path (see :func:`resolve`).  Only a module given by matrices needs
+read off paths (Green-Happel-Zacharia, monomial algebras).  When the cover
+kernel is spanned by cover coordinates (i, p), it is the direct sum of the
+right ideals qA over its prefix-minimal paths q, and the kernel of
+P_{t(x)} -> xA, y -> xy, is spanned by the paths y with xy = 0.  So each
+summand below the cover is a P_{t(x)} whose differential is left
+multiplication by one path x, and the summands below it are the
+prefix-minimal paths y out of t(x) with xy = 0
+(:func:`_annihilator_generators`).  Only a module given by matrices needs
 linear algebra, once, to find its cover (:func:`projective_cover`).
 
 Hom dimensions in the derived category are Ext groups between modules,
@@ -27,9 +29,10 @@ Hom(M, N[h]) = Ext^h(M, N), and they are counted off paths (see
 :func:`_ext_counts`): each differential of the resolution of M is one path,
 and a path acts on the path basis of N by a partial injection, so the Hom
 complex into N has at most one nonzero per column and each of its ranks is
-a count.  No matrix of the Hom complex is built; the tests keep the two
-matrix routes (ranks of the Hom complex into a module, and chain maps
-modulo homotopy between resolutions) as independent references.
+a count.  No matrix of the Hom complex is built; the tests keep a
+resolution with matrices of path combinations as differentials, and two
+matrix routes on it (ranks of the Hom complex into a module, and chain
+maps modulo homotopy between resolutions), as independent references.
 
 Those counts walk the resolution one term at a time, not one summand at a
 time.  Below the cover, the terms of a resolution are multisets of paths,
@@ -44,7 +47,6 @@ table does not grow with its depth.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 
 from .errors import PreconditionError
 from .fields import QQ
@@ -335,8 +337,16 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
     (tail projective modulo its one dimensional socle, -t <= index <= -1).
     """
     desc = lambda_descriptor_of(pres)
-    if desc is None or desc.r != desc.s:
-        raise PreconditionError("string objects live over Lambda(s,s,t)")
+    if desc is None:
+        raise PreconditionError(
+            "string objects are named on the literal labelling of Lambda(s,s,t) "
+            "that `ddisc build-lambda` writes, and this input is not labelled so"
+        )
+    if desc.r != desc.s:
+        raise PreconditionError(
+            f"string objects live over Lambda(s,s,t), and this input is "
+            f"Lambda({desc.r},{desc.s},{desc.t}) with r < s"
+        )
     s, t = desc.s, desc.t
     if kind == "X":
         if not 0 <= index <= s - 1:
@@ -445,65 +455,6 @@ def _path_cover(M: RepModule):
     return M._cover
 
 
-def _levels(M: RepModule):
-    """Terms of the minimal resolution of a nonzero M, degree 0 down.
-
-    Yields each nonempty degree as a list of (i, x): a summand P_{t(x)}
-    whose differential is left multiplication by the path x into summand i
-    of the degree above.  Degree 0 is the cover, listed as (None, e_u).
-    See :func:`resolve` for why every term is read off paths.
-    """
-    pres = M.pres
-    cover, gens, _ = _path_cover(M)
-    yield [(None, pres.trivial_path(u)) for u in cover]
-    level = list(gens)
-    while level:
-        # summands in vertex order, as projective_cover lists them
-        level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
-        yield level
-        level = [
-            (j, y)
-            for j, (_, x) in enumerate(level)
-            for y in _annihilator_generators(pres, x)
-        ]
-
-
-def resolve(M: RepModule, depth: int):
-    """Minimal projective resolution truncated to degrees [-depth, 0].
-
-    The cover is the module's own (see :func:`_path_cover`), and every
-    later term is read off paths (Green-Happel-Zacharia, monomial
-    algebras).  When the cover kernel is spanned by cover coordinates
-    (i, p), it is the direct sum of the right ideals qA over its
-    prefix-minimal paths q, and the kernel of P_{t(x)} -> xA, y -> xy, is
-    spanned by the paths y with xy = 0.  So each summand of degree -k is a P_{t(x)} whose differential
-    is left multiplication by one path x, and its summands in degree -k-1
-    are the prefix-minimal paths y out of t(x) with xy = 0.
-
-    Accepted modules are those whose cover kernel is spanned by paths: direct
-    sums of path quotients P_v/ΣqA such as simples, projectives and string
-    objects.  Any other module, such as a band module, raises
-    :class:`PreconditionError` instead of giving a number.
-    """
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
-    pres, field = M.pres, M.field
-    summands, diffs = {}, {}
-    if M.total_dim():
-        for k, level in enumerate(islice(_levels(M), depth + 1)):
-            summands[-k] = tuple(x.target for _, x in level)
-            if k:
-                width = len(summands[1 - k])
-                entries = [
-                    [{x: 1} if col == i else {} for col in range(width)]
-                    for i, x in level
-                ]
-                diffs[-k] = PathMatrix(
-                    pres, field, summands[-k], summands[1 - k], entries
-                )
-    return ProjComplex(pres, summands, diffs, field)
-
-
 def _annihilator_generators(pres, x):
     """Prefix-minimal paths y out of ``x.target`` with x*y = 0.
 
@@ -522,151 +473,6 @@ def _annihilator_generators(pres, x):
             else:
                 stack.append(longer)
     return found
-
-
-# -- complexes of projectives -----------------------------------------------------
-
-
-class PathMatrix:
-    """Matrix of path combinations between sums of projectives.
-
-    Row j, column k holds a map P_{domain[j]} -> P_{codomain[k]}: a linear
-    combination of paths from codomain[k] to domain[j], acting by left
-    multiplication.
-    """
-
-    __slots__ = ("pres", "field", "domain", "codomain", "entries")
-
-    def __init__(self, pres, field, domain, codomain, entries, *, check=True):
-        self.pres = pres
-        self.field = field
-        self.domain = tuple(domain)
-        self.codomain = tuple(codomain)
-        fixed = []
-        for j, row in enumerate(entries):
-            new_row = []
-            for k, cell in enumerate(row):
-                clean = {}
-                for p, c in cell.items():
-                    c = field.reduce(field.coerce(c))
-                    if field.is_zero(c):
-                        continue
-                    if check and (
-                        p.source != self.codomain[k] or p.target != self.domain[j]
-                    ):
-                        raise PreconditionError(
-                            f"entry path {p.label()} does not run "
-                            f"{self.codomain[k]} -> {self.domain[j]}"
-                        )
-                    clean[p] = c
-                new_row.append(clean)
-            fixed.append(tuple(new_row))
-        self.entries = tuple(fixed)
-        if len(self.entries) != len(self.domain) or any(
-            len(r) != len(self.codomain) for r in self.entries
-        ):
-            raise PreconditionError("entry grid does not match the summand lists")
-
-    def then(self, other: "PathMatrix") -> "PathMatrix":
-        if self.codomain != other.domain:
-            raise PreconditionError("path matrices do not compose")
-        entries = []
-        for j in range(len(self.domain)):
-            row = []
-            for l in range(len(other.codomain)):
-                cell = {}
-                for k in range(len(self.codomain)):
-                    for q, cq in other.entries[k][l].items():
-                        for p, cp in self.entries[j][k].items():
-                            prod = self.pres.path_product(q, p)
-                            if prod is None:
-                                continue
-                            val = self.field.reduce(
-                                cell.get(prod, self.field.coerce(0)) + cq * cp
-                            )
-                            cell[prod] = val
-                row.append({p: c for p, c in cell.items() if not self.field.is_zero(c)})
-            entries.append(row)
-        return PathMatrix(
-            self.pres, self.field, self.domain, other.codomain, entries, check=False
-        )
-
-    def is_zero(self) -> bool:
-        return all(not cell for row in self.entries for cell in row)
-
-    def is_radical(self) -> bool:
-        """No trivial path coefficients (minimality of a differential)."""
-        return all(
-            len(p) > 0 for row in self.entries for cell in row for p in cell
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PathMatrix)
-            and self.pres == other.pres
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain))
-
-    def __repr__(self):
-        cells = [
-            [
-                "+".join(f"{c}*{p.label()}" for p, c in cell.items()) or "0"
-                for cell in row
-            ]
-            for row in self.entries
-        ]
-        return f"PathMatrix({self.domain}->{self.codomain}, {cells})"
-
-
-class ProjComplex:
-    """Bounded complex of sums of indecomposable projectives.
-
-    ``summands[i]`` lists the vertex of each summand of the degree i term;
-    ``diffs[i]`` is the differential from degree i to degree i+1.
-    """
-
-    __slots__ = ("pres", "field", "summands", "diffs")
-
-    def __init__(self, pres, summands, diffs, field=QQ, *, check=True):
-        self.pres = pres
-        self.field = field
-        self.summands = {i: tuple(t) for i, t in summands.items() if t}
-        self.diffs = {}
-        for i, d in diffs.items():
-            if d.is_zero():
-                continue
-            self.diffs[i] = d
-        if check:
-            for i, d in self.diffs.items():
-                if d.domain != self.summands.get(i, ()):
-                    raise PreconditionError(f"differential at {i} has wrong domain")
-                if d.codomain != self.summands.get(i + 1, ()):
-                    raise PreconditionError(f"differential at {i} has wrong codomain")
-                nxt = self.diffs.get(i + 1)
-                if nxt is not None and not d.then(nxt).is_zero():
-                    raise PreconditionError(f"d∘d is nonzero at degree {i}")
-
-    def degrees(self):
-        return sorted(self.summands)
-
-    def shift(self, h: int) -> "ProjComplex":
-        """Reindex so the new degree i term is the old degree i+h term."""
-        return ProjComplex(
-            self.pres,
-            {i - h: t for i, t in self.summands.items()},
-            {i - h: d for i, d in self.diffs.items()},
-            self.field,
-            check=False,
-        )
-
-    def __repr__(self):
-        parts = ", ".join(f"{i}: {t}" for i, t in sorted(self.summands.items()))
-        return f"ProjComplex({parts})"
 
 
 # -- hom dimensions ---------------------------------------------------------------
@@ -777,10 +583,11 @@ def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
     The resolution of M is walked until a degree repeats, and Ext^h is read
     by period, so time and memory stay bounded in h once the walk repeats,
     as it always does when the multiplicities of the terms stay bounded.
-    M and N must be modules :func:`resolve` accepts (direct sums of path
-    quotients such as simples, projectives and string objects); any other,
-    such as a band module, as source or as target raises
-    :class:`PreconditionError`.  A zero module on either side gives 0.
+    M and N must be modules whose cover kernel is spanned by paths (see
+    :func:`_path_cover`): direct sums of path quotients such as simples,
+    projectives and string objects.  Any other, such as a band module, as
+    source or as target raises :class:`PreconditionError`.  A zero module
+    on either side gives 0.
     """
     if h < 0:
         raise PreconditionError("ext degree must be nonnegative")
@@ -837,9 +644,9 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
 def infinite_gldim_check(pres) -> str:
     """"yes" when the global dimension is infinite, "no" when it is finite.
 
-    Exact, with no cutoff.  In :func:`resolve` of the simple at v the
-    summands of degree -1 are the arrows out of v, and below a summand with
-    differential x come those of :func:`_annihilator_generators` of x.  So
+    Exact, with no cutoff.  In the minimal resolution of the simple at v
+    the summands of degree -1 are the arrows out of v, and below a summand
+    with differential x come those of :func:`_annihilator_generators` of x.  So
     the global dimension is infinite iff the graph on basis paths with the
     edges x -> each annihilator generator of x has a cycle reachable from an
     arrow (Green-Happel-Zacharia): the graph is finite, so a resolution

@@ -28,13 +28,12 @@ from ddisc import (
     lambda_normal_form,
     module_direct_sum,
     parse_presentation,
-    resolve,
     simple_module,
     strip_series,
     two_truncated_cycle,
     verify_trace,
 )
-from test_homology import hom_shift_dim
+from test_homology import hom_shift_dim, resolve
 
 GRID = [(s, t) for s in (1, 2, 3) for t in (0, 1, 2)]
 

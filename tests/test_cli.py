@@ -326,6 +326,20 @@ def test_unknown_classifications_exit_2(tmp_path):
     assert json.loads(classify.stdout)["classification"]["discreteness"]["verdict"] == "unknown"
 
 
+def test_hom_refusals_say_why():
+    # a relabeled Lambda(3,3,1) classifies, but X/Y names are keyed to the
+    # literal labelling; over Lambda(r,s,t) with r < s there are no such objects
+    relabeled = str(DATA / "relabeled_3_3_1.txt")
+    for argv, reasons in [
+        ([relabeled], ("literal labelling", "`ddisc build-lambda`")),
+        (["--lambda", "1", "2", "0"], ("this input is Lambda(1,2,0) with r < s",)),
+    ]:
+        result = run_cli("hom", *argv, "--from", "X0", "--to", "X0", "--max-shift", "2")
+        assert result.returncode == 2 and result.stdout == ""
+        assert all(reason in result.stderr for reason in reasons), result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_definite_no_still_classifies(tmp_path):
     kron = tmp_path / "kron.txt"
     kron.write_text(KRONECKER, encoding="utf-8")

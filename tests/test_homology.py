@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -20,9 +21,9 @@ from ddisc import (
     path_basis,
 )
 from ddisc.homology import (
-    PathMatrix,
-    ProjComplex,
     RepModule,
+    _annihilator_generators,
+    _path_cover,
     _paths_from,
     _proj_coords,
     build_string_object,
@@ -33,10 +34,10 @@ from ddisc.homology import (
     module_direct_sum,
     path_quotient,
     projective_cover,
-    resolve,
     simple_module,
 )
-from ddisc.presentation import BoundQuiverPresentation, Quiver
+from ddisc.presentation import BoundQuiverPresentation, Quiver, vertex_sort_key
+from test_classify import relabel
 
 A2 = "vertex 1\nvertex 2\narrow a 1 2\n"
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
@@ -75,10 +76,215 @@ def module_pool(pres):
 # -- matrix references ----------------------------------------------------------------
 #
 # The package counts Ext off paths.  The helpers below are the matrix routes
-# it does not ship, kept as independent references for the counts: the
-# stalk route takes two ranks of the Hom complex into a module, and the
-# ladder route takes chain maps modulo homotopy between two complexes of
-# projectives.  Both build every matrix and rank it with ``linalg.rank``.
+# it does not ship, kept as independent references for the counts.
+# ``resolve`` writes the minimal resolution as a complex of projectives whose
+# differentials are matrices of path combinations; the differential entry in
+# the row of summand P_a and column of summand P_b is spanned by paths from
+# b to a, acting by left multiplication.  On such complexes the stalk route
+# takes two ranks of the Hom complex into a module, and the ladder route
+# takes chain maps modulo homotopy between two complexes of projectives.
+# Both build every matrix and rank it with ``linalg.rank``.
+
+
+def _levels(M: RepModule):
+    """Terms of the minimal resolution of a nonzero M, degree 0 down.
+
+    Yields each nonempty degree as a list of (i, x): a summand P_{t(x)}
+    whose differential is left multiplication by the path x into summand i
+    of the degree above.  Degree 0 is the cover, listed as (None, e_u).
+    See :func:`resolve` for why every term is read off paths.
+    """
+    pres = M.pres
+    cover, gens, _ = _path_cover(M)
+    yield [(None, pres.trivial_path(u)) for u in cover]
+    level = list(gens)
+    while level:
+        # summands in vertex order, as projective_cover lists them
+        level.sort(key=lambda kid: vertex_sort_key(kid[1].target))
+        yield level
+        level = [
+            (j, y)
+            for j, (_, x) in enumerate(level)
+            for y in _annihilator_generators(pres, x)
+        ]
+
+
+def resolve(M: RepModule, depth: int):
+    """Minimal projective resolution truncated to degrees [-depth, 0].
+
+    The cover is the module's own (see :func:`_path_cover`), and every
+    later term is read off paths (Green-Happel-Zacharia, monomial
+    algebras).  When the cover kernel is spanned by cover coordinates
+    (i, p), it is the direct sum of the right ideals qA over its
+    prefix-minimal paths q, and the kernel of P_{t(x)} -> xA, y -> xy, is
+    spanned by the paths y with xy = 0.  So each summand of degree -k is a P_{t(x)} whose differential
+    is left multiplication by one path x, and its summands in degree -k-1
+    are the prefix-minimal paths y out of t(x) with xy = 0.
+
+    Accepted modules are those whose cover kernel is spanned by paths: direct
+    sums of path quotients P_v/ΣqA such as simples, projectives and string
+    objects.  Any other module, such as a band module, raises
+    :class:`PreconditionError` instead of giving a number.
+    """
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    pres, field = M.pres, M.field
+    summands, diffs = {}, {}
+    if M.total_dim():
+        for k, level in enumerate(islice(_levels(M), depth + 1)):
+            summands[-k] = tuple(x.target for _, x in level)
+            if k:
+                width = len(summands[1 - k])
+                entries = [
+                    [{x: 1} if col == i else {} for col in range(width)]
+                    for i, x in level
+                ]
+                diffs[-k] = PathMatrix(
+                    pres, field, summands[-k], summands[1 - k], entries
+                )
+    return ProjComplex(pres, summands, diffs, field)
+
+
+class PathMatrix:
+    """Matrix of path combinations between sums of projectives.
+
+    Row j, column k holds a map P_{domain[j]} -> P_{codomain[k]}: a linear
+    combination of paths from codomain[k] to domain[j], acting by left
+    multiplication.
+    """
+
+    __slots__ = ("pres", "field", "domain", "codomain", "entries")
+
+    def __init__(self, pres, field, domain, codomain, entries, *, check=True):
+        self.pres = pres
+        self.field = field
+        self.domain = tuple(domain)
+        self.codomain = tuple(codomain)
+        fixed = []
+        for j, row in enumerate(entries):
+            new_row = []
+            for k, cell in enumerate(row):
+                clean = {}
+                for p, c in cell.items():
+                    c = field.reduce(field.coerce(c))
+                    if field.is_zero(c):
+                        continue
+                    if check and (
+                        p.source != self.codomain[k] or p.target != self.domain[j]
+                    ):
+                        raise PreconditionError(
+                            f"entry path {p.label()} does not run "
+                            f"{self.codomain[k]} -> {self.domain[j]}"
+                        )
+                    clean[p] = c
+                new_row.append(clean)
+            fixed.append(tuple(new_row))
+        self.entries = tuple(fixed)
+        if len(self.entries) != len(self.domain) or any(
+            len(r) != len(self.codomain) for r in self.entries
+        ):
+            raise PreconditionError("entry grid does not match the summand lists")
+
+    def then(self, other: "PathMatrix") -> "PathMatrix":
+        if self.codomain != other.domain:
+            raise PreconditionError("path matrices do not compose")
+        entries = []
+        for j in range(len(self.domain)):
+            row = []
+            for l in range(len(other.codomain)):
+                cell = {}
+                for k in range(len(self.codomain)):
+                    for q, cq in other.entries[k][l].items():
+                        for p, cp in self.entries[j][k].items():
+                            prod = self.pres.path_product(q, p)
+                            if prod is None:
+                                continue
+                            val = self.field.reduce(
+                                cell.get(prod, self.field.coerce(0)) + cq * cp
+                            )
+                            cell[prod] = val
+                row.append({p: c for p, c in cell.items() if not self.field.is_zero(c)})
+            entries.append(row)
+        return PathMatrix(
+            self.pres, self.field, self.domain, other.codomain, entries, check=False
+        )
+
+    def is_zero(self) -> bool:
+        return all(not cell for row in self.entries for cell in row)
+
+    def is_radical(self) -> bool:
+        """No trivial path coefficients (minimality of a differential)."""
+        return all(
+            len(p) > 0 for row in self.entries for cell in row for p in cell
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PathMatrix)
+            and self.pres == other.pres
+            and self.domain == other.domain
+            and self.codomain == other.codomain
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain))
+
+    def __repr__(self):
+        cells = [
+            [
+                "+".join(f"{c}*{p.label()}" for p, c in cell.items()) or "0"
+                for cell in row
+            ]
+            for row in self.entries
+        ]
+        return f"PathMatrix({self.domain}->{self.codomain}, {cells})"
+
+
+class ProjComplex:
+    """Bounded complex of sums of indecomposable projectives.
+
+    ``summands[i]`` lists the vertex of each summand of the degree i term;
+    ``diffs[i]`` is the differential from degree i to degree i+1.
+    """
+
+    __slots__ = ("pres", "field", "summands", "diffs")
+
+    def __init__(self, pres, summands, diffs, field=QQ, *, check=True):
+        self.pres = pres
+        self.field = field
+        self.summands = {i: tuple(t) for i, t in summands.items() if t}
+        self.diffs = {}
+        for i, d in diffs.items():
+            if d.is_zero():
+                continue
+            self.diffs[i] = d
+        if check:
+            for i, d in self.diffs.items():
+                if d.domain != self.summands.get(i, ()):
+                    raise PreconditionError(f"differential at {i} has wrong domain")
+                if d.codomain != self.summands.get(i + 1, ()):
+                    raise PreconditionError(f"differential at {i} has wrong codomain")
+                nxt = self.diffs.get(i + 1)
+                if nxt is not None and not d.then(nxt).is_zero():
+                    raise PreconditionError(f"d∘d is nonzero at degree {i}")
+
+    def degrees(self):
+        return sorted(self.summands)
+
+    def shift(self, h: int) -> "ProjComplex":
+        """Reindex so the new degree i term is the old degree i+h term."""
+        return ProjComplex(
+            self.pres,
+            {i - h: t for i, t in self.summands.items()},
+            {i - h: d for i, d in self.diffs.items()},
+            self.field,
+            check=False,
+        )
+
+    def __repr__(self):
+        parts = ", ".join(f"{i}: {t}" for i, t in sorted(self.summands.items()))
+        return f"ProjComplex({parts})"
 
 
 def vertex_matrix(d, w):
@@ -260,7 +466,7 @@ def ext_counts_per_summand(M, N, hmax):
     ending_at = {}
     for j, b in basis:
         ending_at.setdefault(b.target, []).append((j, b))
-    levels = homology._levels(M)
+    levels = _levels(M)
     level, out, live_above = next(levels), [], 0
     for _ in range(hmax + 1):
         below = next(levels, [])
@@ -915,6 +1121,28 @@ def test_ext_of_growing_resolutions_is_exact():
     # the kth term of the resolution of S is 2^k copies of P_0
     assert ext_dim(pres, S, S, 200) == 2**200
     assert [ext_dim(pres, S, S, h) for h in range(6)] == [2**h for h in range(6)]
+
+
+def test_ext_between_cyclic_modules_obeys_the_hom_hammock_bound():
+    # Broomhead-Pauksztello-Ploog (Math. Z. 2017): Hom between indecomposables
+    # of D^b(Lambda(r,s,t)) has dimension at most 2.  P_v and P_v/qA are
+    # cyclic, so indecomposable; the inputs are relabeled, so nothing here
+    # leans on the literal labelling.
+    over = []
+    for s in range(1, 4):
+        for r in range(1, s + 1):
+            for t in range(3):
+                pres = relabel(build_lambda(r, s, t), random.Random(100 * r + 10 * s + t))
+                objs = [indec_projective(pres, v) for v in pres.quiver.vertices]
+                objs += [path_quotient(pres, q.source, [q]) for q in path_basis(pres) if len(q)]
+                over += [
+                    ((r, s, t), M, N, h)
+                    for M in objs
+                    for N in objs
+                    for h in range(2 * s + t + 3)
+                    if ext_dim(pres, M, N, h) > 2
+                ]
+    assert not over, over[:5]
 
 
 # -- hom tables ------------------------------------------------------------------------
