@@ -198,13 +198,10 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
 def _clock_walk(pres):
     q = pres.quiver
 
-    # strip leaves until only the unique cycle remains
-    incident = {v: [] for v in q.vertices}
-    for a, (src, tgt) in q.arrows.items():
-        incident[src].append(a)
-        incident[tgt].append(a)
+    # strip leaves until only the unique cycle remains; the arrows at v are
+    # its out and in arrows, a loop at v among both
     alive_arrows = set(q.arrows)
-    degree = {v: len(incident[v]) for v in q.vertices}
+    degree = {v: len(q._out[v]) + len(q._in[v]) for v in q.vertices}
     queue = [v for v in q.vertices if degree[v] <= 1]
     alive_vertices = set(q.vertices)
     while queue:
@@ -212,7 +209,7 @@ def _clock_walk(pres):
         if v not in alive_vertices or degree[v] > 1:
             continue
         alive_vertices.discard(v)
-        for a in incident[v]:
+        for a in (*q._out[v], *q._in[v]):
             if a not in alive_arrows:
                 continue
             alive_arrows.discard(a)
@@ -231,7 +228,7 @@ def _clock_walk(pres):
     current = start
     while True:
         candidates = []
-        for a in incident[current]:
+        for a in (*q._out[current], *q._in[current]):
             if a in used or a not in alive_arrows:
                 continue
             src, tgt = q.arrows[a]
@@ -268,11 +265,11 @@ def dynkin_type(pres: BoundQuiverPresentation):
     n = len(q.vertices)
     if len(q.arrows) != n - 1:
         return None
-    adjacency = {v: [] for v in q.vertices}
-    for src, tgt in q.arrows.values():
-        adjacency[src].append(tgt)
-        adjacency[tgt].append(src)
-    degrees = {v: len(adjacency[v]) for v in q.vertices}
+
+    def neighbours(v):  # with multiplicity: a loop at v lists v twice
+        return [q.target(a) for a in q._out[v]] + [q.source(a) for a in q._in[v]]
+
+    degrees = {v: len(q._out[v]) + len(q._in[v]) for v in q.vertices}
     if any(d > 3 for d in degrees.values()):
         return None
     branches = [v for v in q.vertices if degrees[v] == 3]
@@ -282,11 +279,11 @@ def dynkin_type(pres: BoundQuiverPresentation):
         return None
     hub = branches[0]
     arms = []
-    for first in adjacency[hub]:
+    for first in neighbours(hub):
         length = 1
         prev, cur = hub, first
         while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
+            nxt = [w for w in neighbours(cur) if w != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]

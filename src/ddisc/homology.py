@@ -355,20 +355,10 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
     if kind == "Y":
         if t == 0 or not -t <= index <= -1:
             raise PreconditionError(f"Y index {index} outside {-t}..-1")
-        v = str(index)
-        outs = [p for ps in _paths_from(pres, v).values() for p in ps]
-        top_len = max(len(p) for p in outs)
-        longest = [p for p in outs if len(p) == top_len]
-        if len(longest) != 1:
-            raise PreconditionError(f"P_{v} has {len(longest)} longest paths, not one")
-        # the socle copy sits at vertex 1 (vertex 0 when s = 1)
-        socle = "1" if s >= 2 else "0"
-        if longest[0].target != socle:
-            raise PreconditionError(
-                f"the longest path of P_{v} ends at vertex {longest[0].target}, "
-                f"not at vertex {socle}"
-            )
-        return path_quotient(pres, v, longest, field)
+        # Y is P_v modulo its socle, spanned by the path a_v...a_-1 a_0 (a_k
+        # starts at k): the tail has no relation, and a_0 then a_(1 mod s) is one
+        socle = [f"a{k}" for k in range(index, 1)]
+        return path_quotient(pres, str(index), [socle], field)
     raise PreconditionError(f"unknown string object kind {kind!r}")
 
 
@@ -628,8 +618,6 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
-    if lambda_descriptor_of(pres) is None:
-        raise PreconditionError("hom tables are keyed to Lambda(r,s,t) input")
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
     head, cycle = _ext_counts(X, Y, hmax)

@@ -42,9 +42,6 @@ class Path:
     def __len__(self):
         return len(self.arrows)
 
-    def is_trivial(self):
-        return not self.arrows
-
     def label(self):
         return f"e_{self.source}" if not self.arrows else "*".join(self.arrows)
 
@@ -81,7 +78,8 @@ class Quiver:
     def _assemble(cls, vertices, arrows, out, into):
         """A quiver from parts another quiver already validated: vertices in
         sort order, arrows sorted by name, and the per-vertex arrow lists in
-        name order.  The lists may be shared, as quivers never change."""
+        name order.  The lists may be shared, as quivers never change.
+        Corners and connected components are built this way."""
         quiver = object.__new__(cls)
         quiver.vertices = vertices
         quiver.arrows = arrows
@@ -128,6 +126,11 @@ class BoundQuiverPresentation:
             if len(names) < 2:
                 raise PresentationError(f"relation {names} shorter than 2")
             rels.append(self.make_path(names))
+        self._index(rels)
+
+    def _index(self, rels):
+        """Sort relation paths already checked against the quiver, refuse
+        duplicates and index them."""
         rels.sort(key=Path.sort_key)
         relset = frozenset(p.arrows for p in rels)
         if len(relset) != len(rels):
@@ -262,15 +265,17 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
         if src not in vertices or tgt not in vertices:
             raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
     quiver = Quiver(vertices, [(a, src, tgt) for a, (_, src, tgt) in arrows.items()])
-    bare = BoundQuiverPresentation(quiver)
+    pres = BoundQuiverPresentation(quiver)
+    rels = []
     for rel, lineno in relations.items():
         try:
-            bare.make_path(rel)
+            rels.append(pres.make_path(rel))
         except PresentationError as exc:
             raise ParseError(str(exc), lineno) from exc
     if not vertices:
         raise ParseError("no vertex declared")
-    return BoundQuiverPresentation(quiver, relations)
+    pres._index(rels)
+    return pres
 
 
 def serialize_presentation(pres: BoundQuiverPresentation) -> str:
@@ -632,7 +637,8 @@ def connected_components(pres: BoundQuiverPresentation):
 
 def _components(pres):
     """The connected parts of a presentation, or () when it is connected."""
-    parent = {v: v for v in pres.quiver.vertices}
+    q = pres.quiver
+    parent = {v: v for v in q.vertices}
 
     def find(v):
         while parent[v] != v:
@@ -640,24 +646,29 @@ def _components(pres):
             v = parent[v]
         return v
 
-    for src, tgt in pres.quiver.arrows.values():
+    for src, tgt in q.arrows.values():
         parent[find(src)] = find(tgt)
+    # vertices in sort order, so parts come in order of their smallest vertex
     groups = {}
-    for v in pres.quiver.vertices:
-        groups.setdefault(find(v), set()).add(v)
+    for v in q.vertices:
+        groups.setdefault(find(v), []).append(v)
     if len(groups) == 1:
         return ()
-    comps = sorted(groups.values(), key=lambda g: min(vertex_sort_key(v) for v in g))
-    out = []
-    for group in comps:
-        arrows = [
-            (name, src, tgt)
-            for name, (src, tgt) in pres.quiver.arrows.items()
-            if src in group
-        ]
-        rels = [rel.arrows for rel in pres.relations if rel.source in group]
-        out.append(BoundQuiverPresentation(Quiver(sorted(group), arrows), rels))
-    return tuple(out)
+    # parts reuse the arrows, arrow lists and relation paths pres checked
+    arrows, rels = {root: {} for root in groups}, {root: [] for root in groups}
+    for name, ends in q.arrows.items():
+        arrows[find(ends[0])][name] = ends
+    for rel in pres.relations:
+        rels[find(rel.source)].append(rel)
+    parts = []
+    for root, group in groups.items():
+        out, into = {v: q._out[v] for v in group}, {v: q._in[v] for v in group}
+        part = BoundQuiverPresentation(
+            Quiver._assemble(tuple(group), arrows[root], out, into)
+        )
+        part._index(rels[root])
+        parts.append(part)
+    return tuple(parts)
 
 
 def direct_sum(presentations) -> BoundQuiverPresentation:

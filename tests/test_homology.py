@@ -17,6 +17,7 @@ from ddisc import (
     PresentationError,
     build_lambda,
     cartan_matrix,
+    lambda_normal_form,
     parse_presentation,
     path_basis,
 )
@@ -36,7 +37,12 @@ from ddisc.homology import (
     projective_cover,
     simple_module,
 )
-from ddisc.presentation import BoundQuiverPresentation, Quiver, vertex_sort_key
+from ddisc.presentation import (
+    BoundQuiverPresentation,
+    LambdaDescriptor,
+    Quiver,
+    vertex_sort_key,
+)
 from test_classify import relabel
 
 A2 = "vertex 1\nvertex 2\narrow a 1 2\n"
@@ -705,6 +711,34 @@ def test_y_objects_are_projectives_less_their_socle(field, monkeypatch):
                 assert (Y.dims, Y.maps) == _delete_coordinate(P, w, j)
 
 
+def test_y_objects_match_the_quotient_by_the_longest_path(monkeypatch):
+    listed = []
+    paths_from = homology._paths_from
+
+    def counted(pres, v):
+        listed.append(v)
+        return paths_from(pres, v)
+
+    monkeypatch.setattr(homology, "_paths_from", counted)
+    for s in range(1, 6):
+        for t in range(1, 5):
+            L = build_lambda(s, s, t)
+            for q in range(1, t + 1):
+                v = str(-q)
+                listed.clear()
+                Y = build_string_object(L, "Y", -q)
+                assert listed == [v]  # path_quotient's own read of P_v
+                # reference: list P_v and take its unique longest path, which
+                # ends at the socle vertex, 1 (0 when s = 1)
+                outs = [p for ps in paths_from(L, v).values() for p in ps]
+                top = max(len(p) for p in outs)
+                [longest] = [p for p in outs if len(p) == top]
+                assert longest.target == ("1" if s >= 2 else "0")
+                ref = path_quotient(L, v, [longest])
+                assert Y.dims == ref.dims and Y._cover == ref._cover
+                assert Y.maps == ref.maps
+
+
 # -- covers and resolutions ---------------------------------------------------------
 
 
@@ -1123,26 +1157,64 @@ def test_ext_of_growing_resolutions_is_exact():
     assert [ext_dim(pres, S, S, h) for h in range(6)] == [2**h for h in range(6)]
 
 
+def tail_turned_out(pres):
+    """``pres`` with its tail arrows turned to point away from the cycle.
+
+    For Lambda(r,s,t) with t >= 1 this is still gentle with one cycle whose
+    relations all run one way, so it fails the clock condition and is
+    derived discrete, derived equivalent to Lambda(r,s,t); and P_0 now has
+    two arrows on top.
+    """
+    q = pres.quiver
+    arrows = [
+        (a, tgt, src) if a.startswith("a-") else (a, src, tgt)
+        for a, (src, tgt) in q.arrows.items()
+    ]
+    return BoundQuiverPresentation(
+        Quiver(q.vertices, arrows), [rel.arrows for rel in pres.relations]
+    )
+
+
 def test_ext_between_cyclic_modules_obeys_the_hom_hammock_bound():
     # Broomhead-Pauksztello-Ploog (Math. Z. 2017): Hom between indecomposables
-    # of D^b(Lambda(r,s,t)) has dimension at most 2.  P_v and P_v/qA are
-    # cyclic, so indecomposable; the inputs are relabeled, so nothing here
-    # leans on the literal labelling.
-    over = []
+    # of D^b(Lambda(r,s,t)) has dimension at most 2.  P_v and its quotients
+    # by one path, or by two paths from v neither of which is a prefix of the
+    # other, have a simple top, so they are indecomposable.  Over Lambda every
+    # P_v is uniserial, so quotients by two such paths live over the algebras
+    # with the tail turned out (t = 1 keeps the test near a second).  The
+    # inputs are relabeled, so nothing here leans on the literal labelling.
+    over, by_two = [], 0
     for s in range(1, 4):
         for r in range(1, s + 1):
             for t in range(3):
-                pres = relabel(build_lambda(r, s, t), random.Random(100 * r + 10 * s + t))
-                objs = [indec_projective(pres, v) for v in pres.quiver.vertices]
-                objs += [path_quotient(pres, q.source, [q]) for q in path_basis(pres) if len(q)]
-                over += [
-                    ((r, s, t), M, N, h)
-                    for M in objs
-                    for N in objs
-                    for h in range(2 * s + t + 3)
-                    if ext_dim(pres, M, N, h) > 2
-                ]
+                literal = build_lambda(r, s, t)
+                turned = [tail_turned_out(literal)] if t == 1 else []
+                for alg in [literal, *turned]:
+                    pres = relabel(alg, random.Random(100 * r + 10 * s + t))
+                    [nf] = lambda_normal_form(pres).components
+                    assert nf.descriptor == LambdaDescriptor(r, s, t)
+                    basis = [q for q in path_basis(pres) if len(q)]
+                    objs = [indec_projective(pres, v) for v in pres.quiver.vertices]
+                    objs += [path_quotient(pres, q.source, [q]) for q in basis]
+                    by_two_paths = [
+                        path_quotient(pres, p.source, [p, q])
+                        for i, p in enumerate(basis)
+                        for q in basis[i + 1 :]
+                        if p.source == q.source
+                        and p.arrows != q.arrows[: len(p)]
+                        and q.arrows != p.arrows[: len(q)]
+                    ]
+                    objs += by_two_paths
+                    by_two += len(by_two_paths)
+                    over += [
+                        ((r, s, t), M, N, h)
+                        for M in objs
+                        for N in objs
+                        for h in range(2 * s + t + 3)
+                        if ext_dim(pres, M, N, h) > 2
+                    ]
     assert not over, over[:5]
+    assert by_two == 13, by_two  # quotients by two paths in the sample
 
 
 # -- hom tables ------------------------------------------------------------------------
@@ -1168,11 +1240,17 @@ def test_hom_table_frozen_values():
     assert hom_table(L221, zero, zero, 4).entries == (0,) * 5
 
 
-def test_hom_table_requires_lambda_presentation():
-    pres = parse_presentation(A2)
-    S = simple_module(pres, "1")
-    with pytest.raises(PreconditionError):
-        hom_table(pres, S, S, 2)
+def test_hom_table_off_lambda_equals_ext_dim():
+    # hom_table takes any finite dimensional monomial input, not only
+    # Lambda(r,s,t); TWO_LOOPS_WITH_TAIL is not gentle
+    for text in (A2, TWO_LOOPS_WITH_TAIL):
+        pres = parse_presentation(text)
+        pool = module_pool(pres)
+        pool.append(module_direct_sum(pool[:3]))
+        for M in pool:
+            for N in pool:
+                expected = tuple(ext_dim(pres, M, N, h) for h in range(7))
+                assert hom_table(pres, M, N, 6).entries == expected
 
 
 def test_hom_table_field_independent_spot():

@@ -37,6 +37,7 @@ from ddisc.presentation import (
     Quiver,
     path_counts,
     serialize_presentation,
+    vertex_sort_key,
 )
 from test_classify import relabel
 
@@ -198,24 +199,27 @@ def test_corner_products_get_names_no_arrow_has():
     assert verify_trace(clash, traces[0]).ok
 
 
-def assert_corner_matches_reference(corner):
-    """A patched corner counts like its own text form reparsed, and equals
+def assert_matches_reference(pres):
+    """A presentation assembled from another's parts (a patched corner, a
+    connected component) counts like its own text form reparsed, and equals
     the presentation the public constructors build from its arrows and
-    relations, down to the order of arrows and relations."""
-    q = corner.quiver
-    reparsed = parse_presentation(serialize_presentation(corner))
-    assert path_counts(corner) == path_counts(reparsed)
+    relations, down to the order of vertices, arrows and relations."""
+    q = pres.quiver
+    reparsed = parse_presentation(serialize_presentation(pres))
+    assert path_counts(pres) == path_counts(reparsed)
     ref = BoundQuiverPresentation(
         Quiver(q.vertices, [(a, src, tgt) for a, (src, tgt) in q.arrows.items()]),
-        [rel.arrows for rel in corner.relations],
+        [rel.arrows for rel in pres.relations],
     )
-    assert corner == ref and corner.relations == ref.relations
+    assert pres == ref and pres.relations == ref.relations
+    assert q.vertices == ref.quiver.vertices
     assert list(q.arrows.items()) == list(ref.quiver.arrows.items())
+    assert list(q._out) == list(q._in) == list(q.vertices)
     for v in q.vertices:
         assert q.arrows_from(v) == ref.quiver.arrows_from(v)
         assert q.arrows_into(v) == ref.quiver.arrows_into(v)
-    assert corner._maxrel == ref._maxrel
-    assert {a: sorted(rels) for a, rels in corner._by_last.items()} == {
+    assert pres._maxrel == ref._maxrel
+    assert {a: sorted(rels) for a, rels in pres._by_last.items()} == {
         a: sorted(rels) for a, rels in ref._by_last.items()
     }
 
@@ -229,12 +233,70 @@ def checking_corners():
 
     def checked(pres, keep):
         corner = build(pres, keep)
-        assert_corner_matches_reference(corner)
+        assert_matches_reference(corner)
         built.append(corner)
         return corner
 
     with mock.patch.object(jordan, "idempotent_subalgebra", checked):
         yield built
+
+
+def clashing_sum():
+    """Three Lambdas whose ids clash, so direct_sum tags them; Lambda(1,1,0)
+    is a loop."""
+    parts = [build_lambda(2, 3, 1), build_lambda(1, 1, 0), build_lambda(2, 2, 0)]
+    return direct_sum(parts)
+
+
+def sums():
+    """Presentations with several connected parts."""
+    # literal and relabeled Lambdas; the relabeled ids sort last
+    relabeled = relabel(build_lambda(2, 2, 1), random.Random(3))
+    yield direct_sum([relabeled, build_lambda(1, 3, 0)])
+    for name in ("sum_relabeled_2_2_1_literal_1_3_0", "sum_kronecker_lambda_2_2_1"):
+        yield parse_presentation((DATA / f"{name}.txt").read_text())
+    yield clashing_sum()
+    yield parse_presentation("vertex z\n" + A3_REL + "vertex 0\n")  # isolated vertices
+    yield parse_presentation("vertex 5\narrow l 5 5\nrelation l l l\n" + A2)
+
+
+def test_components_match_their_reference():
+    for pres in sums():
+        parts = connected_components(pres)
+        assert len(parts) > 1
+        for part in parts:
+            assert_matches_reference(part)
+            assert connected_components(part) == (part,)
+        firsts = [vertex_sort_key(part.quiver.vertices[0]) for part in parts]
+        assert firsts == sorted(firsts)
+        # the parts split the vertices, arrows and relations of pres
+        q = pres.quiver
+        assert sorted(v for p in parts for v in p.quiver.vertices) == sorted(
+            q.vertices
+        )
+        assert sorted(a for p in parts for a in p.quiver.arrows) == list(q.arrows)
+        assert sorted(r for p in parts for r in p._relset) == sorted(pres._relset)
+
+
+def test_a_sum_is_parsed_and_split_checking_each_relation_once(monkeypatch):
+    text = serialize_presentation(clashing_sum())
+    made, built = [], []
+    make_path, init = BoundQuiverPresentation.make_path, Quiver.__init__
+
+    def counted_make_path(self, names):
+        made.append(names)
+        return make_path(self, names)
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BoundQuiverPresentation, "make_path", counted_make_path)
+    monkeypatch.setattr(Quiver, "__init__", counted_init)
+    parts = connected_components(parse_presentation(text))
+    assert len(parts) == 3
+    assert len(made) == sum(len(part.relations) for part in parts) == 5
+    assert len(built) == 1  # the parser's, none per part
 
 
 def test_corner_rejects_unsupported_drops():
