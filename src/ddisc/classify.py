@@ -259,11 +259,11 @@ def _clock_walk(pres):
 
 
 def dynkin_type(pres: BoundQuiverPresentation):
-    """Underlying-graph Dynkin type ('A'|'D'|'E', rank) of a connected
-    presentation, or None."""
+    """Dynkin type ('A'|'D'|'E', rank) of the underlying graph when it is a
+    tree (n - 1 arrows that connect the n vertices), else None."""
     q = pres.quiver
     n = len(q.vertices)
-    if len(q.arrows) != n - 1:
+    if len(q.arrows) != n - 1 or len(connected_components(pres)) != 1:
         return None
 
     def neighbours(v):  # with multiplicity: a loop at v lists v twice

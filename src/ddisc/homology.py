@@ -6,7 +6,7 @@ per arrow, acting on row vectors (an arrow ``a: u -> w`` maps the fiber at
 
 Simples, projectives and string objects are path quotients
 P_v/(q_1A+...+q_kA) (see :func:`path_quotient`): their bases are the basis
-paths out of one vertex, listed by one search from it and cached, and
+paths out of one vertex, read off the relation automaton and cached, and
 arrows act by concatenation.  The cover of such a quotient is P_v with
 kernel ⊕ qA over the prefix-minimal q_i (Green-Happel-Zacharia), so it is
 recorded when the module is built, and a direct sum of such modules
@@ -20,9 +20,10 @@ right ideals qA over its prefix-minimal paths q, and the kernel of
 P_{t(x)} -> xA, y -> xy, is spanned by the paths y with xy = 0.  So each
 summand below the cover is a P_{t(x)} whose differential is left
 multiplication by one path x, and the summands below it are the
-prefix-minimal paths y out of t(x) with xy = 0
-(:func:`_annihilator_generators`).  Only a module given by matrices needs
-linear algebra, once, to find its cover (:func:`projective_cover`).
+prefix-minimal paths y out of t(x) with xy = 0, read off the same
+automaton (:func:`_annihilator_generators`).  Only a module given by
+matrices needs linear algebra, once, to find its cover
+(:func:`projective_cover`).
 
 Hom dimensions in the derived category are Ext groups between modules,
 Hom(M, N[h]) = Ext^h(M, N), and they are counted off paths (see
@@ -54,38 +55,13 @@ from . import linalg
 from .presentation import (
     Path,
     _assert_finite_dimensional,
-    _cached,
-    _paths_from_vertex,
+    _paths_from,
+    _states,
     lambda_descriptor_of,
     vertex_sort_key,
 )
 
 # -- path bookkeeping -----------------------------------------------------------
-
-
-def _paths_from(pres, v):
-    """Basis paths from v by target, each list in canonical order.
-
-    The paths from v are listed by one search from v the first time v is
-    asked for, and kept on the presentation, so a module lists only the
-    paths out of its own vertices and those of its cover.
-    """
-    table = _cached(pres, "paths_from", lambda _: {})
-    by_target = table.get(v)
-    if by_target is None:
-        by_target = {}
-        for p in sorted(_paths_from_vertex(pres, v), key=Path.sort_key):
-            by_target.setdefault(p.target, []).append(p)
-        table[v] = by_target
-    return by_target
-
-
-def _arrow_paths(pres):
-    return {name: pres.make_path([name]) for name in pres.quiver.arrows}
-
-
-def _arrow_path(pres, a):
-    return _cached(pres, "arrow_paths", _arrow_paths)[a]
 
 
 def _proj_coords(pres, summands):
@@ -448,20 +424,25 @@ def _path_cover(M: RepModule):
 def _annihilator_generators(pres, x):
     """Prefix-minimal paths y out of ``x.target`` with x*y = 0.
 
-    They generate the kernel of P_{t(x)} -> xA.  The search extends only
-    paths y with xy != 0, so it stops at each generator.
+    They generate the kernel of P_{t(x)} -> xA.  Two walks along the
+    automaton's edges go side by side: y is a basis path iff it walks from
+    (t(x), ()), and x*y is nonzero iff it walks from the state x ends in.
+    Each generator is y*a at an arrow a that the first walk takes and the
+    second lacks, so the search stops at each generator.
     """
-    found, stack = [], [pres.trivial_path(x.target)]
+    edges = _states(pres)[0]
+    width = pres._maxrel - 1
+    u = x.target
+    found = []
+    stack = [((u, ()), (u, x.arrows[-width:] if width > 0 else ()), ())]
     while stack:
-        y = stack.pop()
-        for a in pres.quiver.arrows_from(y.target):
-            longer = pres.path_product(y, _arrow_path(pres, a))
-            if longer is None:
-                continue
-            if pres.path_product(x, longer) is None:
-                found.append(longer)
+        alone, after_x, word = stack.pop()
+        joined = dict(edges[after_x])
+        for a, nxt in edges[alone]:
+            if a in joined:
+                stack.append((nxt, joined[a], word + (a,)))
             else:
-                stack.append(longer)
+                found.append(Path(u, nxt[0], word + (a,)))
     return found
 
 
@@ -484,11 +465,13 @@ def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
     pair the weighted sum of the pairs of its paths, and the next degree
     the weighted sum of their generators.  Each distinct path is looked at
     once.  A degree determines every degree below it, so the walk stops at
-    the first degree k >= 1 whose multiset an earlier one had.
+    the first degree k >= 1 whose multiset an earlier one had.  Kept words
+    are normal, so a row (j, b) is live when some (j, b*y) is a kept word
+    of N's cover: no product is formed.
     """
     pres = M.pres
     _, _, basis = _path_cover(N)
-    survivors = set(basis)
+    kept = {(j, b.arrows) for j, b in basis}
     ending_at = {}
     for j, b in basis:
         ending_at.setdefault(b.target, []).append((j, b))
@@ -496,11 +479,7 @@ def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
     def pair(u, ys):
         """(rows, live) of a summand P_u whose children have the paths ys."""
         rows = ending_at.get(u, ())
-        # a zero product is None, and (j, None) is no survivor
-        live = sum(
-            any((j, pres.path_product(b, y)) in survivors for y in ys)
-            for j, b in rows
-        )
+        live = sum(any((j, b.arrows + y.arrows) in kept for y in ys) for j, b in rows)
         return len(rows), live
 
     cover, gens, _ = _path_cover(M)
@@ -639,12 +618,11 @@ def infinite_gldim_check(pres) -> str:
     edges x -> each annihilator generator of x has a cycle reachable from an
     arrow (Green-Happel-Zacharia): the graph is finite, so a resolution
     without end revisits a path.  An iterative depth-first search finds it.
+    Raises InfiniteDimensionalError like ``path_basis``.
     """
-    # the generator search never stops on an infinite dimensional algebra
-    _assert_finite_dimensional(pres)
     on_stack, done = set(), set()
-    for a in pres.quiver.arrows:
-        root = _arrow_path(pres, a)
+    for a, (src, tgt) in pres.quiver.arrows.items():
+        root = Path(src, tgt, (a,))
         if root in done:
             continue
         on_stack.add(root)

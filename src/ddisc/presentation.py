@@ -307,12 +307,15 @@ def _walk(pres, edges, below, roots):
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
     that window determines which one-arrow extensions stay normal, so the
-    basis paths from v are the walks from (v, ()).  A state is done once it
-    has ``below``, the counts by target vertex of the walks from it: the
-    search enters no done state, sets ``edges`` (the (arrow, next state)
-    pairs) of every state it enters, and finishes states children first.  A cycle among entered states pumps to arbitrarily long
-    normal paths: that raises InfiniteDimensionalError, a structural check
-    rather than a cutoff.
+    basis paths from v are the walks from (v, ()), and a path x times a
+    path y is nonzero iff y walks from the state that x ends in.  Path
+    listings (``_paths_from``) and annihilator generators read these edges
+    and check no relation again.  A state is done once it has ``below``,
+    the counts by target vertex of the walks from it: the search enters no
+    done state, sets ``edges`` (the (arrow, next state) pairs) of every
+    state it enters, and finishes states children first.  A cycle among
+    entered states pumps to arbitrarily long normal paths: that raises
+    InfiniteDimensionalError, a structural check rather than a cutoff.
     """
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
@@ -416,32 +419,41 @@ def path_basis(pres: BoundQuiverPresentation) -> list[Path]:
     Raises InfiniteDimensionalError when the algebra is infinite dimensional;
     the check is structural, not an enumeration cutoff.
     """
-    return _cached(pres, "path_basis", _path_basis)
+    return _cached(pres, "path_basis", _path_list)
 
 
-def _path_basis(pres):
-    basis = [p for v in pres.quiver.vertices for p in _paths_from_vertex(pres, v)]
-    basis.sort(key=Path.sort_key)
-    return basis
+def _path_list(pres):
+    vertices = pres.quiver.vertices
+    return sorted(
+        (p for v in vertices for ps in _paths_from(pres, v).values() for p in ps),
+        key=Path.sort_key,
+    )
 
 
-def _paths_from_vertex(pres, v) -> list[Path]:
-    """The basis paths from v, unsorted, by one depth-first search from v.
+def _paths_from(pres, v):
+    """Basis paths from v by target, each list in canonical order.
 
-    Raises InfiniteDimensionalError like ``path_basis``, before searching:
-    a search on an infinite dimensional algebra might never end.
+    They are the walks from (v, ()) along the automaton's edges, listed the
+    first time v is asked for and kept on the presentation, so a module
+    lists only the paths out of its own vertices and those of its cover.
+    Raises InfiniteDimensionalError like ``path_basis``.
     """
-    _assert_finite_dimensional(pres)
-    q = pres.quiver
-    found, stack = [pres.trivial_path(v)], [(v, ())]
-    while stack:
-        vertex, word = stack.pop()
-        for a in q.arrows_from(vertex):
-            new = word + (a,)
-            if pres._extension_is_normal(new):
-                found.append(Path(v, q.target(a), new))
-                stack.append((q.target(a), new))
-    return found
+    table = _cached(pres, "paths_from", lambda _: {})
+    by_target = table.get(v)
+    if by_target is None:
+        edges = _states(pres)[0]
+        found, stack = [pres.trivial_path(v)], [((v, ()), ())]
+        while stack:
+            state, word = stack.pop()
+            for a, nxt in edges[state]:
+                new = word + (a,)
+                found.append(Path(v, nxt[0], new))
+                stack.append((nxt, new))
+        by_target = {}
+        for p in sorted(found, key=Path.sort_key):
+            by_target.setdefault(p.target, []).append(p)
+        table[v] = by_target
+    return by_target
 
 
 def cartan_matrix(pres: BoundQuiverPresentation) -> dict:

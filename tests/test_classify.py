@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import signal
 
 import pytest
 
@@ -216,6 +217,39 @@ def test_dynkin_type_rejections():
         + "\narrow a 1 2\narrow b 3 2\narrow c 2 5\narrow d 5 4\narrow e 5 6\n"
     )
     assert dynkin_type(two_hubs) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a cycle through the branch vertex h, and an arrow d -> e apart
+        "vertex h\nvertex a\nvertex b\nvertex c\nvertex d\nvertex e\n"
+        "arrow p h a\narrow q a b\narrow r b h\narrow s h c\narrow t d e\n",
+        # D4 and a 2-cycle
+        "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+        "arrow a 1 0\narrow b 2 0\narrow c 3 0\narrow d 4 5\narrow e 5 4\n",
+        # A3 and a 2-cycle
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 4 5\narrow d 5 4\n",
+        # A3 and a loop
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 4 4\n",
+    ],
+    ids=["cycle_at_hub", "d4_and_2_cycle", "a3_and_2_cycle", "a3_and_loop"],
+)
+def test_dynkin_type_needs_the_arrows_to_connect_the_vertices(text):
+    # n - 1 arrows that leave a vertex unreached close a cycle elsewhere,
+    # where an arm walk could go round for ever
+    def timed_out(signum, frame):
+        raise TimeoutError("dynkin_type did not return")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert dynkin_type(parse_presentation(text)) is None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- discreteness decisions -------------------------------------------------------

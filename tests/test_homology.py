@@ -57,6 +57,13 @@ A4_ABC = (
     "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
 )
 CUBED_LOOP = "vertex 0\narrow a 0 0\nrelation a a a\n"
+# z has two annihilator generators, b d and a c, on two branches out of 0,
+# so the order they are listed in shows the order of the search
+TWO_BRANCHES = (
+    "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\narrow z 4 0\n"
+    "arrow a 0 1\narrow b 0 2\narrow c 1 3\narrow d 2 3\n"
+    "relation z a c\nrelation z b d\n"
+)
 # two loops with every quadratic relation among them (and then a tail): the
 # resolution of the simple at 0 doubles at each degree, so no term repeats
 FREE_SQUARE = (
@@ -90,6 +97,51 @@ def module_pool(pres):
 # takes two ranks of the Hom complex into a module, and the ladder route
 # takes chain maps modulo homotopy between two complexes of projectives.
 # Both build every matrix and rank it with ``linalg.rank``.
+#
+# The package reads basis paths and annihilator generators off the edges of
+# the relation automaton.  ``paths_by_search`` and ``annihilators_by_products``
+# find them without it, by checking words for relations, and the matrix
+# references take their resolutions from the latter.
+
+
+def paths_by_search(pres, v):
+    """Basis paths from v by target, each list in canonical order, found by
+    a depth-first search that checks every word it extends for relations."""
+    q = pres.quiver
+    found, stack = [pres.trivial_path(v)], [(v, ())]
+    while stack:
+        vertex, word = stack.pop()
+        for a in q.arrows_from(vertex):
+            new = word + (a,)
+            if pres.is_normal(new):
+                found.append(pres.make_path(new))
+                stack.append((q.target(a), new))
+    by_target = {}
+    for p in sorted(found, key=lambda p: p.sort_key()):
+        by_target.setdefault(p.target, []).append(p)
+    return by_target
+
+
+def annihilators_by_products(pres, x):
+    """Prefix-minimal paths y out of ``x.target`` with x*y = 0, in the order
+    the package lists them, found by forming products with ``path_product``.
+
+    The search extends only paths y with xy != 0, so it stops at each
+    generator.
+    """
+    arrow_paths = {a: pres.make_path([a]) for a in pres.quiver.arrows}
+    found, stack = [], [pres.trivial_path(x.target)]
+    while stack:
+        y = stack.pop()
+        for a in pres.quiver.arrows_from(y.target):
+            longer = pres.path_product(y, arrow_paths[a])
+            if longer is None:
+                continue
+            if pres.path_product(x, longer) is None:
+                found.append(longer)
+            else:
+                stack.append(longer)
+    return found
 
 
 def _levels(M: RepModule):
@@ -111,7 +163,7 @@ def _levels(M: RepModule):
         level = [
             (j, y)
             for j, (_, x) in enumerate(level)
-            for y in _annihilator_generators(pres, x)
+            for y in annihilators_by_products(pres, x)
         ]
 
 
@@ -1088,8 +1140,9 @@ def test_ext_matches_stalk_hom_route():
         assert hom_shift_dim(C, N, h) == ext_dim(pres, M, N, h)
 
 
-def random_monomial_algebra(rng):
-    """A finite dimensional monomial algebra: 1..4 vertices, 1..6 arrows."""
+def random_monomial_algebra(rng, longest=3):
+    """A finite dimensional monomial algebra: 1..4 vertices, 1..6 arrows,
+    relations of length 2..longest."""
     while True:
         verts = [str(i) for i in range(rng.randint(1, 4))]
         arrows = [
@@ -1100,7 +1153,7 @@ def random_monomial_algebra(rng):
         rels = set()
         for _ in range(rng.randint(1, 8)):
             at, word = rng.choice(verts), []
-            for _ in range(rng.randint(2, 3)):
+            for _ in range(rng.randint(2, longest)):
                 outs = quiver.arrows_from(at)
                 if not outs:
                     break
@@ -1140,6 +1193,61 @@ def test_ext_matches_the_per_summand_count_on_random_monomial_algebras():
                 above_one += max(expected) > 1
     # the sample reaches resolutions whose multiplicities grow
     assert above_one > 20, above_one
+
+
+def test_walks_match_the_relation_checking_searches():
+    # the random family of the per-summand count, one with relations up to
+    # length 4, k<a,b>/(a,b)^2 and relabeled Lambda(r,s,t)
+    rng = random.Random(13)
+    algebras = [random_monomial_algebra(rng) for _ in range(80)]
+    rng = random.Random(17)
+    algebras += [random_monomial_algebra(rng, longest=4) for _ in range(40)]
+    texts = (FREE_SQUARE, A4_ABC, CUBED_LOOP, TWO_BRANCHES)
+    algebras += [parse_presentation(t) for t in texts]
+    algebras += [
+        relabel(build_lambda(*rst), random.Random(i))
+        for i, rst in enumerate([(1, 1, 0), (1, 3, 2), (2, 2, 1), (3, 4, 2)])
+    ]
+    longest = Counter()
+    for pres in algebras:
+        longest[pres._maxrel] += 1
+        searched = []
+        for v in pres.quiver.vertices:
+            by_search = paths_by_search(pres, v)
+            assert list(_paths_from(pres, v).items()) == list(by_search.items())
+            searched += [p for ps in by_search.values() for p in ps]
+        assert path_basis(pres) == sorted(searched, key=lambda p: p.sort_key())
+        for x in path_basis(pres):
+            assert _annihilator_generators(pres, x) == annihilators_by_products(
+                pres, x
+            )
+    # no relation, and longest relations of length 2 to 4: window widths 0 to 3
+    assert all(longest[n] >= 5 for n in (0, 2, 3, 4)), longest
+
+
+def test_hom_ops_form_no_path_product(monkeypatch, capsys):
+    # generators walk the relation automaton and surviving products are
+    # looked up among kept words, so no product is formed
+    def refuse(self, p, q):
+        raise AssertionError("a hom op formed a path product")
+
+    monkeypatch.setattr(BoundQuiverPresentation, "path_product", refuse)
+    for s in (1, 2, 3):
+        for t in (0, 1, 2):
+            for src in _string_names(s, t):
+                for dst in _string_names(s, t):
+                    argv = ["hom", "--lambda", str(s), str(s), str(t)]
+                    argv += ["--from", src, "--to", dst, "--max-shift", "7"]
+                    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # path quotients over a non-gentle algebra with a relation of length 3
+    pres = parse_presentation(A4_ABC)
+    pool = ext_pool(pres, random.Random(3))
+    assert len(pool) > 8
+    for M in pool:
+        for N in pool:
+            table = hom_table(pres, M, N, 5)
+            assert list(table.entries) == [ext_dim(pres, M, N, h) for h in range(6)]
 
 
 def test_ext_reads_high_degrees_by_period():
