@@ -6,8 +6,9 @@ components, stripping a one-point extension or coextension vertex, and
 dropping a vertex whose projective has projective radical.  ``strip_series``
 builds such a chain greedily; ``verify_trace`` replays one and re-checks
 every step's precondition, so a trace is auditable evidence rather than a
-claim.  ``composition_factors`` computes the factor multiset straight from
-the normal form, giving an independent cross-check on the trace.
+claim.  Both check and apply every step through one rule, ``_step_problem``
+then ``_apply``.  ``composition_factors`` computes the factor multiset
+straight from the normal form, giving an independent cross-check on the trace.
 
 Every step's precondition is decided by the quiver's shape or by basis-path
 counts, which ``path_counts`` reads off the relation automaton without
@@ -17,15 +18,14 @@ A corner algebra reads its generators off the arrows at the dropped vertex
 and is checked against the ambient Cartan counts.  So building and checking
 a series lists no path, constructs no module and runs no linear algebra.
 
-A strip step costs work in proportion to the dropped vertex's neighbourhood
-(plus copies of the ambient's tables, which run in C).  The corner is
-patched from the ambient.  When its relations have the ambient's length (2,
-or none), its counts are too: only the automaton states at the dropped
-vertex's neighbours and the states that reach them are walked again.  The
-other states keep their edges, so their counts are exact copies.
-``strip_series`` looks for components again only after dropping a vertex
-with two or more neighbours; a connected algebra minus a leaf stays
-connected.  ``verify_trace`` builds every corner anew from its own replay.
+A corner is patched from the ambient.  When its relations have the
+ambient's length (2, or none), its counts are too: only the automaton
+states at the dropped vertex's neighbours and the states that reach them
+are walked again.  The other states keep their edges, so their counts are
+exact copies.  ``strip_series`` looks for components again only after
+dropping a vertex with two or more neighbours; a connected algebra minus a
+leaf stays connected.  ``verify_trace`` builds every corner anew from its
+own replay.
 """
 
 from collections import Counter
@@ -191,14 +191,6 @@ def is_radical_projective(pres, v) -> RadicalProjectivity:
 # -- corner algebras -------------------------------------------------------------
 
 
-def _is_source(pres, v):
-    return not pres.quiver.arrows_into(v)
-
-
-def _is_sink(pres, v):
-    return not pres.quiver.arrows_from(v)
-
-
 def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     """Corner algebra on the kept vertices, for single-vertex drops.
 
@@ -225,11 +217,8 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
             f"exactly one vertex must be dropped, got {len(dropped)}"
         )
     [v] = dropped
-    if not (
-        _is_source(pres, v)
-        or _is_sink(pres, v)
-        or is_radical_projective(pres, v).projective
-    ):
+    q = pres.quiver
+    if q.arrows_into(v) and q.arrows_from(v) and not is_radical_projective(pres, v):
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
@@ -249,11 +238,6 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
             "corner algebra is not quadratic monomial on these generators"
         )
     return out
-
-
-def _without(vertices, v):
-    i = vertices.index(v)
-    return vertices[:i] + vertices[i + 1 :]
 
 
 # -- series traces ---------------------------------------------------------------
@@ -296,17 +280,18 @@ class SeriesTrace:
 
 def _strippable_vertex(comp):
     """First applicable strip: sources, then sinks, then radical drops."""
-    for v in comp.quiver.vertices:
-        if _is_source(comp, v):
-            return "strip-source", v, f"no arrows into {v}"
-    for v in comp.quiver.vertices:
-        if _is_sink(comp, v):
-            return "strip-sink", v, f"no arrows out of {v}"
-    for v in comp.quiver.vertices:
+    q = comp.quiver
+    for v in q.vertices:
+        if not q.arrows_into(v):
+            return SeriesStep("strip-source", v, witness=f"no arrows into {v}")
+    for v in q.vertices:
+        if not q.arrows_from(v):
+            return SeriesStep("strip-sink", v, witness=f"no arrows out of {v}")
+    for v in q.vertices:
         report = is_radical_projective(comp, v)
         if report.projective:
-            cover = ",".join(report.cover)
-            return "drop-radical", v, f"rad P({v}) is projective with cover {cover}"
+            witness = f"rad P({v}) is projective with cover {','.join(report.cover)}"
+            return SeriesStep("drop-radical", v, witness=witness)
     return None
 
 
@@ -337,18 +322,74 @@ def _is_two_truncated_cycle(pres, n) -> bool:
 def _terminal_step(comp):
     """Terminal step when the component is the field or a 2-truncated cycle."""
     verts = comp.quiver.vertices
-    if len(verts) == 1 and not comp.quiver.arrows:
-        return SeriesStep(
-            "terminal", vertex=verts[0], factor=K, witness="single vertex, no arrows"
-        )
     n = len(verts)
-    if _is_two_truncated_cycle(comp, n):
-        return SeriesStep(
-            "terminal",
-            factor=two_truncated_cycle(n),
-            witness=f"isomorphic to Lambda({n},{n},0)",
-        )
+    if not _retire_problem(comp, K, verts[0]):
+        return SeriesStep("terminal", verts[0], K, witness="single vertex, no arrows")
+    cycle = two_truncated_cycle(n)
+    if not _retire_problem(comp, cycle):
+        witness = f"isomorphic to Lambda({n},{n},0)"
+        return SeriesStep("terminal", factor=cycle, witness=witness)
     return None
+
+
+def _retire_problem(current, factor, vertex="") -> str:
+    """Why a terminal that emits ``factor`` and names ``vertex`` (none, or
+    the lone vertex of a field) cannot retire ``current``, or ''."""
+    q = current.quiver
+    if factor.kind == "field":
+        if len(q.vertices) != 1 or q.arrows:
+            return "terminal K needs a lone vertex with no arrows"
+    elif not _is_two_truncated_cycle(current, factor.rank):
+        return f"not isomorphic to Lambda({factor.rank},{factor.rank},0)"
+    named = ("", q.vertices[0]) if factor.kind == "field" else ("",)
+    if vertex in named:
+        return ""
+    return f"terminal {factor.label()} names vertex {vertex!r}"
+
+
+def _step_problem(current, step) -> str:
+    """Why ``step`` does not apply to ``current``, or '' when it does."""
+    q = current.quiver
+    if step.parts and step.op != "split":
+        return f"{step.op} claims {step.parts} parts; only a split has parts"
+    if step.factor is not None and step.op != "terminal":
+        return f"{step.op} carries a factor; only a terminal does"
+    if step.op == "split":
+        parts = connected_components(current)
+        if len(parts) != step.parts:
+            return f"claimed {step.parts} components, found {len(parts)}"
+        return f"split names vertex {step.vertex!r}" if step.vertex else ""
+    if step.op == "terminal":
+        if step.factor is None:
+            return "terminal step without a factor"
+        return _retire_problem(current, step.factor, step.vertex)
+    v = step.vertex
+    if v not in q.vertices:
+        return f"no vertex {v!r} here"
+    if step.op == "strip-source":
+        if q.arrows_into(v):
+            return f"vertex {v!r} has incoming arrows"
+    elif step.op == "strip-sink":
+        if q.arrows_from(v):
+            return f"vertex {v!r} has outgoing arrows"
+    elif step.op == "drop-radical":
+        report = is_radical_projective(current, v)
+        if not report.projective:
+            return f"rad P({v}) is not projective (defect {report.defect})"
+    else:
+        return f"unknown op {step.op!r}"
+    return ""
+
+
+def _apply(current, step):
+    """The pieces ``step`` leaves of ``current`` and the factors it emits."""
+    if step.op == "split":
+        return connected_components(current), ()
+    if step.op == "terminal":
+        return (), (step.factor,)
+    verts = current.quiver.vertices
+    i = verts.index(step.vertex)
+    return (idempotent_subalgebra(current, verts[:i] + verts[i + 1 :]),), (K,)
 
 
 def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
@@ -370,40 +411,28 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
     # (presentation, known to be connected): components are, and so is a
     # connected presentation minus a vertex with at most one neighbour
     stack = [(pres, False)]
-    at_top = True
     while stack:
         comp, connected = stack.pop()
-        if not connected:
-            parts = connected_components(comp)
-            if at_top or len(parts) > 1:
-                at_top = False
-                steps.append(
-                    SeriesStep(
-                        "split",
-                        parts=len(parts),
-                        witness="; ".join(",".join(p.quiver.vertices) for p in parts),
-                    )
-                )
-                stack.extend((p, True) for p in reversed(parts))
-                continue
-        done = _terminal_step(comp)
-        if done is not None:
-            steps.append(done)
-            factors.append(done.factor)
-            continue
-        found = _strippable_vertex(comp)
-        if found is None:
+        parts = () if connected else connected_components(comp)
+        if not steps or len(parts) > 1:
+            witness = "; ".join(",".join(p.quiver.vertices) for p in parts)
+            step = SeriesStep("split", parts=len(parts), witness=witness)
+        else:
+            step = _terminal_step(comp) or _strippable_vertex(comp)
+        if step is None:
             raise StripStuckError(
                 f"no applicable reduction on {comp!r}", residual=comp
             )
-        op, v, witness = found
-        steps.append(SeriesStep(op, vertex=v, witness=witness))
-        factors.append(K)
-        q = comp.quiver
-        neighbours = {q.source(a) for a in q.arrows_into(v)}
-        neighbours.update(q.target(a) for a in q.arrows_from(v))
-        corner = idempotent_subalgebra(comp, _without(q.vertices, v))
-        stack.append((corner, len(neighbours) <= 1))
+        steps.append(step)
+        pieces, emitted = _apply(comp, step)
+        factors += emitted
+        if step.op == "split":
+            stack.extend((p, True) for p in reversed(pieces))
+        elif pieces:
+            q, v = comp.quiver, step.vertex
+            neighbours = {q.source(a) for a in q.arrows_into(v)}
+            neighbours.update(q.target(a) for a in q.arrows_from(v))
+            stack.append((pieces[0], len(neighbours) <= 1))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
         raise PreconditionError(
@@ -420,49 +449,6 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
 class TraceReport:
     ok: bool
     failures: tuple  # human-readable, one entry per distinct violation
-
-
-def _replay_step(current, step, stack, emitted):
-    """Apply one claimed step to the replay state; returns the problem or ''."""
-    if step.op == "split":
-        parts = connected_components(current)
-        if len(parts) != step.parts:
-            return f"claimed {step.parts} components, found {len(parts)}"
-        stack.extend(reversed(parts))
-        return ""
-    if step.op == "terminal":
-        f = step.factor
-        if f is None:
-            return "terminal step without a factor"
-        if f.kind == "field":
-            if len(current.quiver.vertices) != 1 or current.quiver.arrows:
-                return "terminal K needs a lone vertex with no arrows"
-        elif not _is_two_truncated_cycle(current, f.rank):
-            return f"not isomorphic to Lambda({f.rank},{f.rank},0)"
-        emitted.append(f)
-        return ""
-    v = step.vertex
-    if v not in current.quiver.vertices:
-        return f"no vertex {v!r} here"
-    if step.op == "strip-source":
-        if current.quiver.arrows_into(v):
-            return f"vertex {v!r} has incoming arrows"
-    elif step.op == "strip-sink":
-        if current.quiver.arrows_from(v):
-            return f"vertex {v!r} has outgoing arrows"
-    elif step.op == "drop-radical":
-        report = is_radical_projective(current, v)
-        if not report.projective:
-            return f"rad P({v}) is not projective (defect {report.defect})"
-    else:
-        return f"unknown op {step.op!r}"
-    try:
-        corner = idempotent_subalgebra(current, _without(current.quiver.vertices, v))
-    except DdiscError as e:
-        return f"corner construction failed: {e}"
-    stack.append(corner)
-    emitted.append(K)
-    return ""
 
 
 def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceReport:
@@ -482,10 +468,18 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
         if not stack:
             failures.append(f"step {i}: nothing left to reduce")
             break
-        problem = _replay_step(stack.pop(), step, stack, emitted)
+        current = stack.pop()
+        problem = _step_problem(current, step)
+        if not problem:
+            try:
+                pieces, factors = _apply(current, step)
+            except DdiscError as e:
+                problem = f"corner construction failed: {e}"
         if problem:
             failures.append(f"step {i}: {problem}")
             break
+        stack.extend(reversed(pieces))
+        emitted += factors
     else:
         if stack:
             failures.append("steps ended with unreduced components")

@@ -219,6 +219,39 @@ def test_dynkin_type_rejections():
     assert dynkin_type(two_hubs) is None
 
 
+def three_armed_tree(arms):
+    """A hub h with arms of the given vertex counts, arrows pointing out."""
+    names = [[f"{'xyz'[i]}{j}" for j in range(n)] for i, n in enumerate(arms)]
+    lines = ["vertex h"] + [f"vertex {v}" for arm in names for v in arm]
+    for arm in names:
+        lines += [f"arrow e{v} {u} {v}" for u, v in zip(["h"] + arm, arm)]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "arms, expected",
+    [
+        ((1, 2, 3), ("E", 7)),
+        ((1, 1, 5), ("D", 8)),
+        # the Euclidean trees E6~, E7~ and E8~
+        ((2, 2, 2), None),
+        ((1, 3, 3), None),
+        ((1, 2, 5), None),
+    ],
+)
+def test_dynkin_type_of_three_armed_trees(arms, expected):
+    tree = three_armed_tree(arms)
+    assert dynkin_type(tree) == expected
+    if expected is None:
+        # hereditary with a non-Dynkin underlying graph
+        assert is_derived_discrete(tree).verdict == "no"
+        return
+    assert is_derived_discrete(tree).verdict == "yes"
+    trace = strip_series(tree)
+    assert trace.length() == 1 + sum(arms)
+    assert verify_trace(tree, trace).ok
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1169,6 +1169,17 @@ def random_monomial_algebra(rng, longest=3):
         return pres
 
 
+def random_algebras_with_relations(rng, count):
+    """``count`` draws of ``random_monomial_algebra`` that have a relation;
+    a third of its draws have none, as a relation word stops at a sink."""
+    algebras = []
+    while len(algebras) < count:
+        pres = random_monomial_algebra(rng)
+        if pres.relations:
+            algebras.append(pres)
+    return algebras
+
+
 def ext_pool(pres, rng):
     """Simples, projectives and a path quotient P_v/qA per vertex v."""
     pool = module_pool(pres)
@@ -1183,6 +1194,7 @@ def test_ext_matches_the_per_summand_count_on_random_monomial_algebras():
     rng = random.Random(13)
     algebras = [parse_presentation(t) for t in (FREE_SQUARE, TWO_LOOPS_WITH_TAIL)]
     algebras += [random_monomial_algebra(rng) for _ in range(80)]
+    algebras += random_algebras_with_relations(random.Random(29), 150)
     above_one = 0
     for pres in algebras:
         pool = ext_pool(pres, rng)
@@ -1196,10 +1208,12 @@ def test_ext_matches_the_per_summand_count_on_random_monomial_algebras():
 
 
 def test_walks_match_the_relation_checking_searches():
-    # the random family of the per-summand count, one with relations up to
-    # length 4, k<a,b>/(a,b)^2 and relabeled Lambda(r,s,t)
+    # the random family of the per-summand count and its draws that have a
+    # relation, one with relations up to length 4, k<a,b>/(a,b)^2 and
+    # relabeled Lambda(r,s,t)
     rng = random.Random(13)
     algebras = [random_monomial_algebra(rng) for _ in range(80)]
+    algebras += random_algebras_with_relations(random.Random(29), 150)
     rng = random.Random(17)
     algebras += [random_monomial_algebra(rng, longest=4) for _ in range(40)]
     texts = (FREE_SQUARE, A4_ABC, CUBED_LOOP, TWO_BRANCHES)

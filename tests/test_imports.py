@@ -1,10 +1,13 @@
-"""Every name a ddisc module imports is read by that module.
+"""Every name a ddisc module imports is read by that module, and every
+private helper a module defines is read somewhere in the package.
 
 No linter ships with the package, so this walks each module's syntax
 tree.  An import counts as read when its name is loaded somewhere in the
 module, when ``__all__`` lists it, when it is a ``from __future__``
 import, or when its line carries ``# noqa: F401`` (a name kept bound for
-tools that look it up on the module).
+tools that look it up on the module).  A module-level function, class or
+assignment whose name starts with a single underscore counts as read when
+some module loads it as a name, reads it as an attribute or imports it.
 """
 
 import ast
@@ -64,3 +67,72 @@ def test_the_check_flags_what_it_should_and_nothing_else():
         "print(sys.argv, used)\n"
     )
     assert unread_imports(source) == [(2, "os"), (3, "osp"), (6, "unused")]
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each module-level private name in ``sources``
+    (module name -> source) that no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                names = [
+                    n.id
+                    for t in targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(alias.name for alias in node.names)
+    return [
+        (module, line, name)
+        for module, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_package_reads_every_private_helper():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_the_helper_check_flags_what_it_should_and_nothing_else():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_TABLE, _SPARE = {}, 0\n"
+            "def _called(): return _TABLE\n"
+            "def _orphan(): pass\n"
+            "class _Imported: pass\n"
+            "def f(): return _called()\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import _Imported\n"
+            "_stored: int = 0\n"
+            "def g(): return a._read_as_attribute\n"
+            "def _read_as_attribute(): pass\n"
+            "a._written = 1\n"
+            "def _written(): pass\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        ("a", 2, "_SPARE"),
+        ("a", 4, "_orphan"),
+        ("b", 3, "_stored"),
+        ("b", 7, "_written"),
+    ]

@@ -1,6 +1,7 @@
 """Composition factors, radical drops, series traces and their replay."""
 
 import contextlib
+import dataclasses
 import pathlib
 import random
 import sys
@@ -593,6 +594,151 @@ def test_verify_trace_rejects_wrong_start_and_bad_shapes():
     assert any("unreduced" in f for f in verify_trace(l220, short).failures)
     long = SeriesTrace(l220, trace.steps + trace.steps[-1:], trace.factors * 2)
     assert any("nothing left" in f for f in verify_trace(l220, long).failures)
+
+
+SPLIT = SeriesStep("split", parts=1)
+L220, L121 = build_lambda(2, 2, 0), build_lambda(1, 2, 1)
+# s -> 1 in front of the line 1 -> 2 -> 3 -> 4 with its relation of length 3
+A5_LONG_RELATION = parse_presentation(
+    "vertex s\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+    "arrow e s 1\narrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
+)
+A4_LONG_RELATION = parse_presentation(
+    (DATA / "a4_long_relation.txt").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "pres, steps, factors, failures",
+    [
+        (
+            L220,
+            [SeriesStep("split", parts=2)],
+            (),
+            ("step 0: claimed 2 components, found 1",),
+        ),
+        (
+            L220,
+            [SPLIT, SeriesStep("terminal")],
+            (),
+            ("step 1: terminal step without a factor",),
+        ),
+        (
+            L220,
+            [SPLIT, SeriesStep("terminal", factor=K)],
+            (K,),
+            ("step 1: terminal K needs a lone vertex with no arrows",),
+        ),
+        (
+            L121,
+            [SPLIT, SeriesStep("strip-source", "9")],
+            (K,),
+            ("step 1: no vertex '9' here",),
+        ),
+        (
+            L121,
+            [SPLIT, SeriesStep("strip-source", "0")],
+            (K,),
+            ("step 1: vertex '0' has incoming arrows",),
+        ),
+        (
+            L121,
+            [SPLIT, SeriesStep("strip-sink", "0")],
+            (K,),
+            ("step 1: vertex '0' has outgoing arrows",),
+        ),
+        (
+            L121,
+            [SPLIT, SeriesStep("fold", "0")],
+            (K,),
+            ("step 1: unknown op 'fold'",),
+        ),
+        (
+            A5_LONG_RELATION,
+            [SeriesStep("strip-source", "s")],
+            (K,),
+            (
+                "step 0: corner construction failed: corner algebra is not"
+                " quadratic monomial on these generators",
+            ),
+        ),
+        (
+            A4_LONG_RELATION,
+            [SeriesStep("strip-source", v) for v in "123"]
+            + [SeriesStep("terminal", "4", K)],
+            (K, K, K, K),
+            ("factor check unavailable: normal form has unknown components",),
+        ),
+        (
+            L220,
+            [SPLIT, SeriesStep("terminal", factor=two_truncated_cycle(2))],
+            (K, K, K),
+            (
+                "recorded factors differ from the replayed factors",
+                "factor multiset does not match the normal form",
+                "length 3 exceeds rank 2",
+            ),
+        ),
+    ],
+)
+def test_verify_trace_names_each_rejection(pres, steps, factors, failures):
+    trace = SeriesTrace(pres, tuple(steps), factors)
+    assert verify_trace(pres, trace).failures == failures
+
+
+def edited_trace(i, **fields):
+    """The series of Lambda(1,2,1) with fields of its step i replaced."""
+    pres = build_lambda(1, 2, 1)
+    trace = strip_series(pres)
+    steps = list(trace.steps)
+    steps[i] = dataclasses.replace(steps[i], **fields)
+    return pres, SeriesTrace(pres, tuple(steps), trace.factors)
+
+
+@pytest.mark.parametrize(
+    "i, fields, failure",
+    [
+        (0, {"vertex": "0"}, "step 0: split names vertex '0'"),
+        (
+            1,
+            {"factor": two_truncated_cycle(5)},
+            "step 1: strip-source carries a factor; only a terminal does",
+        ),
+        (3, {"vertex": "7"}, "step 3: terminal K names vertex '7'"),
+        (3, {"parts": 4}, "step 3: terminal claims 4 parts; only a split has parts"),
+    ],
+)
+def test_verify_trace_checks_every_recorded_field(i, fields, failure):
+    # the series steps are split, strip-source -1, drop-radical 0, terminal 1
+    pres, trace = edited_trace(i, **fields)
+    assert verify_trace(pres, trace).failures == (failure,)
+
+
+def test_terminals_name_no_vertex_or_their_lone_one():
+    pres, trace = edited_trace(3, vertex="")
+    assert verify_trace(pres, trace).ok
+    cycle = two_truncated_cycle(2)
+    trace = SeriesTrace(L220, (SPLIT, SeriesStep("terminal", "0", cycle)), (cycle,))
+    assert verify_trace(L220, trace).failures == (
+        "step 1: terminal TwoTruncatedCycle(2) names vertex '0'",
+    )
+
+
+def test_series_and_verify_apply_every_step_through_one_rule(monkeypatch):
+    applied = []
+    apply = jordan._apply
+
+    def recorded(current, step):
+        applied.append(step)
+        return apply(current, step)
+
+    monkeypatch.setattr(jordan, "_apply", recorded)
+    pres = build_lambda(2, 3, 1)
+    trace = strip_series(pres)
+    assert applied == list(trace.steps)
+    applied.clear()
+    assert verify_trace(pres, trace).ok
+    assert applied == list(trace.steps)
 
 
 def test_series_needs_no_isomorphism_search(monkeypatch):
