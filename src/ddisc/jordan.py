@@ -21,10 +21,11 @@ a series lists no path, constructs no module and runs no linear algebra.
 A corner is patched from the ambient.  When its relations have the
 ambient's length (2, or none), its counts are too: only the automaton
 states at the dropped vertex's neighbours and the states that reach them
-are walked again.  The other states keep their edges, so their counts are
-exact copies.  ``strip_series`` looks for components again only after
-dropping a vertex with two or more neighbours; a connected algebra minus a
-leaf stays connected.  ``verify_trace`` builds every corner anew from its
+are walked again.  The other states keep their edges, so their counts carry
+over: a series step takes the tables of an ambient the same series built
+and copies any other's.  ``strip_series`` looks for components again only
+after dropping a vertex with two or more neighbours; a connected algebra
+minus a leaf stays connected.  ``verify_trace`` builds every corner anew from its
 own replay.
 """
 
@@ -205,7 +206,8 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     automaton states that reach v's neighbours (see ``path_counts``).  The
     result is validated by ``path_counts``: its Cartan counts must equal
     the ambient ones between kept vertices, else quadratic monomial
-    relations cannot present the corner and it is rejected.
+    relations cannot present the corner and it is rejected.  ``pres``
+    keeps its cached counts.
     """
     kept = set(keep)
     unknown = kept.difference(pres.quiver.vertices)
@@ -222,6 +224,13 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
+    return _checked_corner(pres, v)
+
+
+def _checked_corner(pres, v, take=False):
+    """The corner of ``pres`` without v, a vertex ``idempotent_subalgebra``
+    or ``_step_problem`` accepted, checked against the ambient Cartan
+    counts; ``take`` as in ``_corner``."""
     # the ambient Cartan rows of the kept vertices, without column v
     rows = path_counts(pres)[0]
     expected = dict(rows)
@@ -231,7 +240,7 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     # Nothing longer than a*b passes through v, as v carries no loop: it
     # would be no source and no sink, and for a loop x the summand xA of
     # rad P_v is smaller than P_v, so rad P_v is not projective.
-    out = _corner(pres, v)
+    out = _corner(pres, v, take)
     # the quadratic presentation must reproduce the corner's path counts
     if path_counts(out)[0] != expected:
         raise PreconditionError(
@@ -381,15 +390,14 @@ def _step_problem(current, step) -> str:
     return ""
 
 
-def _apply(current, step):
-    """The pieces ``step`` leaves of ``current`` and the factors it emits."""
+def _apply(current, step, built=False):
+    """The pieces ``step`` leaves of ``current`` and the factors it emits;
+    a strip takes the count tables of a ``current`` a strip ``built``."""
     if step.op == "split":
         return connected_components(current), ()
     if step.op == "terminal":
         return (), (step.factor,)
-    verts = current.quiver.vertices
-    i = verts.index(step.vertex)
-    return (idempotent_subalgebra(current, verts[:i] + verts[i + 1 :]),), (K,)
+    return (_checked_corner(current, step.vertex, built),), (K,)
 
 
 def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
@@ -408,11 +416,11 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         )
     steps = []
     factors = []
-    # (presentation, known to be connected): components are, and so is a
-    # connected presentation minus a vertex with at most one neighbour
-    stack = [(pres, False)]
+    # (presentation, known connected, built by a strip): components are,
+    # and so is a connected one minus a vertex with at most one neighbour
+    stack = [(pres, False, False)]
     while stack:
-        comp, connected = stack.pop()
+        comp, connected, built = stack.pop()
         parts = () if connected else connected_components(comp)
         if not steps or len(parts) > 1:
             witness = "; ".join(",".join(p.quiver.vertices) for p in parts)
@@ -424,15 +432,15 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
                 f"no applicable reduction on {comp!r}", residual=comp
             )
         steps.append(step)
-        pieces, emitted = _apply(comp, step)
+        pieces, emitted = _apply(comp, step, built)
         factors += emitted
         if step.op == "split":
-            stack.extend((p, True) for p in reversed(pieces))
+            stack.extend((p, True, False) for p in reversed(pieces))
         elif pieces:
             q, v = comp.quiver, step.vertex
             neighbours = {q.source(a) for a in q.arrows_into(v)}
             neighbours.update(q.target(a) for a in q.arrows_from(v))
-            stack.append((pieces[0], len(neighbours) <= 1))
+            stack.append((pieces[0], len(neighbours) <= 1, True))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
         raise PreconditionError(
@@ -463,22 +471,22 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
     if trace.initial != pres:
         failures.append("trace does not start at the given presentation")
     emitted = []
-    stack = [pres]
+    stack = [(pres, False)]  # (presentation, built by a strip)
     for i, step in enumerate(trace.steps):
         if not stack:
             failures.append(f"step {i}: nothing left to reduce")
             break
-        current = stack.pop()
+        current, built = stack.pop()
         problem = _step_problem(current, step)
         if not problem:
             try:
-                pieces, factors = _apply(current, step)
+                pieces, factors = _apply(current, step, built)
             except DdiscError as e:
                 problem = f"corner construction failed: {e}"
         if problem:
             failures.append(f"step {i}: {problem}")
             break
-        stack.extend(reversed(pieces))
+        stack.extend((p, step.op != "split") for p in reversed(pieces))
         emitted += factors
     else:
         if stack:

@@ -294,8 +294,8 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
 
 
 def _cached(pres, key, compute):
-    """``compute(pres)``, computed once per presentation and kept in its
-    cache; presentations never change, and callers must not mutate it."""
+    """``compute(pres)``, kept in the cache of ``pres``, which never changes,
+    until a corner takes it (see ``path_counts``); do not mutate it."""
     value = pres._cache.get(key)
     if value is None:
         value = pres._cache[key] = compute(pres)
@@ -407,7 +407,9 @@ def path_counts(pres: BoundQuiverPresentation):
     states like itself, so its counts carry over; a new cycle would pass
     through a state whose edges changed, which is walked again, so
     InfiniteDimensionalError still fires.  Inputs and every other corner
-    are counted from scratch.  Callers must not mutate the result.
+    are counted from scratch.  A series step patches in place the tables of
+    an ambient that the same series built, which then counts again if
+    asked; other ambients keep theirs.  Callers must not mutate the result.
     Raises InfiniteDimensionalError like ``path_basis``.
     """
     return _cached(pres, "path_counts", _counts_from_states)
@@ -470,7 +472,7 @@ def grothendieck_rank(pres: BoundQuiverPresentation) -> int:
 # -- corners -----------------------------------------------------------------
 
 
-def _corner(pres: BoundQuiverPresentation, v: str) -> BoundQuiverPresentation:
+def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
     """The quadratic presentation on every vertex but v, patched from ``pres``.
 
     v must carry no loop.  Its generators are the arrows that avoid v and
@@ -481,9 +483,9 @@ def _corner(pres: BoundQuiverPresentation, v: str) -> BoundQuiverPresentation:
     length 2 that avoid v carry over unchecked; only pairs with a product
     go through ``path_product``.  Vertex and arrow lists are rebuilt at v's
     neighbours only.  When the corner has the window width of ``pres``, its
-    counts are patched from those of ``pres`` (see ``path_counts``).
-    Whether the corner is the idempotent subalgebra is for the caller to
-    check.
+    counts are patched from those of ``pres`` (see ``path_counts``), in
+    place with ``take``.  Whether the corner is the idempotent subalgebra
+    is for the caller to check.
     """
     q = pres.quiver
     ins, outs = q.arrows_into(v), q.arrows_from(v)
@@ -558,7 +560,7 @@ def _corner(pres: BoundQuiverPresentation, v: str) -> BoundQuiverPresentation:
     corner.quiver = quiver
     corner._set_relations(tuple(relations), relset, 2 if relations else 0, by_last)
     if corner._maxrel == pres._maxrel:
-        _patch_counts(pres, corner, v, neighbours)
+        _patch_counts(pres, corner, v, neighbours, take)
     return corner
 
 
@@ -601,14 +603,20 @@ def _reaching(pres, v):
     return [u for u, window in _upstream(pres, [v]) if not window and u != v]
 
 
-def _patch_counts(pres, corner, v, neighbours):
+def _patch_counts(pres, corner, v, neighbours, take):
     """Cache the corner's states and counts, walking again only its states
-    at ``neighbours`` (v's) and the states that reach them."""
+    at ``neighbours`` (v's) and the states that reach them, in the tables
+    of ``pres`` with ``take`` (they leave its cache), else in copies."""
     q = corner.quiver
     width = max(corner._maxrel - 1, 0)
     upstream = _upstream(corner, neighbours)
     at_v = pres.quiver.arrows_into(v) + pres.quiver.arrows_from(v)
-    edges, below = (dict(d) for d in _states(pres))
+    tables = _states(pres), path_counts(pres)
+    if take:
+        del pres._cache["automaton"], pres._cache["path_counts"]
+    else:
+        tables = [[dict(d) for d in pair] for pair in tables]
+    (edges, below), (cartan, by_first) = tables
     # states of pres at v, or behind an arrow at v, are none of the corner's
     lost = [(v, ())]
     if width:
@@ -618,7 +626,6 @@ def _patch_counts(pres, corner, v, neighbours):
         below.pop(state, None)
     _walk(corner, edges, below, upstream)
 
-    cartan, by_first = (dict(d) for d in path_counts(pres))
     del cartan[v]
     for a in at_v:
         del by_first[a]

@@ -228,17 +228,18 @@ def assert_matches_reference(pres):
 @contextlib.contextmanager
 def checking_corners():
     """While active, every corner jordan builds is checked against its
-    reference and listed."""
+    reference and listed: the public ``idempotent_subalgebra`` and the
+    series steps build them all through one builder."""
     built = []
-    build = jordan.idempotent_subalgebra
+    build = jordan._checked_corner
 
-    def checked(pres, keep):
-        corner = build(pres, keep)
+    def checked(pres, v, take=False):
+        corner = build(pres, v, take)
         assert_matches_reference(corner)
         built.append(corner)
         return corner
 
-    with mock.patch.object(jordan, "idempotent_subalgebra", checked):
+    with mock.patch.object(jordan, "_checked_corner", checked):
         yield built
 
 
@@ -522,6 +523,85 @@ def test_series_walks_the_automaton_from_scratch_a_fixed_number_of_times(
     assert walks[0] == walks[1] <= 3, walks
 
 
+@pytest.mark.parametrize(
+    "pres,series_calls",
+    [
+        # one drop-radical step, at vertex 0, found at the first try
+        (build_lambda(3, 5, 0), 1),
+        # two drop-radical steps; the greedy search tries two more vertices
+        (relabel(build_lambda(2, 5, 1), random.Random(2)), 4),
+    ],
+)
+def test_a_strip_decides_radical_projectivity_once(monkeypatch, pres, series_calls):
+    # the step is decided when chosen or checked, and its corner is built
+    # without deciding it again
+    calls = []
+    decide = jordan.is_radical_projective
+
+    def counted(comp, v):
+        calls.append(v)
+        return decide(comp, v)
+
+    monkeypatch.setattr(jordan, "is_radical_projective", counted)
+    trace = strip_series(pres)
+    assert len(calls) == series_calls
+    calls.clear()
+    assert verify_trace(pres, trace).ok
+    drops = [step.vertex for step in trace.steps if step.op == "drop-radical"]
+    assert calls == drops
+
+
+def count_tables(pres):
+    """The cached count tables of ``pres`` and copies of their contents."""
+    tables = [pres._cache["automaton"], pres._cache["path_counts"]]
+    return tables, [[dict(d) for d in pair] for pair in tables]
+
+
+def test_the_callers_presentations_keep_their_count_tables():
+    # strips take the tables of the corners the same series built, never
+    # those of the input or of its cached components
+    inputs = [
+        build_lambda(3, 5, 2),
+        direct_sum([build_lambda(2, 3, 1), build_lambda(1, 2, 0)]),
+    ]
+    for pres in inputs:
+        parts = connected_components(pres)
+        for p in {pres, *parts}:
+            path_counts(p)
+        before = {id(p): count_tables(p) for p in {pres, *parts}}
+        with checking_corners() as built:
+            trace = strip_series(pres)
+            assert verify_trace(pres, trace).ok
+        # some corner did give its tables to the next one
+        assert any("path_counts" not in corner._cache for corner in built)
+        assert all(a is b for a, b in zip(connected_components(pres), parts))
+        for p in {pres, *parts}:
+            tables, contents = before[id(p)]
+            now = [p._cache["automaton"], p._cache["path_counts"]]
+            assert all(a is b for a, b in zip(now, tables))
+            assert count_tables(p)[1] == contents
+    ambient = build_lambda(2, 3, 1)
+    path_counts(ambient)
+    tables, contents = count_tables(ambient)
+    idempotent_subalgebra(ambient, [v for v in ambient.quiver.vertices if v != "0"])
+    assert ambient._cache["automaton"] is tables[0]
+    assert ambient._cache["path_counts"] is tables[1]
+    assert count_tables(ambient)[1] == contents
+
+
+def test_a_corner_that_gave_its_tables_away_counts_again():
+    pres = build_lambda(4, 7, 3)
+    with checking_corners() as built:
+        assert verify_trace(pres, strip_series(pres)).ok
+    assert any("path_counts" not in corner._cache for corner in built)
+    for corner in built:
+        reparsed = parse_presentation(serialize_presentation(corner))
+        assert path_counts(corner) == path_counts(reparsed)
+        for v in corner.quiver.vertices:
+            for read in (is_radical_projective, presentation._paths_from):
+                assert read(corner, v) == read(reparsed, v), (read, v)
+
+
 def test_verify_trace_rejects_forged_radical_drop():
     pres = build_lambda(2, 2, 0)
     forged = SeriesTrace(
@@ -728,9 +808,9 @@ def test_series_and_verify_apply_every_step_through_one_rule(monkeypatch):
     applied = []
     apply = jordan._apply
 
-    def recorded(current, step):
+    def recorded(current, step, built=False):
         applied.append(step)
-        return apply(current, step)
+        return apply(current, step, built)
 
     monkeypatch.setattr(jordan, "_apply", recorded)
     pres = build_lambda(2, 3, 1)

@@ -387,9 +387,13 @@ def test_random_gentle_quivers_classify_and_strip(pres):
         if component_verdict != "yes":
             assert isinstance(form, UnknownClass)
     if verdict.verdict == "yes":
-        with checking_corners():
+        with checking_corners() as built:
             trace = strip_series(pres)
             assert verify_trace(pres, trace).ok
+        # one checked corner per strip step, built by the series and again
+        # by the replay
+        strips = sum(step.op.startswith(("strip", "drop")) for step in trace.steps)
+        assert len(built) == 2 * strips
         assert trace.factor_multiset() == composition_factors(nf)
 
 
