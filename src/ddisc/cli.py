@@ -47,7 +47,7 @@ from .presentation import (
 
 SCHEMA_VERSION = "2"
 
-_OBJECT_RE = re.compile(r"^([XY])(-?[0-9]+)$")
+_OBJECT_RE = re.compile(r"([XY])(-?[0-9]+)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,7 +286,7 @@ def _run_series(args):
 
 
 def _parse_object(pres, desc, spec):
-    m = _OBJECT_RE.match(spec)
+    m = _OBJECT_RE.fullmatch(spec)
     if m is None:
         raise ParseError(f"object {spec!r} is not of the form X<p> or Y<q>")
     kind, index = m.group(1), int(m.group(2))

@@ -311,7 +311,7 @@ def _is_two_truncated_cycle(pres, n) -> bool:
     n vertices and the relations are the n consecutive arrow pairs of it.
     """
     q = pres.quiver
-    if n < 1 or not len(q.vertices) == len(q.arrows) == len(pres.relations) == n:
+    if n < 1 or not len(q.vertices) == len(q.arrows) == len(pres._relset) == n:
         return False
     if any(len(q.arrows_from(v)) != 1 for v in q.vertices):
         return False
@@ -325,7 +325,7 @@ def _is_two_truncated_cycle(pres, n) -> bool:
     if len(cycle) != n:
         return False
     pairs = {(a, cycle[(i + 1) % n]) for i, a in enumerate(cycle)}
-    return all(rel.arrows in pairs for rel in pres.relations)
+    return pres._relset <= pairs
 
 
 def _terminal_step(comp):

@@ -13,7 +13,6 @@ numerically so the Lambda(r,s,t) builders, which label vertices
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -49,6 +48,12 @@ class Path:
         return (len(self.arrows), vertex_sort_key(self.source), self.arrows)
 
 
+def _check_id(kind, name):
+    """Refuse an id the text form cannot carry: one token, no comment."""
+    if name.split() != [name] or "#" in name:
+        raise PresentationError(f"{kind} id {name!r} is empty or holds a space or #")
+
+
 class Quiver:
     """A finite quiver: named vertices and named arrows with endpoints."""
 
@@ -56,12 +61,15 @@ class Quiver:
 
     def __init__(self, vertices, arrows):
         verts = list(vertices)
+        for v in verts:
+            _check_id("vertex", v)
         if len(set(verts)) != len(verts):
             raise PresentationError("duplicate vertex id")
         self.vertices = tuple(sorted(verts, key=vertex_sort_key))
         vset = set(self.vertices)
         named = {}
         for name, src, tgt in arrows:
+            _check_id("arrow", name)
             if name in named:
                 raise PresentationError(f"duplicate arrow id {name!r}")
             if src not in vset or tgt not in vset:
@@ -116,7 +124,7 @@ class Quiver:
 class BoundQuiverPresentation:
     """A quiver together with monomial relations of length >= 2."""
 
-    __slots__ = ("quiver", "relations", "_relset", "_maxrel", "_by_last", "_cache")
+    __slots__ = ("quiver", "_relset", "_maxrel", "_cache")
 
     def __init__(self, quiver: Quiver, relations=()):
         self.quiver = quiver
@@ -129,26 +137,26 @@ class BoundQuiverPresentation:
         self._index(rels)
 
     def _index(self, rels):
-        """Sort relation paths already checked against the quiver, refuse
-        duplicates and index them."""
+        """Store relation paths already checked against the quiver, refusing
+        duplicates; the sorted paths seed the ``relations`` view."""
         rels.sort(key=Path.sort_key)
         relset = frozenset(p.arrows for p in rels)
         if len(relset) != len(rels):
             raise PresentationError("duplicate relation")
-        # relations indexed by their last arrow: a relation occurs in a word
-        # only where that arrow does, so scans look up one bucket per position
-        by_last = {}
-        for rel in rels:
-            by_last.setdefault(rel.arrows[-1], []).append(rel.arrows)
-        maxrel = max((len(p) for p in rels), default=0)
-        self._set_relations(tuple(rels), relset, maxrel, by_last)
+        self._set_relations(relset, max((len(p) for p in rels), default=0))
+        self._cache["relations"] = tuple(rels)
 
-    def _set_relations(self, relations, relset, maxrel, by_last):
-        self.relations = relations
+    def _set_relations(self, relset, maxrel):
+        # the arrow-name tuples of the relations are their one stored form
         self._relset = relset
         self._maxrel = maxrel
-        self._by_last = by_last
         self._cache = {}
+
+    @property
+    def relations(self):
+        """The relations as paths, in ``Path.sort_key`` order: a read-only
+        view of the relation set, made on first read and cached."""
+        return _cached(self, "relations", _relation_paths)
 
     # -- path arithmetic -------------------------------------------------
 
@@ -172,10 +180,11 @@ class BoundQuiverPresentation:
 
     def _relation_ends_at(self, names, end, lo=0, hi=None) -> bool:
         """True when a relation occupies ``names[i:end+1]`` for some ``i``
-        in ``[lo, hi]`` (``hi`` unbounded when None)."""
-        for rel in self._by_last.get(names[end], ()):
-            i = end + 1 - len(rel)
-            if lo <= i and (hi is None or i <= hi) and names[i : end + 1] == rel:
+        in ``[lo, hi]`` (``hi`` unbounded when None): the slices of length 2
+        up to the longest relation are looked up in the relation set."""
+        top = end - 1 if hi is None else min(hi, end - 1)
+        for i in range(max(lo, end + 1 - self._maxrel), top + 1):
+            if names[i : end + 1] in self._relset:
                 return True
         return False
 
@@ -183,12 +192,6 @@ class BoundQuiverPresentation:
         """True when no relation occurs as a contiguous subword."""
         names = tuple(arrow_names)
         return not any(self._relation_ends_at(names, j) for j in range(len(names)))
-
-    def _extension_is_normal(self, arrow_names) -> bool:
-        # Assumes every proper prefix is normal: only check relations that
-        # end at the last arrow.
-        names = tuple(arrow_names)
-        return not names or not self._relation_ends_at(names, len(names) - 1)
 
     def path_product(self, p: Path, q: Path):
         """Product in the algebra; ``None`` when the product is zero."""
@@ -223,7 +226,7 @@ class BoundQuiverPresentation:
     def __repr__(self):
         return (
             f"BoundQuiverPresentation({len(self.quiver.vertices)} vertices, "
-            f"{len(self.quiver.arrows)} arrows, {len(self.relations)} relations)"
+            f"{len(self.quiver.arrows)} arrows, {len(self._relset)} relations)"
         )
 
 
@@ -302,23 +305,34 @@ def _cached(pres, key, compute):
     return value
 
 
+def _relation_paths(pres):
+    """The ``relations`` view: each relation as a path, in canonical order."""
+    q = pres.quiver
+    paths = (Path(q.source(r[0]), q.target(r[-1]), r) for r in pres._relset)
+    return tuple(sorted(paths, key=Path.sort_key))
+
+
 def _walk(pres, edges, below, roots):
     """Depth-first search of the suffix automaton from ``roots``.
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
-    that window determines which one-arrow extensions stay normal, so the
-    basis paths from v are the walks from (v, ()), and a path x times a
-    path y is nonzero iff y walks from the state that x ends in.  Path
-    listings (``_paths_from``) and annihilator generators read these edges
-    and check no relation again.  A state is done once it has ``below``,
-    the counts by target vertex of the walks from it: the search enters no
-    done state, sets ``edges`` (the (arrow, next state) pairs) of every
-    state it enters, and finishes states children first.  A cycle among
-    entered states pumps to arbitrarily long normal paths: that raises
-    InfiniteDimensionalError, a structural check rather than a cutoff.
+    that window determines which one-arrow extensions stay normal: the
+    window is normal, so only a suffix of window plus arrow can be a
+    relation, and each suffix of length 2 or more is looked up in the
+    relation set.  So the basis paths from v are the walks from (v, ()),
+    and a path x times a path y is nonzero iff y walks from the state that
+    x ends in.  Path listings (``_paths_from``) and annihilator generators
+    read these edges and check no relation again.  A state is done once it
+    has ``below``, the counts by target vertex of the walks from it: the
+    search enters no done state, sets ``edges`` (the (arrow, next state)
+    pairs) of every state it enters, and finishes states children first.
+    A cycle among entered states pumps to arbitrarily long normal paths:
+    that raises InfiniteDimensionalError, a structural check rather than a
+    cutoff.
     """
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
+    relset = pres._relset
     active = set()  # states on the search stack
 
     def enter(state):
@@ -326,7 +340,11 @@ def _walk(pres, edges, below, roots):
         outs = edges[state] = []
         for a in q.arrows_from(vertex):
             word = window + (a,)
-            if pres._extension_is_normal(word):
+            # kept inline: it runs once per edge
+            k = len(word) - 2
+            while k >= 0 and word[k:] not in relset:
+                k -= 1
+            if k < 0:
                 outs.append((a, (q.target(a), word[-width:] if width else ())))
         active.add(state)
         return state, iter(outs)
@@ -403,13 +421,14 @@ def path_counts(pres: BoundQuiverPresentation):
     is counted when it is built, from the ambient's cache: only its states
     at v's neighbours and the states that reach them are walked again.
     Every other state has the same edges in both automata, as its vertex
-    keeps its arrows and its window its relations, and it reaches only
-    states like itself, so its counts carry over; a new cycle would pass
-    through a state whose edges changed, which is walked again, so
-    InfiniteDimensionalError still fires.  Inputs and every other corner
-    are counted from scratch.  A series step patches in place the tables of
-    an ambient that the same series built, which then counts again if
-    asked; other ambients keep theirs.  Callers must not mutate the result.
+    keeps its arrows and the relation set keeps every pair its window
+    starts, and it reaches only states like itself, so its counts carry
+    over; a new cycle would pass through a state whose edges changed, which
+    is walked again, so InfiniteDimensionalError still fires.  Inputs and
+    every other corner are counted from scratch.  A series step patches in
+    place the tables of an ambient that the same series built, which then
+    counts again if asked; other ambients keep theirs.  Callers must not
+    mutate the result.
     Raises InfiniteDimensionalError like ``path_basis``.
     """
     return _cached(pres, "path_counts", _counts_from_states)
@@ -481,7 +500,9 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
     of generators that vanish in ``pres``.  Two arrows multiply to zero
     exactly when they form a relation, so the relations of ``pres`` of
     length 2 that avoid v carry over unchecked; only pairs with a product
-    go through ``path_product``.  Vertex and arrow lists are rebuilt at v's
+    go through ``path_product``.  Only the relation set is edited: the
+    pairs at v and every longer relation leave it, the vanishing pairs with
+    a product join it.  Vertex and arrow lists are rebuilt at v's
     neighbours only.  When the corner has the window width of ``pres``, its
     counts are patched from those of ``pres`` (see ``path_counts``), in
     place with ``take``.  Whether the corner is the idempotent subalgebra
@@ -493,7 +514,7 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
     products = {}
     for a in ins:
         for b in outs:
-            if pres._extension_is_normal((a, b)):
+            if (a, b) not in pres._relset:  # single arrows are normal
                 label = f"{a}*{b}"
                 while label in q.arrows or label in products:
                     label += "'"
@@ -518,17 +539,12 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
         )
     quiver = Quiver._assemble(q.vertices[:i] + q.vertices[i + 1 :], arrows, out, into)
 
-    # relations of pres that touch v (they end at an arrow at v or start at
-    # one out of v), and all longer ones
-    dead = {rel for a in gone for rel in pres._by_last.get(a, ())}
-    dead.update(
-        (b, c)
-        for b in outs
-        for c in q.arrows_from(q.target(b))
-        if (b, c) in pres._relset
-    )
+    # every pair through an arrow at v and every longer relation: no
+    # relation of the corner, whether a relation of pres or not
+    dead = {(c, a) for a in gone for c in q._in[q.source(a)]}
+    dead.update((a, c) for a in gone for c in q._out[q.target(a)])
     if pres._maxrel > 2:
-        dead.update(rel.arrows for rel in pres.relations if len(rel) > 2)
+        dead.update(rel for rel in pres._relset if len(rel) > 2)
 
     def path_of(name):  # the path of pres that a generator stands for
         return products.get(name) or Path(*q.arrows[name], (name,))
@@ -536,29 +552,14 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
     # new relations: the pairs with a product in them that vanish in pres
     pairs = {(g, name) for name, p in products.items() for g in into[p.source]}
     pairs.update((name, h) for name, p in products.items() for h in out[p.target])
-    born = [
-        Path(arrows[g][0], arrows[h][1], (g, h))
-        for g, h in sorted(pairs)
-        if pres.path_product(path_of(g), path_of(h)) is None
-    ]
+    born = {
+        (g, h) for g, h in pairs if pres.path_product(path_of(g), path_of(h)) is None
+    }
 
-    relations = list(pres.relations)
-    for names in dead:
-        key = (len(names), vertex_sort_key(q.source(names[0])), names)
-        del relations[bisect.bisect_left(relations, key, key=Path.sort_key)]
-    for rel in born:
-        bisect.insort(relations, rel, key=Path.sort_key)
-    by_last = dict(pres._by_last)
-    for names in dead:
-        rest = [rel for rel in by_last.pop(names[-1], ()) if rel != names]
-        if rest:
-            by_last[names[-1]] = rest
-    for rel in born:
-        by_last[rel.arrows[-1]] = [*by_last.get(rel.arrows[-1], ()), rel.arrows]
-    relset = pres._relset.difference(dead).union(rel.arrows for rel in born)
+    relset = pres._relset - dead | born
     corner = object.__new__(BoundQuiverPresentation)
     corner.quiver = quiver
-    corner._set_relations(tuple(relations), relset, 2 if relations else 0, by_last)
+    corner._set_relations(relset, 2 if relset else 0)
     if corner._maxrel == pres._maxrel:
         _patch_counts(pres, corner, v, neighbours, take)
     return corner
@@ -773,7 +774,7 @@ def _lambda_descriptor(pres):
     n = len(pres.quiver.vertices)
     t = sum(1 for v in pres.quiver.vertices if v.startswith("-"))
     try:
-        desc = LambdaDescriptor(len(pres.relations), n - t, t)
+        desc = LambdaDescriptor(len(pres._relset), n - t, t)
     except PresentationError:
         return ()
     return desc if pres == build_lambda(desc.r, desc.s, desc.t) else ()
@@ -797,7 +798,7 @@ def find_isomorphism(p1: BoundQuiverPresentation, p2: BoundQuiverPresentation):
     q1, q2 = p1.quiver, p2.quiver
     if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return None
-    if len(p1.relations) != len(p2.relations):
+    if len(p1._relset) != len(p2._relset):
         return None
     sig2 = {}
     for v in q2.vertices:
@@ -876,7 +877,7 @@ def _match_arrows(p1, p2, vmap):
 
     def assign(i, amap):
         if i == len(keys):
-            mapped = {tuple(amap[a] for a in rel.arrows) for rel in p1.relations}
+            mapped = {tuple(amap[a] for a in rel) for rel in p1._relset}
             return dict(amap) if mapped == rels2 else None
         (src_tgt, image) = keys[i]
         names = classes1[src_tgt]

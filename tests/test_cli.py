@@ -274,6 +274,13 @@ def test_input_errors_exit_1(tmp_path):
         "--max-shift", "2",
     )
     assert bad_obj.returncode == 1 and "Z9" in bad_obj.stderr
+    # a trailing newline is no part of an object name
+    newline_obj = run_cli(
+        "hom", "--lambda", "2", "2", "1", "--from", "X1\n", "--to", "X0",
+        "--max-shift", "2",
+    )
+    assert newline_obj.returncode == 1 and "'X1\\n'" in newline_obj.stderr
+    assert "Traceback" not in newline_obj.stderr
     # well-formed objects outside the index ranges of Lambda(2,2,1) and
     # Lambda(2,2,0), and a recollement depth below 1, are bad arguments too
     for lam, src, dst in [

@@ -7,7 +7,9 @@ module, when ``__all__`` lists it, when it is a ``from __future__``
 import, or when its line carries ``# noqa: F401`` (a name kept bound for
 tools that look it up on the module).  A module-level function, class or
 assignment whose name starts with a single underscore counts as read when
-some module loads it as a name, reads it as an attribute or imports it.
+some module loads it as a name, reads it as an attribute or imports it.  A
+method of a module-level class whose name starts with a single underscore
+counts as read when some module reads it as an attribute.
 """
 
 import ast
@@ -70,12 +72,19 @@ def test_the_check_flags_what_it_should_and_nothing_else():
 
 
 def unread_private_names(sources):
-    """(module, line, name) of each module-level private name in ``sources``
-    (module name -> source) that no module reads."""
-    defined, read = [], set()
+    """(module, line, name) of each module-level private name and each
+    private method, named ``Class._name``, in ``sources`` (module name ->
+    source) that no module reads."""
+    defined, methods, loaded, attrs = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (module, item.lineno, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -93,16 +102,26 @@ def unread_private_names(sources):
             defined += [(module, node.lineno, name) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                read.update(alias.name for alias in node.names)
-    return [
+                loaded.update(alias.name for alias in node.names)
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    unread = [
         (module, line, name)
         for module, line, name in defined
-        if name.startswith("_") and not name.startswith("__") and name not in read
+        if private(name) and name not in loaded | attrs
     ]
+    unread += [
+        (module, line, f"{cls}.{name}")
+        for module, line, cls, name in methods
+        if private(name) and name not in attrs
+    ]
+    return unread
 
 
 def test_package_reads_every_private_helper():
@@ -119,6 +138,11 @@ def test_the_helper_check_flags_what_it_should_and_nothing_else():
             "def _orphan(): pass\n"
             "class _Imported: pass\n"
             "def f(): return _called()\n"
+            "class Box:\n"
+            "    def __init__(self): self._read()\n"
+            "    def _read(self): return 1\n"
+            "    def _called(self): pass\n"
+            "    def public(self): pass\n"
         ),
         "b": (
             "from . import a\n"
@@ -135,4 +159,5 @@ def test_the_helper_check_flags_what_it_should_and_nothing_else():
         ("a", 4, "_orphan"),
         ("b", 3, "_stored"),
         ("b", 7, "_written"),
+        ("a", 10, "Box._called"),  # loaded as a name only, never as a method
     ]

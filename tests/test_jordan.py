@@ -220,9 +220,6 @@ def assert_matches_reference(pres):
         assert q.arrows_from(v) == ref.quiver.arrows_from(v)
         assert q.arrows_into(v) == ref.quiver.arrows_into(v)
     assert pres._maxrel == ref._maxrel
-    assert {a: sorted(rels) for a, rels in pres._by_last.items()} == {
-        a: sorted(rels) for a, rels in ref._by_last.items()
-    }
 
 
 @contextlib.contextmanager
@@ -929,3 +926,29 @@ def test_simplicity_refuses_unknown_and_bad_n():
         is_n_derived_simple(kron, 1)
     with pytest.raises(PreconditionError):
         is_n_derived_simple(lambda_normal_form(build_lambda(1, 1, 0)), 0)
+
+
+def test_a_series_sorts_no_relation_list(monkeypatch):
+    # relations are stored as one set; their sorted path view is made on
+    # first read, and a series reads it only where the constructor left it
+    made = []
+    make = presentation._relation_paths
+
+    def counted(pres):
+        made.append(pres)
+        return make(pres)
+
+    monkeypatch.setattr(presentation, "_relation_paths", counted)
+    literal = build_lambda(20, 40, 20)
+    inputs = [
+        literal,
+        relabel(build_lambda(4, 9, 3), random.Random(2)),
+        direct_sum([build_lambda(2, 3, 1), build_lambda(1, 2, 0)]),
+    ]
+    for pres in inputs:
+        assert verify_trace(pres, strip_series(pres)).ok
+    assert made == []
+    # a caller who reads a corner's relations gets them made, in order
+    corner = idempotent_subalgebra(literal, literal.quiver.vertices[1:])
+    assert corner.relations == build_lambda(20, 40, 19).relations
+    assert made == [corner]

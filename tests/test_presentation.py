@@ -205,6 +205,19 @@ def test_serialize_parse_round_trip():
         assert parse_presentation(serialize_presentation(pres)) == pres
 
 
+def test_quiver_refuses_ids_the_text_form_cannot_carry():
+    # each of these would serialize to text that does not parse back
+    for vertices, arrows in [
+        (["a b", "c"], [("x", "a b", "c")]),  # a vertex with a space
+        (["0", "1"], [("p#q", "0", "1")]),  # an arrow with a comment mark
+        ([""], []),  # an empty vertex
+    ]:
+        with pytest.raises(PresentationError, match="is empty or holds"):
+            Quiver(vertices, arrows)
+    # what the parser reads, corner products and tagged summands all pass
+    Quiver(["-1", "0:x", "v'"], [("a*b'", "-1", "0:x"), ("0:a", "v'", "v'")])
+
+
 def test_parse_reports_line_numbers():
     cases = [
         ("vertex v\nfrob x y\n", 2),  # unknown directive
