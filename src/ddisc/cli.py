@@ -125,11 +125,49 @@ def _component_label(entry):
     return f"unknown ({entry['reason']})"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this one
+    knows only the shapes a report holds: dicts with str keys, lists and
+    tuples, str (through the C escaper), int, bool and None.  Anything
+    else, keys included, raises ``TypeError`` rather than print other bytes.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = (_quote(k) + ": " + _json(value[k], inner) for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"a report cannot hold {kind.__name__}")
+
+
 def _emit(report, pretty, render):
-    if pretty:
-        print(render(report))
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    """Print ``render(report)``, or the report as indented JSON with
+    sorted keys (see ``_json``)."""
+    print(render(report) if pretty else _json(report))
 
 
 # -- classify -----------------------------------------------------------------

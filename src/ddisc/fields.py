@@ -36,28 +36,50 @@ class RationalField:
         return hash("ddisc.QQ")
 
 
-# The first 13 primes.  As Miller-Rabin witnesses they decide primality
-# exactly below 3,317,044,064,679,887,385,961,981 (about 3.3e24), the
-# smallest composite that all of them pass.
+# The first 13 primes, and for each k the bound psi_k (OEIS A014233) below
+# which the first k of them, as Miller-Rabin witnesses, decide primality
+# exactly: psi_k is the smallest composite that all k pass.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first 13 prime bases.
+    """Miller-Rabin over the first k prime bases, for the least k with
+    n < psi_k, which makes the answer exact: 2 bases for n < 1,373,653.
 
-    Exact for n < 3.3e24.  Beyond that bound some composites pass every
-    base and would be accepted as prime.
+    Raises ``ValueError`` for n >= psi_13 (about 3.3e24), where some
+    composites pass all 13 bases.
     """
     if n < 2:
         return False
-    for b in _WITNESSES:
+    for k, bound in enumerate(_BOUNDS, 1):
+        if n < bound:
+            break
+    else:
+        raise ValueError(f"{n}: primality is not decided at or above {_BOUNDS[-1]}")
+    bases = _WITNESSES[:k]
+    for b in bases:
         if n % b == 0:
             return n == b
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for b in _WITNESSES:
+    for b in bases:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -74,6 +96,8 @@ class PrimeField:
     """The prime field with ``p`` elements, ``p`` a prime."""
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise TypeError(f"p must be an int, got {p!r}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

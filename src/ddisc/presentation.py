@@ -178,20 +178,28 @@ class BoundQuiverPresentation:
                 raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
         return Path(q.source(names[0]), q.target(names[-1]), names)
 
-    def _relation_ends_at(self, names, end, lo=0, hi=None) -> bool:
+    def _relation_ends_at(self, names, end, lo, hi) -> bool:
         """True when a relation occupies ``names[i:end+1]`` for some ``i``
-        in ``[lo, hi]`` (``hi`` unbounded when None): the slices of length 2
-        up to the longest relation are looked up in the relation set."""
-        top = end - 1 if hi is None else min(hi, end - 1)
-        for i in range(max(lo, end + 1 - self._maxrel), top + 1):
+        in ``[lo, hi]``: the slices of length 2 up to the longest relation
+        are looked up in the relation set."""
+        for i in range(max(lo, end + 1 - self._maxrel), min(hi, end - 1) + 1):
             if names[i : end + 1] in self._relset:
                 return True
         return False
 
     def is_normal(self, arrow_names) -> bool:
-        """True when no relation occurs as a contiguous subword."""
+        """True when no relation occurs as a contiguous subword: every
+        window of length 2 up to the longest relation is looked up in the
+        relation set."""
         names = tuple(arrow_names)
-        return not any(self._relation_ends_at(names, j) for j in range(len(names)))
+        relset, longest = self._relset, self._maxrel
+        for end in range(2, len(names) + 1):
+            start = end - longest if end > longest else 0
+            while start < end - 1:
+                if names[start:end] in relset:
+                    return False
+                start += 1
+        return True
 
     def path_product(self, p: Path, q: Path):
         """Product in the algebra; ``None`` when the product is zero."""
@@ -743,6 +751,16 @@ class LambdaDescriptor:
         return self.s + self.t
 
 
+def _lambda_parts(r, s, t):
+    """The vertex ids, arrow triples and relation pairs of Lambda(r,s,t),
+    in the order a ``Quiver`` stores them; see ``build_lambda``."""
+    vertices = [str(q) for q in range(-t, s)]
+    arrows = [(f"a{q}", str(q), str(q + 1)) for q in range(-t, 0)]
+    arrows += [(f"a{p}", str(p), str((p + 1) % s)) for p in range(s)]
+    relations = [(f"a{p}", f"a{(p + 1) % s}") for p in range(s - r, s)]
+    return vertices, arrows, relations
+
+
 def build_lambda(r: int, s: int, t: int) -> BoundQuiverPresentation:
     """The gentle one-cycle algebra Lambda(r,s,t).
 
@@ -751,12 +769,7 @@ def build_lambda(r: int, s: int, t: int) -> BoundQuiverPresentation:
     cycle pairs ending with the pair through vertex 0.
     """
     desc = LambdaDescriptor(r, s, t)
-    vertices = [str(q) for q in range(-desc.t, desc.s)]
-    arrows = [(f"a{q}", str(q), str(q + 1)) for q in range(-desc.t, 0)]
-    arrows += [(f"a{p}", str(p), str((p + 1) % desc.s)) for p in range(desc.s)]
-    relations = [
-        (f"a{p}", f"a{(p + 1) % desc.s}") for p in range(desc.s - desc.r, desc.s)
-    ]
+    vertices, arrows, relations = _lambda_parts(desc.r, desc.s, desc.t)
     return BoundQuiverPresentation(Quiver(vertices, arrows), relations)
 
 
@@ -769,15 +782,27 @@ def lambda_descriptor_of(pres: BoundQuiverPresentation):
 
 
 def _lambda_descriptor(pres):
-    """The descriptor of ``pres``, or () when it is no literal Lambda(r,s,t)."""
+    """The descriptor of ``pres``, or () when it is no literal Lambda(r,s,t).
+
+    The only candidate is read off the counts; ``pres`` is then compared
+    with that candidate's parts as ``==`` would compare it with
+    ``build_lambda``'s presentation, without building one.
+    """
     # the literal tail vertices are exactly the negative ids, which fixes t
-    n = len(pres.quiver.vertices)
-    t = sum(1 for v in pres.quiver.vertices if v.startswith("-"))
+    q = pres.quiver
+    n = len(q.vertices)
+    t = sum(1 for v in q.vertices if v.startswith("-"))
     try:
         desc = LambdaDescriptor(len(pres._relset), n - t, t)
     except PresentationError:
         return ()
-    return desc if pres == build_lambda(desc.r, desc.s, desc.t) else ()
+    vertices, arrows, relations = _lambda_parts(desc.r, desc.s, desc.t)
+    literal = (
+        q.vertices == tuple(vertices)
+        and q.arrows == {name: (src, tgt) for name, src, tgt in arrows}
+        and pres._relset == frozenset(relations)
+    )
+    return desc if literal else ()
 
 
 # -- isomorphism of labelled presentations -----------------------------------

@@ -145,6 +145,42 @@ def test_names_perfbench_reads_stay_bound():
     assert classify.find_isomorphism is presentation.find_isomorphism
 
 
+def test_lambda_recognizer_builds_nothing(monkeypatch):
+    # recognizing a literal compares it with Lambda(r,s,t)'s parts, so no
+    # quiver or presentation is built to compare against
+    pres = parse_presentation(presentation.serialize_presentation(build_lambda(4, 4, 3)))
+    built = []
+    for cls in (presentation.Quiver, BoundQuiverPresentation):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert build_lambda(1, 1, 0) is not None and len(built) == 2
+    built.clear()
+    assert presentation.lambda_descriptor_of(pres) == presentation.LambdaDescriptor(4, 4, 3)
+    assert built == []
+
+
+def test_emitter_matches_json_dumps(capsys):
+    # every golden report, and a hom report, re-emitted byte for byte
+    texts = [out.read_text(encoding="utf-8") for out in sorted(DATA.glob("*.out"))]
+    argv = ["hom", "--lambda", "3", "3", "2", "--from", "X1", "--to", "Y-2"]
+    assert cli.main(argv + ["--max-shift", "6"]) == 0
+    texts.append(capsys.readouterr().out)
+    reports = [json.loads(text) for text in texts if text]
+    assert reports[-1]["hom"]["dims"] and len(reports) > 30
+    for report, text in zip(reports, filter(None, texts)):
+        assert cli._json(report) + "\n" == text
+        assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+    # a type json would print differently, or not at all, fails loudly
+    for odd in (1.5, {"x": [1, 2.0]}, {1: "int key"}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._json(odd)
+
+
 def test_ops_leave_no_presentation_to_the_cycle_collector(capsys):
     # a cached value that refers back to its presentation would keep every
     # presentation of an op alive until the cycle collector runs

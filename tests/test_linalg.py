@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ddisc.linalg as linalg
-from ddisc.fields import GF, QQ
+from ddisc.fields import _BOUNDS, _WITNESSES, GF, QQ, _is_prime
 
 LARGE_PRIMES = (4611686018427387847, 2**61 - 1)
 
@@ -99,7 +99,52 @@ def test_prime_field_scalar_rules():
     for not_prime in (0, 1, 4, 561, 2**61 + 1):
         with pytest.raises(ValueError):
             GF(not_prime)
+    # a float p would make float scalars; a str p fails only in a comparison
+    for not_int in (7.0, "7", True):
+        with pytest.raises(TypeError, match="p must be an int"):
+            GF(not_int)
     assert GF(5) == GF(5) and GF(5) != GF(7) != QQ
+
+
+def _is_prime_13(n):
+    """Reference: Miller-Rabin over all 13 bases, whatever the size of n."""
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primality_uses_only_the_witnesses_p_needs():
+    # psi_k is the least composite passing the first k bases, so each one
+    # is a strong pseudoprime that the sized test must still refuse
+    assert all(_is_prime(n) == _is_prime_13(n) for n in range(-2, 200_000))
+    for bound in _BOUNDS[:-1]:
+        assert not _is_prime_13(bound)
+        for n in (bound - 2, bound, bound + 2):
+            assert _is_prime(n) == _is_prime_13(n)
+    top = _BOUNDS[-1]
+    assert _is_prime(top - 2) == _is_prime_13(top - 2)
+    for undecided in (top, top + 2):
+        with pytest.raises(ValueError, match="primality is not decided"):
+            _is_prime(undecided)
+        with pytest.raises(ValueError, match="primality is not decided"):
+            GF(undecided)
 
 
 # -- sparse kernel against a dense reference -------------------------------------

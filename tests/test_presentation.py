@@ -20,6 +20,7 @@ from ddisc import (
     serialize_presentation,
 )
 from ddisc.presentation import BoundQuiverPresentation, LambdaDescriptor, Quiver
+from test_classify import relabel
 
 A3_TEXT = """
 # linear A_3 with one zero relation
@@ -314,3 +315,75 @@ def test_lambda_descriptor_of():
     text = serialize_presentation(build_lambda(2, 2, 1))
     assert lambda_descriptor_of(parse_presentation(text.replace("-1", "-7"))) is None
     assert lambda_descriptor_of(parse_presentation(text.replace("a0", "b0"))) is None
+
+
+def _one_edit_perturbations(pres):
+    """Presentations one edit away from ``pres``: an arrow retargeted, an
+    arrow renamed, a relation moved to another composable pair, or an
+    isolated vertex added to the tail.  Edits that break a relation are
+    skipped."""
+    q = pres.quiver
+    vertices = list(q.vertices)
+    arrows = [(a, src, tgt) for a, (src, tgt) in q.arrows.items()]
+    rels = [rel.arrows for rel in pres.relations]
+
+    def make(verts, arrs, relations):
+        try:
+            return BoundQuiverPresentation(Quiver(verts, arrs), relations)
+        except PresentationError:
+            return None
+
+    edits = []
+    for i, (a, src, tgt) in enumerate(arrows):
+        for v in vertices:
+            if v != tgt:
+                edits.append(make(vertices, arrows[:i] + [(a, src, v)] + arrows[i + 1 :], rels))
+        renamed = {a: "z"}
+        edits.append(
+            make(
+                vertices,
+                arrows[:i] + [("z", src, tgt)] + arrows[i + 1 :],
+                [tuple(renamed.get(x, x) for x in rel) for rel in rels],
+            )
+        )
+    pairs = [(a, b) for a, _, mid in arrows for b in q.arrows_from(mid)]
+    for i in range(len(rels)):
+        for pair in pairs:
+            if pair not in rels:
+                edits.append(make(vertices, arrows, rels[:i] + [pair] + rels[i + 1 :]))
+    edits.append(make(vertices + [str(-len(vertices) - 1)], arrows, rels))
+    return [p for p in edits if p is not None]
+
+
+def test_lambda_recognizer_agrees_with_its_definition():
+    # the definition: the descriptor of the build_lambda presentation that
+    # equals pres, looked up by the presentation's own hash and ==
+    definition = {
+        build_lambda(r, s, t): LambdaDescriptor(r, s, t)
+        for s in range(1, 6)
+        for r in range(1, s + 1)
+        for t in range(5)
+    }
+    rng = random.Random(5)
+    checked = 0
+    for literal, desc in definition.items():
+        if desc.t > 3:
+            continue
+        fresh = parse_presentation(serialize_presentation(literal))
+        assert lambda_descriptor_of(fresh) == desc
+        assert lambda_descriptor_of(relabel(literal, rng)) is None
+        for pres in _one_edit_perturbations(literal):
+            assert lambda_descriptor_of(pres) == definition.get(pres)
+            assert lambda_descriptor_of(pres) is None
+            checked += 1
+        # a tail vertex fed by the next literal arrow makes Lambda(r,s,t+1)
+        longer = BoundQuiverPresentation(
+            Quiver(
+                list(literal.quiver.vertices) + [str(-desc.t - 1)],
+                [(a, *ends) for a, ends in literal.quiver.arrows.items()]
+                + [(f"a{-desc.t - 1}", str(-desc.t - 1), str(-desc.t))],
+            ),
+            literal.relations,
+        )
+        assert lambda_descriptor_of(longer) == LambdaDescriptor(desc.r, desc.s, desc.t + 1)
+    assert checked > 1500

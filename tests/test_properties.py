@@ -2,12 +2,14 @@
 and corner algebras against the listed path basis, radical projectivity
 from path counts against a module computation, minimal exact resolutions
 read off paths, relabeling invariance of classify, factors and series,
-classification, series and global dimension of random gentle quivers, and
-hom tables that do not depend on the field.
+classification, series and global dimension of random gentle quivers,
+hom tables that do not depend on the field, and the report emitter against
+``json.dumps``.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
+import json
 import sys
 from collections import Counter
 
@@ -29,6 +31,7 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
+import ddisc.cli as cli
 from ddisc.classify import UnknownClass, _assert_gentle_finite, relation_full_cycles
 from ddisc.fields import GF, QQ
 from ddisc.homology import (
@@ -457,3 +460,29 @@ def test_hom_tables_agree_over_qq_and_gf(case):
         for field in (QQ, GF(p))
     ]
     assert tables[0] == tables[1]
+
+
+# values shaped like reports: str keys, non-ASCII, control and quote
+# characters, ints past 64 bits, bools, None, lists and tuples
+report_leaves = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", " ", "\U0001f600"])
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.booleans()
+    | st.none()
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70), max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(FIXED, max_examples=400)
+@given(report_values)
+def test_report_emitter_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
