@@ -49,6 +49,10 @@ SCHEMA_VERSION = "2"
 
 _OBJECT_RE = re.compile(r"([XY])(-?[0-9]+)")
 
+# the largest --max-shift: a table of a million entries prints in well
+# under a second, and a larger one is no table a caller reads
+_MAX_SHIFT = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; 2 is taken, input errors are 1
@@ -353,6 +357,8 @@ def _run_hom(args):
     dst = _parse_object(pres, desc, args.dst)
     if args.max_shift < 0:
         raise ParseError("--max-shift must be nonnegative")
+    if args.max_shift > _MAX_SHIFT:
+        raise ParseError(f"--max-shift must be at most {_MAX_SHIFT}")
     table = hom_table(pres, src, dst, args.max_shift)
     report = _envelope("hom", pres)
     report["hom"] = {

@@ -47,6 +47,7 @@ table does not grow with its depth.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 from .errors import PreconditionError
@@ -597,6 +598,8 @@ def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:
     """
     if hmax < 0:
         raise PreconditionError("hmax must be nonnegative")
+    if hmax >= sys.maxsize:
+        raise PreconditionError(f"hmax must be below {sys.maxsize}, a list's bound")
     if X.pres != pres or Y.pres != pres:
         raise PreconditionError("mismatched algebras")
     head, cycle = _ext_counts(X, Y, hmax)

@@ -10,23 +10,21 @@ claim.  Both check and apply every step through one rule, ``_step_problem``
 then ``_apply``.  ``composition_factors`` computes the factor multiset
 straight from the normal form, giving an independent cross-check on the trace.
 
-Every step's precondition is decided by the quiver's shape or by basis-path
-counts, which ``path_counts`` reads off the relation automaton without
-listing a path: for monomial relations, whether a vertex's projective has
-projective radical is a comparison of those counts (Green-Happel-Zacharia).
-A corner algebra reads its generators off the arrows at the dropped vertex
-and is checked against the ambient Cartan counts.  So building and checking
-a series lists no path, constructs no module and runs no linear algebra.
-
-A corner is patched from the ambient.  When its relations have the
-ambient's length (2, or none), its counts are too: only the automaton
-states at the dropped vertex's neighbours and the states that reach them
-are walked again.  The other states keep their edges, so their counts carry
-over: a series step takes the tables of an ambient the same series built
-and copies any other's.  ``strip_series`` looks for components again only
-after dropping a vertex with two or more neighbours; a connected algebra
-minus a leaf stays connected.  ``verify_trace`` builds every corner anew from its
-own replay.
+A series is decided on the relation set and counts no path.  Every input
+``strip_series`` accepts is hereditary or gentle, so its relations have
+length 2 (or there are none), and then rad P_v is projective iff no
+relation starts with an arrow out of v (Green-Happel-Zacharia), which
+``_radical_projective`` looks up.  The corner that drops such a vertex, or
+a source or a sink, is presented exactly by the quadratic relations that
+``_corner`` edits into the set: a word in its generators vanishes iff a
+relation straddles two consecutive ones, and every such pair is kept or
+born.  Only the corners of an algebra with longer relations, which no
+series of ``strip_series`` meets, are checked against the Cartan counts of
+``path_counts``.  So building and checking a series lists no path,
+constructs no module and runs no linear algebra.  ``strip_series`` looks
+for components again only after dropping a vertex with two or more
+neighbours; a connected algebra minus a leaf stays connected.
+``verify_trace`` builds every corner anew from its own replay.
 """
 
 from collections import Counter
@@ -43,8 +41,8 @@ from .classify import (
 )
 from .presentation import (
     BoundQuiverPresentation,
+    _assert_finite_dimensional,
     _corner,
-    _reaching,
     connected_components,
     grothendieck_rank,
     path_counts,
@@ -189,6 +187,22 @@ def is_radical_projective(pres, v) -> RadicalProjectivity:
     return RadicalProjectivity(defect == 0, tuple(q.target(a) for a in outs), defect)
 
 
+def _radical_projective(pres, v) -> bool:
+    """``is_radical_projective(pres, v).projective``, looked up in the
+    relation set when no relation is longer than 2: the summand aA of
+    rad P_v is P_w for a: v -> w iff no nonzero path p has ap = 0, iff no
+    relation starts with a.  A loop at v is refused outright: over a finite
+    dimensional algebra it starts a relation, and ``_corner`` needs none.
+    Longer relations are decided by the counts."""
+    if pres._maxrel > 2:
+        return is_radical_projective(pres, v).projective
+    q, relset = pres.quiver, pres._relset
+    return not any(
+        q.target(a) == v or any((a, b) in relset for b in q.arrows_from(q.target(a)))
+        for a in q.arrows_from(v)
+    )
+
+
 # -- corner algebras -------------------------------------------------------------
 
 
@@ -200,14 +214,14 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     interior vertex, read at v: the arrows between kept vertices and the
     normal products a*b through v, each product named apart from every
     arrow of the input.  Relations are the length-2 products of those that
-    vanish in the ambient algebra.  The corner is patched from the ambient,
-    not rebuilt: lists change at v's neighbours only, and when the window
-    width stays the same, its path counts are recounted only at the
-    automaton states that reach v's neighbours (see ``path_counts``).  The
-    result is validated by ``path_counts``: its Cartan counts must equal
-    the ambient ones between kept vertices, else quadratic monomial
-    relations cannot present the corner and it is rejected.  ``pres``
-    keeps its cached counts.
+    vanish in the ambient algebra.  The corner is edited from the ambient,
+    not rebuilt: lists change at v's neighbours only, and no path is
+    counted when the relations have length 2 or less, as the quadratic
+    presentation is then exact.  With longer relations it is validated by
+    ``path_counts``: its Cartan counts must equal the ambient ones between
+    kept vertices, else quadratic monomial relations cannot present the
+    corner and it is rejected.  Raises InfiniteDimensionalError like
+    ``path_basis``.
     """
     kept = set(keep)
     unknown = kept.difference(pres.quiver.vertices)
@@ -219,33 +233,33 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
             f"exactly one vertex must be dropped, got {len(dropped)}"
         )
     [v] = dropped
+    _assert_finite_dimensional(pres)
     q = pres.quiver
-    if q.arrows_into(v) and q.arrows_from(v) and not is_radical_projective(pres, v):
+    if q.arrows_into(v) and q.arrows_from(v) and not _radical_projective(pres, v):
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
     return _checked_corner(pres, v)
 
 
-def _checked_corner(pres, v, take=False):
+def _checked_corner(pres, v):
     """The corner of ``pres`` without v, a vertex ``idempotent_subalgebra``
-    or ``_step_problem`` accepted, checked against the ambient Cartan
-    counts; ``take`` as in ``_corner``."""
-    # the ambient Cartan rows of the kept vertices, without column v
-    rows = path_counts(pres)[0]
-    expected = dict(rows)
-    del expected[v]
-    for u in _reaching(pres, v):
-        expected[u] = {w: n for w, n in rows[u].items() if w != v}
-    # Nothing longer than a*b passes through v, as v carries no loop: it
-    # would be no source and no sink, and for a loop x the summand xA of
-    # rad P_v is smaller than P_v, so rad P_v is not projective.
-    out = _corner(pres, v, take)
-    # the quadratic presentation must reproduce the corner's path counts
-    if path_counts(out)[0] != expected:
-        raise PreconditionError(
-            "corner algebra is not quadratic monomial on these generators"
-        )
+    or ``_step_problem`` accepted.  Nothing longer than a*b passes through
+    v, as v carries no loop: it would be no source and no sink, and
+    ``_radical_projective`` refuses it.  So the quadratic presentation is
+    exact for relations of length 2; longer ones are checked by counts."""
+    out = _corner(pres, v)
+    if pres._maxrel > 2:
+        # the ambient Cartan rows of the kept vertices, without column v
+        expected = {
+            u: {w: n for w, n in row.items() if w != v}
+            for u, row in path_counts(pres)[0].items()
+            if u != v
+        }
+        if path_counts(out)[0] != expected:
+            raise PreconditionError(
+                "corner algebra is not quadratic monomial on these generators"
+            )
     return out
 
 
@@ -297,9 +311,9 @@ def _strippable_vertex(comp):
         if not q.arrows_from(v):
             return SeriesStep("strip-sink", v, witness=f"no arrows out of {v}")
     for v in q.vertices:
-        report = is_radical_projective(comp, v)
-        if report.projective:
-            witness = f"rad P({v}) is projective with cover {','.join(report.cover)}"
+        if _radical_projective(comp, v):
+            cover = sorted(map(q.target, q.arrows_from(v)), key=vertex_sort_key)
+            witness = f"rad P({v}) is projective with cover {','.join(cover)}"
             return SeriesStep("drop-radical", v, witness=witness)
     return None
 
@@ -382,22 +396,21 @@ def _step_problem(current, step) -> str:
         if q.arrows_from(v):
             return f"vertex {v!r} has outgoing arrows"
     elif step.op == "drop-radical":
-        report = is_radical_projective(current, v)
-        if not report.projective:
-            return f"rad P({v}) is not projective (defect {report.defect})"
+        if not _radical_projective(current, v):
+            defect = is_radical_projective(current, v).defect
+            return f"rad P({v}) is not projective (defect {defect})"
     else:
         return f"unknown op {step.op!r}"
     return ""
 
 
-def _apply(current, step, built=False):
-    """The pieces ``step`` leaves of ``current`` and the factors it emits;
-    a strip takes the count tables of a ``current`` a strip ``built``."""
+def _apply(current, step):
+    """The pieces ``step`` leaves of ``current`` and the factors it emits."""
     if step.op == "split":
         return connected_components(current), ()
     if step.op == "terminal":
         return (), (step.factor,)
-    return (_checked_corner(current, step.vertex, built),), (K,)
+    return (_checked_corner(current, step.vertex),), (K,)
 
 
 def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
@@ -416,11 +429,11 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         )
     steps = []
     factors = []
-    # (presentation, known connected, built by a strip): components are,
-    # and so is a connected one minus a vertex with at most one neighbour
-    stack = [(pres, False, False)]
+    # (presentation, known connected): components are, and so is a
+    # connected one minus a vertex with at most one neighbour
+    stack = [(pres, False)]
     while stack:
-        comp, connected, built = stack.pop()
+        comp, connected = stack.pop()
         parts = () if connected else connected_components(comp)
         if not steps or len(parts) > 1:
             witness = "; ".join(",".join(p.quiver.vertices) for p in parts)
@@ -432,15 +445,15 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
                 f"no applicable reduction on {comp!r}", residual=comp
             )
         steps.append(step)
-        pieces, emitted = _apply(comp, step, built)
+        pieces, emitted = _apply(comp, step)
         factors += emitted
         if step.op == "split":
-            stack.extend((p, True, False) for p in reversed(pieces))
+            stack.extend((p, True) for p in reversed(pieces))
         elif pieces:
             q, v = comp.quiver, step.vertex
             neighbours = {q.source(a) for a in q.arrows_into(v)}
             neighbours.update(q.target(a) for a in q.arrows_from(v))
-            stack.append((pieces[0], len(neighbours) <= 1, True))
+            stack.append((pieces[0], len(neighbours) <= 1))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
         raise PreconditionError(
@@ -471,22 +484,22 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
     if trace.initial != pres:
         failures.append("trace does not start at the given presentation")
     emitted = []
-    stack = [(pres, False)]  # (presentation, built by a strip)
+    stack = [pres]
     for i, step in enumerate(trace.steps):
         if not stack:
             failures.append(f"step {i}: nothing left to reduce")
             break
-        current, built = stack.pop()
+        current = stack.pop()
         problem = _step_problem(current, step)
         if not problem:
             try:
-                pieces, factors = _apply(current, step, built)
+                pieces, factors = _apply(current, step)
             except DdiscError as e:
                 problem = f"corner construction failed: {e}"
         if problem:
             failures.append(f"step {i}: {problem}")
             break
-        stack.extend((p, step.op != "split") for p in reversed(pieces))
+        stack.extend(reversed(pieces))
         emitted += factors
     else:
         if stack:

@@ -305,8 +305,8 @@ def serialize_presentation(pres: BoundQuiverPresentation) -> str:
 
 
 def _cached(pres, key, compute):
-    """``compute(pres)``, kept in the cache of ``pres``, which never changes,
-    until a corner takes it (see ``path_counts``); do not mutate it."""
+    """``compute(pres)``, kept in the cache of ``pres``, which never changes;
+    do not mutate it."""
     value = pres._cache.get(key)
     if value is None:
         value = pres._cache[key] = compute(pres)
@@ -320,8 +320,9 @@ def _relation_paths(pres):
     return tuple(sorted(paths, key=Path.sort_key))
 
 
-def _walk(pres, edges, below, roots):
-    """Depth-first search of the suffix automaton from ``roots``.
+def _automaton(pres):
+    """Edges and per-state counts of every state the suffix automaton
+    reaches, found by a depth-first search from every (v, ()).
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
     that window determines which one-arrow extensions stay normal: the
@@ -341,6 +342,7 @@ def _walk(pres, edges, below, roots):
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
     relset = pres._relset
+    edges, below = {}, {}
     active = set()  # states on the search stack
 
     def enter(state):
@@ -357,10 +359,10 @@ def _walk(pres, edges, below, roots):
         active.add(state)
         return state, iter(outs)
 
-    for root in roots:
-        if root in below:
+    for v in q.vertices:
+        if (v, ()) in below:
             continue
-        stack = [enter(root)]
+        stack = [enter((v, ()))]
         while stack:
             state, it = stack[-1]
             for _, nxt in it:
@@ -382,18 +384,11 @@ def _walk(pres, edges, below, roots):
                         ends[w] = ends.get(w, 0) + count
                 ends[state[0]] = ends.get(state[0], 0) + 1
                 below[state] = ends
-
-
-def _automaton(pres):
-    """Edges and per-state counts of every reachable state, walked from
-    every (v, ()) from scratch."""
-    edges, below = {}, {}
-    _walk(pres, edges, below, [(v, ()) for v in pres.quiver.vertices])
     return edges, below
 
 
 def _states(pres):
-    """``_automaton`` of ``pres``, cached; a corner may have it patched in."""
+    """``_automaton`` of ``pres``, cached."""
     return _cached(pres, "automaton", _automaton)
 
 
@@ -424,19 +419,8 @@ def path_counts(pres: BoundQuiverPresentation):
     basis paths from v, so those counts are row v of the Cartan matrix.
 
     The states, their edges and their counts stay cached on the
-    presentation.  A corner that drops vertex v from an ambient with the
-    same window width (at most one arrow: relations of length 2, or none)
-    is counted when it is built, from the ambient's cache: only its states
-    at v's neighbours and the states that reach them are walked again.
-    Every other state has the same edges in both automata, as its vertex
-    keeps its arrows and the relation set keeps every pair its window
-    starts, and it reaches only states like itself, so its counts carry
-    over; a new cycle would pass through a state whose edges changed, which
-    is walked again, so InfiniteDimensionalError still fires.  Inputs and
-    every other corner are counted from scratch.  A series step patches in
-    place the tables of an ambient that the same series built, which then
-    counts again if asked; other ambients keep theirs.  Callers must not
-    mutate the result.
+    presentation; callers must not mutate the result.  A series counts no
+    path: its steps are decided on the relation set (see ``jordan``).
     Raises InfiniteDimensionalError like ``path_basis``.
     """
     return _cached(pres, "path_counts", _counts_from_states)
@@ -499,22 +483,22 @@ def grothendieck_rank(pres: BoundQuiverPresentation) -> int:
 # -- corners -----------------------------------------------------------------
 
 
-def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
-    """The quadratic presentation on every vertex but v, patched from ``pres``.
+def _corner(pres, v: str) -> BoundQuiverPresentation:
+    """The quadratic presentation on every vertex but v, edited from ``pres``.
 
     v must carry no loop.  Its generators are the arrows that avoid v and
     the normal products a*b through v, each product labelled by a name that
     no arrow of ``pres`` carries.  Its relations are the length-2 products
-    of generators that vanish in ``pres``.  Two arrows multiply to zero
-    exactly when they form a relation, so the relations of ``pres`` of
-    length 2 that avoid v carry over unchecked; only pairs with a product
-    go through ``path_product``.  Only the relation set is edited: the
-    pairs at v and every longer relation leave it, the vanishing pairs with
-    a product join it.  Vertex and arrow lists are rebuilt at v's
-    neighbours only.  When the corner has the window width of ``pres``, its
-    counts are patched from those of ``pres`` (see ``path_counts``), in
-    place with ``take``.  Whether the corner is the idempotent subalgebra
-    is for the caller to check.
+    of generators that vanish in ``pres``.  Generators are normal words, so
+    a product of two vanishes iff their joined word is not normal; with
+    relations of length 2 only the pair at the junction, the last arrow of
+    one and the first arrow of the other, can be a relation.  Two arrows
+    multiply to zero exactly when they form a relation, so the relations of
+    ``pres`` of length 2 that avoid v carry over unchecked.  Only the
+    relation set is edited: the pairs at v and every longer relation leave
+    it, the vanishing pairs with a product join it.  Vertex and arrow lists
+    are rebuilt at v's neighbours only, and no path is counted.  Whether
+    the corner is the idempotent subalgebra is for the caller to check.
     """
     q = pres.quiver
     ins, outs = q.arrows_into(v), q.arrows_from(v)
@@ -526,14 +510,16 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
                 label = f"{a}*{b}"
                 while label in q.arrows or label in products:
                     label += "'"
-                products[label] = Path(q.source(a), q.target(b), (a, b))
+                products[label] = (a, b)
 
     i = q.vertices.index(v)
     arrows = dict(q.arrows)
     for a in gone:
         del arrows[a]
     if products:
-        arrows.update((name, (p.source, p.target)) for name, p in products.items())
+        arrows.update(
+            (name, (q.source(a), q.target(b))) for name, (a, b) in products.items()
+        )
         arrows = dict(sorted(arrows.items()))
     out, into = dict(q._out), dict(q._in)
     del out[v], into[v]
@@ -554,98 +540,20 @@ def _corner(pres, v: str, take=False) -> BoundQuiverPresentation:
     if pres._maxrel > 2:
         dead.update(rel for rel in pres._relset if len(rel) > 2)
 
-    def path_of(name):  # the path of pres that a generator stands for
-        return products.get(name) or Path(*q.arrows[name], (name,))
-
     # new relations: the pairs with a product in them that vanish in pres
-    pairs = {(g, name) for name, p in products.items() for g in into[p.source]}
-    pairs.update((name, h) for name, p in products.items() for h in out[p.target])
+    pairs = {(g, gen) for gen, (a, _) in products.items() for g in into[q.source(a)]}
+    pairs.update((gen, h) for gen, (_, b) in products.items() for h in out[q.target(b)])
     born = {
-        (g, h) for g, h in pairs if pres.path_product(path_of(g), path_of(h)) is None
+        (g, h)
+        for g, h in pairs
+        if not pres.is_normal(products.get(g, (g,)) + products.get(h, (h,)))
     }
 
     relset = pres._relset - dead | born
     corner = object.__new__(BoundQuiverPresentation)
     corner.quiver = quiver
     corner._set_relations(relset, 2 if relset else 0)
-    if corner._maxrel == pres._maxrel:
-        _patch_counts(pres, corner, v, neighbours, take)
     return corner
-
-
-def _predecessors(pres, state):
-    """The states with an edge into ``state``, for window width at most 1."""
-    q = pres.quiver
-    vertex, window = state
-    if not pres._maxrel:
-        return [(q.source(a), ()) for a in q.arrows_into(vertex)]
-    if not window:
-        return []
-    [a] = window
-    x = q.source(a)
-    return [(x, ())] + [
-        (x, (c,)) for c in q.arrows_into(x) if (c, a) not in pres._relset
-    ]
-
-
-def _upstream(pres, vertices):
-    """The automaton states at ``vertices`` and every state that reaches one,
-    for window width at most 1, found from the states backwards.  Every
-    (y, ()) is a state, and so is (target(a), (a,)) for each arrow a when the
-    width is 1, as single arrows are normal."""
-    todo = [(y, ()) for y in vertices]
-    if pres._maxrel:
-        todo += [(y, (a,)) for y in vertices for a in pres.quiver.arrows_into(y)]
-    found = dict.fromkeys(todo)
-    while todo:
-        for state in _predecessors(pres, todo.pop()):
-            if state not in found:
-                found[state] = None
-                todo.append(state)
-    return found
-
-
-def _reaching(pres, v):
-    """The vertices other than v with a basis path to v."""
-    if pres._maxrel > 2:
-        return [u for u, row in path_counts(pres)[0].items() if v in row and u != v]
-    return [u for u, window in _upstream(pres, [v]) if not window and u != v]
-
-
-def _patch_counts(pres, corner, v, neighbours, take):
-    """Cache the corner's states and counts, walking again only its states
-    at ``neighbours`` (v's) and the states that reach them, in the tables
-    of ``pres`` with ``take`` (they leave its cache), else in copies."""
-    q = corner.quiver
-    width = max(corner._maxrel - 1, 0)
-    upstream = _upstream(corner, neighbours)
-    at_v = pres.quiver.arrows_into(v) + pres.quiver.arrows_from(v)
-    tables = _states(pres), path_counts(pres)
-    if take:
-        del pres._cache["automaton"], pres._cache["path_counts"]
-    else:
-        tables = [[dict(d) for d in pair] for pair in tables]
-    (edges, below), (cartan, by_first) = tables
-    # states of pres at v, or behind an arrow at v, are none of the corner's
-    lost = [(v, ())]
-    if width:
-        lost += [(pres.quiver.target(a), (a,)) for a in at_v]
-    for state in (*lost, *upstream):
-        edges.pop(state, None)
-        below.pop(state, None)
-    _walk(corner, edges, below, upstream)
-
-    del cartan[v]
-    for a in at_v:
-        del by_first[a]
-    for state in upstream:
-        y, window = state
-        if not window:
-            cartan[y] = below[state]
-        for a in window if width else q.arrows_into(y):
-            by_first[a] = sum(below[state].values())
-    corner._cache["automaton"] = edges, below
-    corner._cache["path_counts"] = cartan, by_first
 
 
 # -- components and sums -----------------------------------------------------

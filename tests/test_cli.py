@@ -95,8 +95,8 @@ def test_reports_match_golden_files(name, command, capsys):
 def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
     # the link table, gentleness, cycles, the clock walk, the components
     # and the Lambda recognizer are cached on the presentation; a gentle
-    # input proves finite dimension off the link table, walking no
-    # automaton unless its path counts are needed (series)
+    # input proves finite dimension off the link table, and only hom walks
+    # the automaton
     calls = {}
 
     def counted(module, name):
@@ -125,12 +125,10 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     if command == "series":
-        # the series walks the automaton for its path counts, corners are
-        # patched, except those that lose their last relation, and each
-        # corner is split into components afresh
-        for name in ("_automaton", "_components"):
-            expected.pop(name, None)
-            calls.pop(name)
+        # the series is decided on the relation set, so it walks no
+        # automaton, and each corner is split into components afresh
+        expected.pop("_components")
+        calls.pop("_components")
     assert calls == expected
 
 
@@ -332,6 +330,14 @@ def test_input_errors_exit_1(tmp_path):
         )
         assert out_of_range.returncode == 1, (lam, src, dst)
         assert "Traceback" not in out_of_range.stderr
+    # a shift no table can hold is refused with the bound, not a traceback
+    for shift in ("99999999999999999999999", "1000000000000"):
+        huge = run_cli(
+            "hom", "--lambda", "2", "2", "0", "--from", "X0", "--to", "X1",
+            "--max-shift", shift,
+        )
+        assert huge.returncode == 1 and "Traceback" not in huge.stderr, shift
+        assert "--max-shift must be at most 1000000" in huge.stderr
     for depth in ("-3", "0"):
         bad_n = run_cli("factors", "--lambda", "2", "2", "1", "--n", depth)
         assert bad_n.returncode == 1 and "--n" in bad_n.stderr

@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -728,6 +729,15 @@ def test_string_object_preconditions():
         build_string_object(L, "Y", -2)
     with pytest.raises(PreconditionError):
         build_string_object(build_lambda(2, 2, 0), "Y", -1)  # no tail
+
+
+def test_hom_table_refuses_a_depth_no_list_can_index():
+    L = build_lambda(2, 2, 0)
+    X0, X1 = build_string_object(L, "X", 0), build_string_object(L, "X", 1)
+    for hmax in (-1, sys.maxsize, 10**23):
+        with pytest.raises(PreconditionError, match="hmax must be"):
+            hom_table(L, X0, X1, hmax)
+    assert hom_table(L, X0, X1, 3).entries == (0, 1, 0, 1)
 
 
 def _delete_coordinate(M, w, j):

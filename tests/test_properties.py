@@ -1,6 +1,7 @@
 """Property tests: relation scans against their definition, path counts
 and corner algebras against the listed path basis, radical projectivity
-from path counts against a module computation, minimal exact resolutions
+from path counts against a module computation and from the relation set
+against the counts, minimal exact resolutions
 read off paths, relabeling invariance of classify, factors and series,
 classification, series and global dimension of random gentle quivers,
 hom tables that do not depend on the field, and the report emitter against
@@ -10,6 +11,7 @@ Examples are derandomized, so every run checks the same cases.
 """
 
 import json
+import random
 import sys
 from collections import Counter
 
@@ -32,6 +34,7 @@ from ddisc import (
     verify_trace,
 )
 import ddisc.cli as cli
+from ddisc import jordan
 from ddisc.classify import UnknownClass, _assert_gentle_finite, relation_full_cycles
 from ddisc.fields import GF, QQ
 from ddisc.homology import (
@@ -53,7 +56,7 @@ from ddisc.presentation import (
     path_counts,
 )
 from test_classify import assert_link_routes_match_the_references, relabel
-from test_homology import assert_minimal_exact_resolution
+from test_homology import assert_minimal_exact_resolution, random_monomial_algebra
 from test_jordan import checking_corners
 
 FIXED = settings(
@@ -259,6 +262,32 @@ def assert_radical_projectivity_matches_modules(pres):
         report = is_radical_projective(pres, v)
         expected = radical_projectivity_by_modules(pres, v)
         assert (report.projective, report.cover, report.defect) == expected, v
+
+
+def assert_the_relation_set_rule_matches_the_counts(pres):
+    for v in pres.quiver.vertices:
+        expected = is_radical_projective(pres, v).projective
+        assert jordan._radical_projective(pres, v) == expected, v
+
+
+@settings(FIXED, max_examples=400)
+@given(bound_quivers())
+def test_radical_projectivity_on_the_relation_set_matches_the_counts(pres):
+    # the draw and its length-2 relations alone, where the rule looks up
+    quadratic = BoundQuiverPresentation(
+        pres.quiver, [rel.arrows for rel in pres.relations if len(rel) == 2]
+    )
+    for p in (pres, quadratic):
+        if finite_dimensional(p):
+            assert_the_relation_set_rule_matches_the_counts(p)
+
+
+def test_the_relation_set_rule_matches_the_counts_on_monomial_algebras():
+    rng = random.Random(5)
+    for longest in (2, 3, 4):
+        for _ in range(300):
+            pres = random_monomial_algebra(rng, longest)
+            assert_the_relation_set_rule_matches_the_counts(pres)
 
 
 # most draws carry a relation-free cycle and are skipped, hence more examples
