@@ -21,10 +21,14 @@ relation straddles two consecutive ones, and every such pair is kept or
 born.  Only the corners of an algebra with longer relations, which no
 series of ``strip_series`` meets, are checked against the Cartan counts of
 ``path_counts``.  So building and checking a series lists no path,
-constructs no module and runs no linear algebra.  ``strip_series`` looks
-for components again only after dropping a vertex with two or more
-neighbours; a connected algebra minus a leaf stays connected.
-``verify_trace`` builds every corner anew from its own replay.
+constructs no module and runs no linear algebra.
+
+``strip_series`` and ``verify_trace`` never touch their input: each
+component gets one working copy (``_thaw``) at its first strip, and every
+later strip edits that copy in place at the dropped vertex's neighbours.
+``strip_series`` looks for components again only after dropping a vertex
+with two or more neighbours; a connected algebra minus a leaf stays
+connected.  ``verify_trace`` replays every step on its own copies.
 """
 
 from collections import Counter
@@ -43,13 +47,15 @@ from .presentation import (
     BoundQuiverPresentation,
     _assert_finite_dimensional,
     _corner,
+    _freeze,
+    _thaw,
     connected_components,
     grothendieck_rank,
     path_counts,
     vertex_sort_key,
 )
 
-# Unused here since radical projectivity is read off path counts, but
+# Unused here since radical projectivity is read off the relation set, but
 # perfbench/test_perfbench.py checks that its tracer wraps this binding.
 from .homology import projective_cover  # noqa: F401
 
@@ -214,14 +220,14 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     interior vertex, read at v: the arrows between kept vertices and the
     normal products a*b through v, each product named apart from every
     arrow of the input.  Relations are the length-2 products of those that
-    vanish in the ambient algebra.  The corner is edited from the ambient,
-    not rebuilt: lists change at v's neighbours only, and no path is
-    counted when the relations have length 2 or less, as the quadratic
-    presentation is then exact.  With longer relations it is validated by
-    ``path_counts``: its Cartan counts must equal the ambient ones between
-    kept vertices, else quadratic monomial relations cannot present the
-    corner and it is rejected.  Raises InfiniteDimensionalError like
-    ``path_basis``.
+    vanish in the ambient algebra.  The corner is the ambient's copy with
+    one series step's edit applied: lists change at v's neighbours only,
+    and no path is counted when the relations have length 2 or less, as
+    the quadratic presentation is then exact.  With longer relations it is
+    validated by ``path_counts``: its Cartan counts must equal the ambient
+    ones between kept vertices, else quadratic monomial relations cannot
+    present the corner and it is rejected.  Raises InfiniteDimensionalError
+    like ``path_basis``.
     """
     kept = set(keep)
     unknown = kept.difference(pres.quiver.vertices)
@@ -239,28 +245,29 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
-    return _checked_corner(pres, v)
+    return _freeze(_checked_corner(_thaw(pres), v))
 
 
-def _checked_corner(pres, v):
-    """The corner of ``pres`` without v, a vertex ``idempotent_subalgebra``
-    or ``_step_problem`` accepted.  Nothing longer than a*b passes through
-    v, as v carries no loop: it would be no source and no sink, and
-    ``_radical_projective`` refuses it.  So the quadratic presentation is
-    exact for relations of length 2; longer ones are checked by counts."""
-    out = _corner(pres, v)
-    if pres._maxrel > 2:
-        # the ambient Cartan rows of the kept vertices, without column v
-        expected = {
-            u: {w: n for w, n in row.items() if w != v}
-            for u, row in path_counts(pres)[0].items()
-            if u != v
-        }
-        if path_counts(out)[0] != expected:
-            raise PreconditionError(
-                "corner algebra is not quadratic monomial on these generators"
-            )
-    return out
+def _checked_corner(work, v):
+    """Edit the working copy ``work`` into its corner without v, a vertex
+    ``idempotent_subalgebra`` or ``_step_problem`` accepted, and return it.
+    Nothing longer than a*b passes through v, as v carries no loop: it
+    would be no source and no sink, and ``_radical_projective`` refuses it.
+    So the quadratic presentation is exact for relations of length 2;
+    longer ones are checked by counts, taken before the edit."""
+    if work._maxrel <= 2:
+        return _corner(work, v)
+    # the ambient Cartan rows of the kept vertices, without column v
+    expected = {
+        u: {w: n for w, n in row.items() if w != v}
+        for u, row in path_counts(work)[0].items()
+        if u != v
+    }
+    if path_counts(_corner(work, v))[0] != expected:
+        raise PreconditionError(
+            "corner algebra is not quadratic monomial on these generators"
+        )
+    return work
 
 
 # -- series traces ---------------------------------------------------------------
@@ -329,7 +336,7 @@ def _is_two_truncated_cycle(pres, n) -> bool:
         return False
     if any(len(q.arrows_from(v)) != 1 for v in q.vertices):
         return False
-    first = q.arrows_from(q.vertices[0])[0]
+    first = q.arrows_from(next(iter(q.vertices)))[0]
     cycle = [first]
     while len(cycle) <= n:
         nxt = q.arrows_from(q.target(cycle[-1]))[0]
@@ -346,8 +353,9 @@ def _terminal_step(comp):
     """Terminal step when the component is the field or a 2-truncated cycle."""
     verts = comp.quiver.vertices
     n = len(verts)
-    if not _retire_problem(comp, K, verts[0]):
-        return SeriesStep("terminal", verts[0], K, witness="single vertex, no arrows")
+    if not _retire_problem(comp, K):
+        [v] = verts
+        return SeriesStep("terminal", v, K, witness="single vertex, no arrows")
     cycle = two_truncated_cycle(n)
     if not _retire_problem(comp, cycle):
         witness = f"isomorphic to Lambda({n},{n},0)"
@@ -364,8 +372,8 @@ def _retire_problem(current, factor, vertex="") -> str:
             return "terminal K needs a lone vertex with no arrows"
     elif not _is_two_truncated_cycle(current, factor.rank):
         return f"not isomorphic to Lambda({factor.rank},{factor.rank},0)"
-    named = ("", q.vertices[0]) if factor.kind == "field" else ("",)
-    if vertex in named:
+    # a field holds one vertex: naming any vertex it holds names that one
+    if not vertex or factor.kind == "field" and vertex in q.vertices:
         return ""
     return f"terminal {factor.label()} names vertex {vertex!r}"
 
@@ -405,12 +413,20 @@ def _step_problem(current, step) -> str:
 
 
 def _apply(current, step):
-    """The pieces ``step`` leaves of ``current`` and the factors it emits."""
+    """The pieces ``step`` leaves of ``current`` and the factors it emits.
+
+    A strip edits ``current`` in place when it is a working copy, and else
+    a working copy of it, so the caller's presentation and its cached
+    components are never edited.  The parts of a split are presentations,
+    each copied at its first strip; those of a working copy share its
+    lists and arrow order, and like it never leave the series.
+    """
     if step.op == "split":
         return connected_components(current), ()
     if step.op == "terminal":
         return (), (step.factor,)
-    return (_checked_corner(current, step.vertex),), (K,)
+    work = _thaw(current) if isinstance(current._relset, frozenset) else current
+    return (_checked_corner(work, step.vertex),), (K,)
 
 
 def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
@@ -442,17 +458,19 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
             step = _terminal_step(comp) or _strippable_vertex(comp)
         if step is None:
             raise StripStuckError(
-                f"no applicable reduction on {comp!r}", residual=comp
+                f"no applicable reduction on {comp!r}", residual=_freeze(comp)
             )
         steps.append(step)
+        if step.op not in ("split", "terminal"):
+            # the strip edits comp in place: read v's neighbours first
+            q, v = comp.quiver, step.vertex
+            neighbours = {q.source(a) for a in q.arrows_into(v)}
+            neighbours.update(q.target(a) for a in q.arrows_from(v))
         pieces, emitted = _apply(comp, step)
         factors += emitted
         if step.op == "split":
             stack.extend((p, True) for p in reversed(pieces))
         elif pieces:
-            q, v = comp.quiver, step.vertex
-            neighbours = {q.source(a) for a in q.arrows_into(v)}
-            neighbours.update(q.target(a) for a in q.arrows_from(v))
             stack.append((pieces[0], len(neighbours) <= 1))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
@@ -476,9 +494,10 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
     """Replay a trace against its claimed start, re-checking every step.
 
     Reported separately: a start mismatch, the first step whose precondition
-    fails on the replayed state, recorded factors differing from the replay,
-    a factor multiset disagreeing with the classified normal form, and a
-    series longer than the rank allows.
+    fails on the replayed state or cannot be checked there (the defect of a
+    drop is counted, which an infinite dimensional state refuses), recorded
+    factors differing from the replay, a factor multiset disagreeing with
+    the classified normal form, and a series longer than the rank allows.
     """
     failures = []
     if trace.initial != pres:
@@ -490,7 +509,10 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
             failures.append(f"step {i}: nothing left to reduce")
             break
         current = stack.pop()
-        problem = _step_problem(current, step)
+        try:
+            problem = _step_problem(current, step)
+        except DdiscError as e:
+            problem = f"step check failed: {e}"
         if not problem:
             try:
                 pieces, factors = _apply(current, step)

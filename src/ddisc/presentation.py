@@ -13,6 +13,7 @@ numerically so the Lambda(r,s,t) builders, which label vertices
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -85,9 +86,11 @@ class Quiver:
     @classmethod
     def _assemble(cls, vertices, arrows, out, into):
         """A quiver from parts another quiver already validated: vertices in
-        sort order, arrows sorted by name, and the per-vertex arrow lists in
-        name order.  The lists may be shared, as quivers never change.
-        Corners and connected components are built this way."""
+        sort order, arrows sorted by name (a working copy's in the order
+        they were made), and the per-vertex arrow lists in name order.  The
+        lists may be shared, as quivers never change, except a working
+        copy's (``_thaw``), which it owns and edits.  Working copies and
+        connected components are built this way."""
         quiver = object.__new__(cls)
         quiver.vertices = vertices
         quiver.arrows = arrows
@@ -483,77 +486,100 @@ def grothendieck_rank(pres: BoundQuiverPresentation) -> int:
 # -- corners -----------------------------------------------------------------
 
 
-def _corner(pres, v: str) -> BoundQuiverPresentation:
-    """The quadratic presentation on every vertex but v, edited from ``pres``.
+def _thaw(pres) -> BoundQuiverPresentation:
+    """A working copy of ``pres`` that ``_corner`` edits in place.
 
-    v must carry no loop.  Its generators are the arrows that avoid v and
+    It owns its arrow dict, its arrow lists and its relation set, a
+    ``set``: a presentation's relation set is a frozenset, and that is how
+    the two are told apart.  Its vertices are the live keys of its
+    ``_out`` dict, so they stay in sort order as vertices leave.  Its arrow
+    dict keeps products in the order they were made: ``_freeze`` sorts it.
+    A working copy must not escape to a caller or be hashed.
+    """
+    q = pres.quiver
+    out = {v: list(arrows) for v, arrows in q._out.items()}
+    into = {v: list(arrows) for v, arrows in q._in.items()}
+    work = object.__new__(BoundQuiverPresentation)
+    work.quiver = Quiver._assemble(out.keys(), dict(q.arrows), out, into)
+    work._set_relations(set(pres._relset), pres._maxrel)
+    return work
+
+
+def _freeze(work) -> BoundQuiverPresentation:
+    """A presentation equal to the working copy ``work``, sharing nothing
+    with it: vertices in a tuple, arrows sorted by name."""
+    q = work.quiver
+    quiver = Quiver._assemble(
+        tuple(q._out),
+        dict(sorted(q.arrows.items())),
+        {v: list(arrows) for v, arrows in q._out.items()},
+        {v: list(arrows) for v, arrows in q._in.items()},
+    )
+    frozen = object.__new__(BoundQuiverPresentation)
+    frozen.quiver = quiver
+    frozen._set_relations(frozenset(work._relset), work._maxrel)
+    return frozen
+
+
+def _corner(work, v: str):
+    """Edit the working copy ``work`` (see ``_thaw``) into its quadratic
+    presentation on every vertex but v, touching only v's neighbours.
+
+    v must carry no loop.  The generators are the arrows that avoid v and
     the normal products a*b through v, each product labelled by a name that
-    no arrow of ``pres`` carries.  Its relations are the length-2 products
-    of generators that vanish in ``pres``.  Generators are normal words, so
+    no arrow of ``work`` carries.  The relations are the length-2 products
+    of generators that vanish in ``work``.  Generators are normal words, so
     a product of two vanishes iff their joined word is not normal; with
     relations of length 2 only the pair at the junction, the last arrow of
     one and the first arrow of the other, can be a relation.  Two arrows
     multiply to zero exactly when they form a relation, so the relations of
-    ``pres`` of length 2 that avoid v carry over unchecked.  Only the
-    relation set is edited: the pairs at v and every longer relation leave
-    it, the vanishing pairs with a product join it.  Vertex and arrow lists
-    are rebuilt at v's neighbours only, and no path is counted.  Whether
-    the corner is the idempotent subalgebra is for the caller to check.
+    length 2 that avoid v stay unchecked.  The pairs at v and every longer
+    relation leave the set, the vanishing pairs with a product join it, and
+    the arrow lists change at v's neighbours only; no path is counted.
+    Whether the corner is the idempotent subalgebra is for the caller to
+    check.
     """
-    q = pres.quiver
-    ins, outs = q.arrows_into(v), q.arrows_from(v)
-    gone = set(ins + outs)
+    q, relset = work.quiver, work._relset
+    arrows, out, into = q.arrows, q._out, q._in
+    ins, outs = into.pop(v), out.pop(v)
+    # every pair through an arrow at v: no relation of the corner
+    dead = [(c, a) for a in ins for c in into[arrows[a][0]]]
+    dead += [(b, c) for b in outs for c in out[arrows[b][1]]]
     products = {}
     for a in ins:
+        out[arrows[a][0]].remove(a)
         for b in outs:
-            if (a, b) not in pres._relset:  # single arrows are normal
-                label = f"{a}*{b}"
-                while label in q.arrows or label in products:
-                    label += "'"
-                products[label] = (a, b)
+            if (a, b) in relset:
+                dead.append((a, b))
+                continue
+            label = f"{a}*{b}"  # single arrows are normal
+            while label in arrows or label in products:
+                label += "'"
+            products[label] = (a, b)
+    for b in outs:
+        into[arrows[b][1]].remove(b)
+    for name, (a, b) in products.items():
+        ends = arrows[name] = (arrows[a][0], arrows[b][1])
+        bisect.insort(out[ends[0]], name)
+        bisect.insort(into[ends[1]], name)
 
-    i = q.vertices.index(v)
-    arrows = dict(q.arrows)
-    for a in gone:
-        del arrows[a]
-    if products:
-        arrows.update(
-            (name, (q.source(a), q.target(b))) for name, (a, b) in products.items()
-        )
-        arrows = dict(sorted(arrows.items()))
-    out, into = dict(q._out), dict(q._in)
-    del out[v], into[v]
-    neighbours = {q.source(a) for a in ins} | {q.target(b) for b in outs}
-    for x in neighbours:
-        out[x] = sorted(
-            a for a in (*q._out[x], *products) if a in arrows and arrows[a][0] == x
-        )
-        into[x] = sorted(
-            a for a in (*q._in[x], *products) if a in arrows and arrows[a][1] == x
-        )
-    quiver = Quiver._assemble(q.vertices[:i] + q.vertices[i + 1 :], arrows, out, into)
-
-    # every pair through an arrow at v and every longer relation: no
-    # relation of the corner, whether a relation of pres or not
-    dead = {(c, a) for a in gone for c in q._in[q.source(a)]}
-    dead.update((a, c) for a in gone for c in q._out[q.target(a)])
-    if pres._maxrel > 2:
-        dead.update(rel for rel in pres._relset if len(rel) > 2)
-
-    # new relations: the pairs with a product in them that vanish in pres
-    pairs = {(g, gen) for gen, (a, _) in products.items() for g in into[q.source(a)]}
-    pairs.update((gen, h) for gen, (_, b) in products.items() for h in out[q.target(b)])
-    born = {
+    # new relations: the pairs with a product in them that vanish in work,
+    # decided before its relation set changes
+    pairs = [(g, gen) for gen, (a, _) in products.items() for g in into[arrows[a][0]]]
+    pairs += [(gen, h) for gen, (_, b) in products.items() for h in out[arrows[b][1]]]
+    born = [
         (g, h)
         for g, h in pairs
-        if not pres.is_normal(products.get(g, (g,)) + products.get(h, (h,)))
-    }
-
-    relset = pres._relset - dead | born
-    corner = object.__new__(BoundQuiverPresentation)
-    corner.quiver = quiver
-    corner._set_relations(relset, 2 if relset else 0)
-    return corner
+        if not work.is_normal(products.get(g, (g,)) + products.get(h, (h,)))
+    ]
+    relset.difference_update(dead)
+    if work._maxrel > 2:
+        relset.difference_update([rel for rel in relset if len(rel) > 2])
+    relset.update(born)
+    for a in ins + outs:
+        del arrows[a]
+    work._set_relations(relset, 2 if relset else 0)
+    return work
 
 
 # -- components and sums -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Composition factors, radical drops, series traces and their replay."""
 
+import collections.abc
 import contextlib
 import dataclasses
 import itertools
@@ -195,14 +196,17 @@ def test_corner_products_get_names_no_arrow_has():
     corner = idempotent_subalgebra(clash, ["1", "2"])
     assert corner.quiver.arrows == {"x*a": ("1", "2"), "x*a'": ("2", "1")}
     assert [rel.arrows for rel in corner.relations] == [("x*a", "x*a'")]
-    traces = [strip_series(pres) for pres in (clash, plain)]
+    with checking_corners() as built:
+        traces = [strip_series(pres) for pres in (clash, plain)]
+        assert verify_trace(clash, traces[0]).ok
     assert traces[0].steps == traces[1].steps
     assert traces[0].factors == traces[1].factors
-    assert verify_trace(clash, traces[0]).ok
+    # the series of clash drops vertex 0 first, as the public corner does
+    assert_same_presentation(built[0], corner)
 
 
 def assert_matches_reference(pres):
-    """A presentation assembled from another's parts (a patched corner, a
+    """A presentation assembled from another's parts (a frozen corner, a
     connected component) counts like its own text form reparsed, and equals
     the presentation the public constructors build from its arrows and
     relations, down to the order of vertices, arrows and relations."""
@@ -223,21 +227,39 @@ def assert_matches_reference(pres):
     assert pres._maxrel == ref._maxrel
 
 
+def assert_same_presentation(got, expected):
+    """Equal, down to the order of vertices, arrows and relations."""
+    assert got == expected and got.relations == expected.relations
+    assert got.quiver.vertices == expected.quiver.vertices
+    assert list(got.quiver.arrows.items()) == list(expected.quiver.arrows.items())
+    assert got._maxrel == expected._maxrel
+
+
 @contextlib.contextmanager
 def checking_corners():
-    """While active, every corner jordan builds is checked against its
-    reference and listed: the public ``idempotent_subalgebra`` and the
-    series steps build them all through one builder."""
+    """While active, every step that a series or its replay applies is
+    checked, and the corner of every strip is listed, frozen.  Both apply
+    their steps through ``_apply``, editing one working copy per component
+    in place; after each step every piece it leaves, frozen, matches its
+    reference, and a strip's corner is the public ``idempotent_subalgebra``
+    of the frozen state before the step."""
     built = []
-    build = jordan._checked_corner
+    apply = jordan._apply
 
-    def checked(pres, v):
-        corner = build(pres, v)
-        assert_matches_reference(corner)
-        built.append(corner)
-        return corner
+    def checked(current, step):
+        strip = step.op not in ("split", "terminal")
+        before = presentation._freeze(current)
+        pieces, factors = apply(current, step)
+        frozen = [presentation._freeze(piece) for piece in pieces]
+        for piece in frozen:
+            assert_matches_reference(piece)
+        if strip:
+            keep = [v for v in before.quiver.vertices if v != step.vertex]
+            assert_same_presentation(frozen[0], idempotent_subalgebra(before, keep))
+            built.append(frozen[0])
+        return pieces, factors
 
-    with mock.patch.object(jordan, "_checked_corner", checked):
+    with mock.patch.object(jordan, "_apply", checked):
         yield built
 
 
@@ -507,11 +529,12 @@ def all_strip_orders(pres):
     A strip drops one vertex and keeps the corner on the rest, so each
     connected corner that some order reaches is named by its vertex set.
     The moves at a corner are the strips that the replay's step rule
-    accepts; a corner of ``terminal_factor``'s shape is retired, never
-    stripped.  Returns the factor multisets that the traces of ``pres``
-    end in, and for each reached corner the multisets its traces end in;
-    a corner with none is stuck.  Multisets are frozensets of (factor,
-    multiplicity) pairs.
+    accepts, each applied by that rule to a fresh working copy, as a strip
+    edits its copy in place; a corner of ``terminal_factor``'s shape is
+    retired, never stripped.  Returns the factor multisets that the traces
+    of ``pres`` end in, and for each reached corner the multisets its
+    traces end in; a corner with none is stuck.  Multisets are frozensets
+    of (factor, multiplicity) pairs.
     """
     ends = {}
 
@@ -538,7 +561,8 @@ def all_strip_orders(pres):
                 for v in q.vertices:
                     step = SeriesStep(op, v)
                     if not jordan._step_problem(comp, step):
-                        [corner], _ = jordan._apply(comp, step)
+                        fresh = presentation._thaw(comp)
+                        [corner], _ = jordan._apply(fresh, step)
                         parts = connected_components(corner)
                         found |= {plus(m, {(K, 1)}) for m in sums(parts)}
             ends[key] = found
@@ -583,13 +607,15 @@ def test_series_walks_the_automaton_from_scratch_a_fixed_number_of_times(
 
 
 def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
-    # counted, not timed: no corner that the series or its replay builds
-    # holds a count table, and a valid trace never asks the counting rule
-    corners, asked = [], []
+    # counted, not timed: no state that a step of the series or its replay
+    # is decided on, and no corner it leaves, holds a count table, and a
+    # valid trace never asks the counting rule
+    corners, decided_on, asked = [], [], []
     build, decide = jordan._checked_corner, jordan.is_radical_projective
 
-    def listed(pres, v):
-        corners.append(build(pres, v))
+    def listed(work, v):
+        decided_on.append(set(work._cache))
+        corners.append(build(work, v))
         return corners[-1]
 
     def counted(pres, v):
@@ -603,9 +629,150 @@ def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
     assert verify_trace(pres, trace).ok
     strips = sum(step.op.startswith(("strip", "drop")) for step in trace.steps)
     assert len(corners) == 2 * strips > 0
-    for corner in corners:
-        assert not {"automaton", "path_counts"} & corner._cache.keys()
+    # one working copy for the series and one for the replay
+    assert len({id(corner) for corner in corners}) == 2
+    for keys in decided_on + [set(corner._cache) for corner in corners]:
+        assert not {"automaton", "path_counts"} & keys
     assert asked == []
+
+
+class Tally:
+    """Entries written into the counting containers below or copied out of
+    them; a lookup is free."""
+
+    entries = 0
+
+
+def tallied(method, size):
+    """``method``, adding ``size(self, *args)`` to the tally at each call."""
+
+    def counted(self, *args, **kwargs):
+        Tally.entries += size(self, *args)
+        return method(self, *args, **kwargs)
+
+    return counted
+
+
+def given_items(method):
+    """A bulk update, adding the number of items it is given."""
+
+    def counted(self, items=(), *rest):
+        items = list(items.items() if isinstance(items, dict) else items)
+        Tally.entries += len(items)
+        return method(self, items, *rest)
+
+    return counted
+
+
+def one(self, *args):
+    return 1
+
+
+def whole(self, *args):
+    return len(self)
+
+
+def counting(base, sizes, bulks):
+    """A subclass of ``base`` whose methods named in ``sizes`` tally what
+    their size function says, and whose bulk updates tally their items."""
+    body = {name: tallied(getattr(base, name), size) for name, size in sizes.items()}
+    body.update((name, given_items(getattr(base, name))) for name in bulks)
+    return type(f"Counting{base.__name__.title()}", (base,), body)
+
+
+WRITES = ("__setitem__", "__delitem__", "pop")
+CountingDict = counting(
+    dict,
+    {
+        **dict.fromkeys(WRITES + ("popitem", "setdefault"), one),
+        **dict.fromkeys(("__iter__", "copy", "keys", "values", "items"), whole),
+    },
+    ("update",),
+)
+CountingList = counting(
+    list,
+    {
+        **dict.fromkeys(WRITES + ("append", "insert", "remove"), one),
+        **dict.fromkeys(("__iter__", "copy", "__add__", "sort"), whole),
+        # a slice copies too
+        "__getitem__": lambda self, key: len(self) if isinstance(key, slice) else 0,
+    },
+    ("extend",),
+)
+
+
+class CountingSet(collections.abc.MutableSet):
+    """A relation set that tallies like the containers above.  It wraps a
+    set rather than subclassing one, so that even a copy made in C walks
+    it: ``set(s)`` reads a set subclass without calling its methods."""
+
+    def __init__(self, items):
+        self.items = set(items)
+
+    def __contains__(self, item):
+        return item in self.items
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        Tally.entries += len(self.items)
+        return iter(self.items)
+
+    def add(self, item):
+        Tally.entries += 1
+        self.items.add(item)
+
+    def discard(self, item):
+        Tally.entries += 1
+        self.items.discard(item)
+
+    update = given_items(lambda self, items: self.items.update(items))
+    difference_update = given_items(
+        lambda self, items: self.items.difference_update(items)
+    )
+
+
+def test_a_strip_writes_and_copies_in_proportion_to_the_degree(monkeypatch):
+    # counted, not timed: the entries that a strip step writes or copies
+    # (arrows, arrow-list items and relation pairs) are bounded by one
+    # constant times the degree of the dropped vertex, at both sizes; each
+    # run copies its component once, into counting containers here
+    thaw, apply = jordan._thaw, jordan._apply
+    copies, ratios = [], []
+
+    def counting_thaw(pres):
+        work = thaw(pres)
+        q = work.quiver
+        q.arrows = CountingDict(q.arrows)
+        q._out = CountingDict((v, CountingList(a)) for v, a in q._out.items())
+        q._in = CountingDict((v, CountingList(a)) for v, a in q._in.items())
+        q.vertices = dict.keys(q._out)
+        work._relset = CountingSet(work._relset)
+        copies[-1] += 1
+        return work
+
+    def measured(current, step):
+        if step.op in ("split", "terminal"):
+            return apply(current, step)
+        q = current.quiver
+        degree = len(q._in[step.vertex]) + len(q._out[step.vertex])
+        Tally.entries = 0
+        pieces = apply(current, step)
+        ratios[-1].append(Tally.entries / degree)
+        return pieces
+
+    monkeypatch.setattr(jordan, "_thaw", counting_thaw)
+    monkeypatch.setattr(jordan, "_apply", measured)
+    for r in (10, 80):
+        copies.append(0)
+        ratios.append([])
+        pres = build_lambda(r, 2 * r, r)
+        assert verify_trace(pres, strip_series(pres)).ok
+        assert len(ratios[-1]) == 2 * (3 * r - 1)
+    assert copies == [2, 2]
+    assert min(min(each) for each in ratios) > 0
+    assert max(max(each) for each in ratios) <= 12
 
 
 @pytest.mark.parametrize(
@@ -670,6 +837,58 @@ def test_the_callers_presentations_keep_their_count_tables():
     assert ambient._cache["automaton"] is tables[0]
     assert ambient._cache["path_counts"] is tables[1]
     assert count_tables(ambient)[1] == contents
+
+
+def contents(pres):
+    """Everything a strip could edit in place: the vertices, the arrow
+    dict in order, each arrow list (the object and its items) and the
+    relation set."""
+    q = pres.quiver
+    lists = [(id(x), tuple(x)) for d in (q._out, q._in) for x in d.values()]
+    return q.vertices, list(q.arrows.items()), lists, pres._relset
+
+
+def test_a_series_and_its_replay_never_edit_the_callers_presentations():
+    # the strips edit working copies in place; the input, its cached
+    # components and the ambient of a public corner stay as they were
+    inputs = [
+        build_lambda(3, 5, 2),
+        parse_presentation(STAR_OUT),
+        direct_sum([build_lambda(2, 3, 1), build_lambda(1, 2, 0)]),
+        relabel(build_lambda(2, 5, 1), random.Random(2)),
+    ]
+    for pres in inputs:
+        parts = connected_components(pres)
+        before = [contents(p) for p in (pres, *parts)]
+        trace = strip_series(pres)
+        assert verify_trace(pres, trace).ok
+        assert connected_components(pres) == parts
+        assert [contents(p) for p in (pres, *parts)] == before
+        for v in pres.quiver.vertices:
+            keep = [w for w in pres.quiver.vertices if w != v]
+            with contextlib.suppress(PreconditionError):
+                idempotent_subalgebra(pres, keep)
+        assert contents(pres) == before[0]
+
+
+def test_verify_trace_reports_a_step_it_cannot_check():
+    # a drop at a vertex that is not radical-projective words its defect
+    # with path counts, which an infinite dimensional start does not have:
+    # the replay reports that as the step's failure rather than raising
+    pres = parse_presentation(
+        "vertex 0\nvertex 1\nvertex 2\narrow a 0 1\narrow b 1 0\n"
+        "arrow c 1 2\narrow d 2 1\nrelation c d\n"
+    )
+    for step, failure in [
+        (
+            SeriesStep("drop-radical", "1"),
+            "step 1: step check failed: relation-free cycle: the path basis"
+            " is infinite",
+        ),
+        (SeriesStep("strip-source", "0"), "step 1: vertex '0' has incoming arrows"),
+    ]:
+        trace = SeriesTrace(pres, (SPLIT, step), (K,))
+        assert verify_trace(pres, trace).failures == (failure,)
 
 
 def test_verify_trace_rejects_forged_radical_drop():

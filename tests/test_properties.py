@@ -4,6 +4,7 @@ from path counts against a module computation and from the relation set
 against the counts, minimal exact resolutions
 read off paths, relabeling invariance of classify, factors and series,
 classification, series and global dimension of random gentle quivers,
+replays of forged series traces over random quivers,
 hom tables that do not depend on the field, and the report emitter against
 ``json.dumps``.
 
@@ -22,7 +23,11 @@ from hypothesis import strategies as st
 from ddisc import (
     DdiscError,
     InfiniteDimensionalError,
+    K,
     PreconditionError,
+    SeriesStep,
+    SeriesTrace,
+    TraceReport,
     build_lambda,
     composition_factors,
     direct_sum,
@@ -31,6 +36,7 @@ from ddisc import (
     is_radical_projective,
     lambda_normal_form,
     strip_series,
+    two_truncated_cycle,
     verify_trace,
 )
 import ddisc.cli as cli
@@ -52,6 +58,7 @@ from ddisc.presentation import (
     Path,
     Quiver,
     _paths_from,
+    connected_components,
     path_basis,
     path_counts,
 )
@@ -433,6 +440,37 @@ def test_random_gentle_quivers_classify_and_strip(pres):
         strips = sum(step.op.startswith(("strip", "drop")) for step in trace.steps)
         assert len(built) == 2 * strips
         assert trace.factor_multiset() == composition_factors(nf)
+
+
+@st.composite
+def forged_traces(draw):
+    """A presentation of ``bound_quivers``, finite dimensional or not, and
+    a trace of random steps on it: its true split, then strips at its
+    vertices (or at one it lacks) and terminals, with factors drawn alike."""
+    pres = draw(bound_quivers())
+    vertices = st.sampled_from([*pres.quiver.vertices, "9"])
+    strips = st.sampled_from(["strip-source", "strip-sink", "drop-radical"])
+    factors = st.sampled_from([K, two_truncated_cycle(1), two_truncated_cycle(2)])
+    step = st.one_of(
+        st.builds(SeriesStep, strips, vertices),
+        st.builds(SeriesStep, strips, vertices),
+        st.builds(SeriesStep, st.just("terminal"), factor=factors),
+        st.builds(SeriesStep, st.just("split"), parts=st.integers(1, 2)),
+    )
+    split = SeriesStep("split", parts=len(connected_components(pres)))
+    steps = (split, *draw(st.lists(step, max_size=6)))
+    return pres, SeriesTrace(pres, steps, tuple(draw(st.lists(factors, max_size=6))))
+
+
+@settings(FIXED, max_examples=400)
+@given(forged_traces())
+def test_verify_trace_reports_on_every_forged_trace(forged):
+    # a replay reports every failure, whatever the start and the steps,
+    # and never raises
+    pres, trace = forged
+    report = verify_trace(pres, trace)
+    assert isinstance(report, TraceReport)
+    assert report.ok == (not report.failures)
 
 
 @settings(FIXED, max_examples=300)
