@@ -43,7 +43,6 @@ from .presentation import (
     _assert_finite_dimensional,
     _cached,
     connected_components,
-    vertex_sort_key,
 )
 
 # Unused here since normal forms come from the invariant, but
@@ -78,7 +77,7 @@ def _gentleness(pres):
             violations.append(("G1", f"vertex {v} has more than two in-arrows"))
         if len(q._out[v]) > 2:
             violations.append(("G1", f"vertex {v} has more than two out-arrows"))
-    for rel in pres.relations:
+    for rel in pres.relations if pres._maxrel > 2 else ():
         if len(rel) != 2:
             violations.append(("G2", f"relation {rel.label()} has length {len(rel)}"))
     rel_next, rel_prev, nz_next, nz_prev = _links(pres)
@@ -127,17 +126,16 @@ def _cycles(succ):
     """Cycles of the map b -> succ[b][0] (lists of at most one arrow), in
     the order of a scan in name order (a quiver's arrow order)."""
     cycles = []
-    done = set()
-    for a in succ:
-        path = {}  # arrows of this scan, by position
-        cur = a
-        while cur is not None and cur not in done and cur not in path:
-            path[cur] = len(path)
+    scan_of = {}  # arrow -> the scan that reached it
+    for i, a in enumerate(succ):
+        path, cur = [], a
+        while cur is not None and cur not in scan_of:
+            scan_of[cur] = i
+            path.append(cur)
             nxt = succ[cur]
             cur = nxt[0] if nxt else None
-        if cur in path:
-            cycles.append(list(path)[path[cur] :])
-        done.update(path)
+        if cur is not None and scan_of[cur] == i:
+            cycles.append(path[path.index(cur) :])
     return cycles
 
 
@@ -197,57 +195,52 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
 
 def _clock_walk(pres):
     q = pres.quiver
+    arrows, out, into = q.arrows, q._out, q._in
 
-    # strip leaves until only the unique cycle remains; the arrows at v are
-    # its out and in arrows, a loop at v among both
-    alive_arrows = set(q.arrows)
-    degree = {v: len(q._out[v]) + len(q._in[v]) for v in q.vertices}
-    queue = [v for v in q.vertices if degree[v] <= 1]
-    alive_vertices = set(q.vertices)
+    # strip leaves until only the unique cycle remains: a stripped vertex
+    # has degree 0, so an arrow is left exactly when both its ends have a
+    # degree; a loop counts twice at its vertex and is never stripped
+    degree = {v: len(out[v]) + len(into[v]) for v in q.vertices}
+    queue = [v for v, d in degree.items() if d == 1]
     while queue:
         v = queue.pop()
-        if v not in alive_vertices or degree[v] > 1:
+        if not degree[v]:  # its last arrow left with its other end
             continue
-        alive_vertices.discard(v)
-        for a in (*q._out[v], *q._in[v]):
-            if a not in alive_arrows:
-                continue
-            alive_arrows.discard(a)
-            src, tgt = q.arrows[a]
-            for w in (src, tgt):
-                degree[w] -= 1
-            other = tgt if src == v else src
-            if other in alive_vertices and degree[other] <= 1:
-                queue.append(other)
+        degree[v] = 0
+        for a in out[v] + into[v]:
+            src, tgt = arrows[a]
+            w = tgt if src == v else src
+            if degree[w]:
+                break
+        degree[w] -= 1
+        if degree[w] == 1:
+            queue.append(w)
 
-    if not alive_arrows:
+    left = sum(degree.values()) // 2
+    if not left:
         raise PreconditionError("no cycle is left after stripping leaves")
-    start = min(alive_vertices, key=vertex_sort_key)
-    walk = []
-    used = set()
-    current = start
-    while True:
-        candidates = []
-        for a in (*q._out[current], *q._in[current]):
-            if a in used or a not in alive_arrows:
-                continue
-            src, tgt = q.arrows[a]
-            candidates.append((a, 1) if src == current else (a, -1))
-        if not candidates:
-            break
-        arrow, direction = min(candidates)
-        used.add(arrow)
-        walk.append((arrow, direction))
-        src, tgt = q.arrows[arrow]
-        current = tgt if direction == 1 else src
-    if current != start or len(used) != len(alive_arrows):
+    # every vertex left has degree 2 or more; when each has 2, a walk that
+    # takes the smallest arrow left other than the one it came by (forward
+    # when it starts at the current vertex, as a loop does) goes round to
+    # start, and what is left is one cycle when the walk takes every arrow
+    start = next(v for v in q.vertices if degree[v])
+    walk, current, prev = [], start, None
+    regular = max(degree.values()) == 2
+    while regular and (not walk or current != start):
+        step = None
+        for a in out[current] + into[current]:
+            src, tgt = arrows[a]
+            end = tgt if src == current else src
+            if a != prev and degree[end] and (step is None or a < step[0]):
+                step = a, 1 if src == current else -1, end
+        prev, direction, current = step
+        walk.append((prev, direction))
+    if len(walk) != left:
         raise PreconditionError("the arrows left after stripping leaves are no cycle")
 
     relpairs = pres._relset
-    m_with = 0
-    m_against = 0
-    for i, (a1, d1) in enumerate(walk):
-        a2, d2 = walk[(i + 1) % len(walk)]
+    m_with = m_against = 0
+    for (a1, d1), (a2, d2) in zip(walk, walk[1:] + walk[:1]):
         if d1 == 1 and d2 == 1 and (a1, a2) in relpairs:
             m_with += 1
         elif d1 == -1 and d2 == -1 and (a2, a1) in relpairs:
@@ -338,14 +331,6 @@ class AGInvariant:
         return out
 
 
-def _other(arrows, slot):
-    """The first of ``arrows`` other than ``slot``, or None."""
-    for a in arrows:
-        if a != slot:
-            return a
-    return None
-
-
 def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
     """Derived-equivalence invariant of a finite dimensional gentle algebra.
 
@@ -368,30 +353,38 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
         raise PreconditionError(f"not gentle: {cert.violations[0]}")
     _assert_gentle_finite(pres)
     q = pres.quiver
+    arrows, out, into = q.arrows, q._out, q._in
     rel_next, rel_prev, nz_next, nz_prev = _links(pres)
-    # permitted: start -> end slot; forbidden: end -> (start slot, length)
+    # A permitted thread, by its start, names the forbidden thread its end
+    # pairs with: the one ending on the other in-slot.  A forbidden thread,
+    # by its end, gives its length and the permitted thread the walk hops
+    # to: the one starting on the other out-slot.  Slots are at most two.
     permitted, forbidden = {}, {}
-    for b, (src, _) in q.arrows.items():
+    for b, (src, _) in arrows.items():
         if not nz_prev[b]:
             e = b
             while nz_next[e]:
                 e = nz_next[e][0]
-            permitted[src, b] = (q.arrows[e][1], e)
+            v = arrows[e][1]
+            ins = into[v]
+            permitted[src, b] = (v, ins[ins[0] == e] if len(ins) > 1 else None)
         if not rel_prev[b]:
             e, length = b, 1
             while rel_next[e]:
                 e = rel_next[e][0]
                 length += 1
-            forbidden[q.arrows[e][1], e] = ((src, b), length)
-    for v, ins in q._in.items():
-        outs = q._out[v]
+            outs = out[src]
+            hop = (src, outs[outs[0] == b] if len(outs) > 1 else None)
+            forbidden[arrows[e][1], e] = (hop, length)
+    for v, ins in into.items():
+        outs = out[v]
         if len(ins) > 1 or len(outs) > 1:
             continue
         is_rel = bool(ins and outs and rel_next[ins[0]])
         if not is_rel:
-            permitted[v, None] = (v, None)
+            permitted[v, None] = (v, ins[0] if ins else None)
         if is_rel or not (ins and outs):
-            forbidden[v, None] = ((v, None), 0)
+            forbidden[v, None] = ((v, outs[0] if outs else None), 0)
 
     pairs = [(0, len(c)) for c in relation_full_cycles(pres)]
     consumed = set()
@@ -402,10 +395,8 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
         while True:
             consumed.add(key)
             hops += 1
-            v, slot = permitted[key]
-            (v, slot), length = forbidden[v, _other(q._in[v], slot)]
+            key, length = forbidden[permitted[key]]
             total += length
-            key = (v, _other(q._out[v], slot))
             if key == start:
                 break
             if key in consumed:
@@ -480,7 +471,7 @@ def _lambda_from_invariant(inv: AGInvariant, n: int):
 def _classify_component(comp: BoundQuiverPresentation):
     """(verdict, reason, normal form) of one connected component."""
     n = len(comp.quiver.vertices)
-    if not comp.relations:
+    if not comp._relset:
         _assert_finite_dimensional(comp)
         dt = dynkin_type(comp)
         if dt is not None:
@@ -537,12 +528,7 @@ def is_derived_discrete(pres: BoundQuiverPresentation) -> DiscretenessVerdict:
     """Decide derived discreteness; unknown cases name the obstacle."""
     reports = tuple((verdict, reason) for verdict, reason, _ in _classification(pres))
     verdicts = {verdict for verdict, _ in reports}
-    if "no" in verdicts:
-        verdict = "no"
-    elif "unknown" in verdicts:
-        verdict = "unknown"
-    else:
-        verdict = "yes"
+    verdict = next((v for v in ("no", "unknown") if v in verdicts), "yes")
     return DiscretenessVerdict(verdict, reports)
 
 

@@ -38,6 +38,7 @@ from .errors import (
 from .homology import build_string_object, hom_table
 from .jordan import composition_factors, is_n_derived_simple, strip_series, verify_trace
 from .presentation import (
+    LambdaDescriptor,
     build_lambda,
     grothendieck_rank,
     lambda_descriptor_of,
@@ -52,6 +53,10 @@ _OBJECT_RE = re.compile(r"([XY])(-?[0-9]+)")
 # the largest --max-shift: a table of a million entries prints in well
 # under a second, and a larger one is no table a caller reads
 _MAX_SHIFT = 10**6
+
+# the largest s + t of an inline Lambda(r,s,t): one of a million vertices
+# takes one to two GB, and a larger one would end in a MemoryError
+_MAX_LAMBDA_RANK = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,12 +81,18 @@ def _add_input_flags(sub):
     )
 
 
+def _inline_lambda(r, s, t):
+    """``build_lambda(r, s, t)``, refused before it allocates when too large."""
+    if LambdaDescriptor(r, s, t).rank() > _MAX_LAMBDA_RANK:
+        raise ParseError(f"Lambda(r,s,t) needs s + t at most {_MAX_LAMBDA_RANK}")
+    return build_lambda(r, s, t)
+
+
 def _load_presentation(args):
     if args.lambda_spec is not None and args.input is not None:
         raise ParseError("give a file or --lambda, not both")
     if args.lambda_spec is not None:
-        r, s, t = args.lambda_spec
-        return build_lambda(r, s, t)
+        return _inline_lambda(*args.lambda_spec)
     if args.input is None:
         raise ParseError("no input: give a presentation file or --lambda R S T")
     with open(args.input, "rb") as fh:
@@ -103,7 +114,7 @@ def _envelope(command, pres):
             "sha256": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
             "vertices": len(pres.quiver.vertices),
             "arrows": len(pres.quiver.arrows),
-            "relations": len(pres.relations),
+            "relations": len(pres._relset),
         },
     }
 
@@ -421,7 +432,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "build-lambda":
-            sys.stdout.write(serialize_presentation(build_lambda(args.r, args.s, args.t)))
+            pres = _inline_lambda(args.r, args.s, args.t)
+            sys.stdout.write(serialize_presentation(pres))
             return 0
         return args.runner(args)
     except (ParseError, PresentationError, InfiniteDimensionalError, OSError) as e:

@@ -55,6 +55,16 @@ def _check_id(kind, name):
         raise PresentationError(f"{kind} id {name!r} is empty or holds a space or #")
 
 
+def _check_walk(arrows, names):
+    """Refuse names that are not arrows of ``arrows`` composing in order."""
+    for a in names:
+        if a not in arrows:
+            raise PresentationError(f"unknown arrow {a!r}")
+    for a, b in zip(names, names[1:]):
+        if arrows[a][1] != arrows[b][0]:
+            raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
+
+
 class Quiver:
     """A finite quiver: named vertices and named arrows with endpoints."""
 
@@ -85,12 +95,11 @@ class Quiver:
 
     @classmethod
     def _assemble(cls, vertices, arrows, out, into):
-        """A quiver from parts another quiver already validated: vertices in
-        sort order, arrows sorted by name (a working copy's in the order
-        they were made), and the per-vertex arrow lists in name order.  The
-        lists may be shared, as quivers never change, except a working
-        copy's (``_thaw``), which it owns and edits.  Working copies and
-        connected components are built this way."""
+        """A quiver from parts another quiver or the parser already
+        validated: vertices in sort order, arrows sorted by name (a working
+        copy's in the order they were made), and the per-vertex arrow lists
+        in name order.  The lists may be shared, as quivers never change,
+        except a working copy's (``_thaw``), which it owns and edits."""
         quiver = object.__new__(cls)
         quiver.vertices = vertices
         quiver.arrows = arrows
@@ -136,18 +145,22 @@ class BoundQuiverPresentation:
             names = tuple(rel.arrows) if isinstance(rel, Path) else tuple(rel)
             if len(names) < 2:
                 raise PresentationError(f"relation {names} shorter than 2")
-            rels.append(self.make_path(names))
-        self._index(rels)
-
-    def _index(self, rels):
-        """Store relation paths already checked against the quiver, refusing
-        duplicates; the sorted paths seed the ``relations`` view."""
-        rels.sort(key=Path.sort_key)
-        relset = frozenset(p.arrows for p in rels)
+            rels.append(self.make_path(names).arrows)
+        relset = frozenset(rels)
         if len(relset) != len(rels):
             raise PresentationError("duplicate relation")
-        self._set_relations(relset, max((len(p) for p in rels), default=0))
-        self._cache["relations"] = tuple(rels)
+        self._set_relations(relset, max(map(len, rels), default=0))
+
+    @classmethod
+    def _assemble(cls, quiver, relset, maxrel=None):
+        """A presentation of relation names already checked against
+        ``quiver``; ``maxrel``, the longest length, is found when not given."""
+        pres = object.__new__(cls)
+        pres.quiver = quiver
+        if maxrel is None:
+            maxrel = max(map(len, relset), default=0)
+        pres._set_relations(relset, maxrel)
+        return pres
 
     def _set_relations(self, relset, maxrel):
         # the arrow-name tuples of the relations are their one stored form
@@ -173,12 +186,7 @@ class BoundQuiverPresentation:
         if not names:
             raise PresentationError("empty arrow list; use trivial_path")
         q = self.quiver
-        for a in names:
-            if a not in q.arrows:
-                raise PresentationError(f"unknown arrow {a!r}")
-        for a, b in zip(names, names[1:]):
-            if q.target(a) != q.source(b):
-                raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
+        _check_walk(q.arrows, names)
         return Path(q.source(names[0]), q.target(names[-1]), names)
 
     def _relation_ends_at(self, names, end, lo, hi) -> bool:
@@ -246,28 +254,31 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
 
     Directives: ``vertex <id>``, ``arrow <id> <source> <target>``,
     ``relation <arrowid> <arrowid> [...]``.  ``#`` starts a comment.
+    The checked lines fill the quiver tables and the relation set
+    directly: a token holds no space or ``#``, so it is a valid id.
     """
     vertices = {}  # id -> line
     arrows = {}  # id -> (line, source, target)
     relations = {}  # arrow ids -> line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
+        if not tokens:
+            continue
+        kind = tokens[0]
         if kind == "vertex":
-            if len(args) != 1:
+            if len(tokens) != 2:
                 raise ParseError("vertex takes exactly one id", lineno)
-            table, key, entry = vertices, args[0], lineno
+            table, key, entry = vertices, tokens[1], lineno
         elif kind == "arrow":
-            if len(args) != 3:
+            if len(tokens) != 4:
                 raise ParseError("arrow takes id, source, target", lineno)
-            table, key, entry = arrows, args[0], (lineno, args[1], args[2])
+            table, key, entry = arrows, tokens[1], (lineno, tokens[2], tokens[3])
         elif kind == "relation":
-            if len(args) < 2:
+            if len(tokens) < 3:
                 raise ParseError("relation needs at least two arrows", lineno)
-            table, key, entry = relations, tuple(args), lineno
+            table, key, entry = relations, tuple(tokens[1:]), lineno
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno)
         if key in table:
@@ -278,29 +289,35 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     for name, (lineno, src, tgt) in arrows.items():
         if src not in vertices or tgt not in vertices:
             raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
-    quiver = Quiver(vertices, [(a, src, tgt) for a, (_, src, tgt) in arrows.items()])
-    pres = BoundQuiverPresentation(quiver)
-    rels = []
+    ends = {name: (src, tgt) for name, (_, src, tgt) in sorted(arrows.items())}
     for rel, lineno in relations.items():
         try:
-            rels.append(pres.make_path(rel))
+            _check_walk(ends, rel)
         except PresentationError as exc:
             raise ParseError(str(exc), lineno) from exc
     if not vertices:
         raise ParseError("no vertex declared")
-    pres._index(rels)
-    return pres
+    verts = tuple(sorted(vertices, key=vertex_sort_key))
+    out, into = {v: [] for v in verts}, {v: [] for v in verts}
+    for name, (src, tgt) in ends.items():
+        out[src].append(name)
+        into[tgt].append(name)
+    quiver = Quiver._assemble(verts, ends, out, into)
+    return BoundQuiverPresentation._assemble(quiver, frozenset(relations))
 
 
 def serialize_presentation(pres: BoundQuiverPresentation) -> str:
     """Canonical text form; ``parse_presentation`` round-trips it."""
-    lines = []
-    for v in pres.quiver.vertices:
-        lines.append(f"vertex {v}")
-    for name, (src, tgt) in pres.quiver.arrows.items():
-        lines.append(f"arrow {name} {src} {tgt}")
-    for rel in pres.relations:
-        lines.append("relation " + " ".join(rel.arrows))
+    q = pres.quiver
+    arrows = q.arrows
+    lines = [f"vertex {v}" for v in q.vertices]
+    lines += [f"arrow {name} {src} {tgt}" for name, (src, tgt) in arrows.items()]
+    # the relations in ``Path.sort_key`` order, read off their names: the
+    # vertices are in ``vertex_sort_key`` order, so a source's position
+    # there sorts as its key does
+    rank = dict(zip(q.vertices, range(len(q.vertices))))
+    rels = sorted(pres._relset, key=lambda r: (len(r), rank[arrows[r[0]][0]], r))
+    lines += ["relation " + " ".join(rel) for rel in rels]
     return "\n".join(lines) + "\n"
 
 
@@ -499,10 +516,8 @@ def _thaw(pres) -> BoundQuiverPresentation:
     q = pres.quiver
     out = {v: list(arrows) for v, arrows in q._out.items()}
     into = {v: list(arrows) for v, arrows in q._in.items()}
-    work = object.__new__(BoundQuiverPresentation)
-    work.quiver = Quiver._assemble(out.keys(), dict(q.arrows), out, into)
-    work._set_relations(set(pres._relset), pres._maxrel)
-    return work
+    quiver = Quiver._assemble(out.keys(), dict(q.arrows), out, into)
+    return BoundQuiverPresentation._assemble(quiver, set(pres._relset), pres._maxrel)
 
 
 def _freeze(work) -> BoundQuiverPresentation:
@@ -515,10 +530,9 @@ def _freeze(work) -> BoundQuiverPresentation:
         {v: list(arrows) for v, arrows in q._out.items()},
         {v: list(arrows) for v, arrows in q._in.items()},
     )
-    frozen = object.__new__(BoundQuiverPresentation)
-    frozen.quiver = quiver
-    frozen._set_relations(frozenset(work._relset), work._maxrel)
-    return frozen
+    return BoundQuiverPresentation._assemble(
+        quiver, frozenset(work._relset), work._maxrel
+    )
 
 
 def _corner(work, v: str):
@@ -598,37 +612,42 @@ def connected_components(pres: BoundQuiverPresentation):
 
 
 def _components(pres):
-    """The connected parts of a presentation, or () when it is connected."""
+    """The connected parts of a presentation, or () when it is connected.
+
+    One traversal along the arrow lists from each vertex not yet reached,
+    in sort order, labels every vertex with the smallest vertex of its
+    part.  Each part is marked connected in its cache.
+    """
     q = pres.quiver
-    parent = {v: v for v in q.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for src, tgt in q.arrows.values():
-        parent[find(src)] = find(tgt)
-    # vertices in sort order, so parts come in order of their smallest vertex
-    groups = {}
+    arrows, out, into = q.arrows, q._out, q._in
+    root, groups = {}, {}
     for v in q.vertices:
-        groups.setdefault(find(v), []).append(v)
-    if len(groups) == 1:
-        return ()
-    # parts reuse the arrows, arrow lists and relation paths pres checked
-    arrows, rels = {root: {} for root in groups}, {root: [] for root in groups}
-    for name, ends in q.arrows.items():
-        arrows[find(ends[0])][name] = ends
-    for rel in pres.relations:
-        rels[find(rel.source)].append(rel)
+        if v in root:
+            groups[root[v]].append(v)
+            continue
+        root[v], groups[v], stack = v, [v], [v]
+        while stack:
+            u = stack.pop()
+            for a in out[u] + into[u]:
+                src, tgt = arrows[a]
+                w = tgt if src == u else src
+                if w not in root:
+                    root[w] = v
+                    stack.append(w)
+        if len(groups) == 1 and len(root) == len(out):
+            return ()
+    # parts reuse the arrows, arrow lists and relation names pres checked
+    ends, rels = {r: {} for r in groups}, {r: [] for r in groups}
+    for name, pair in arrows.items():
+        ends[root[pair[0]]][name] = pair
+    for rel in pres._relset:
+        rels[root[arrows[rel[0]][0]]].append(rel)
     parts = []
-    for root, group in groups.items():
-        out, into = {v: q._out[v] for v in group}, {v: q._in[v] for v in group}
-        part = BoundQuiverPresentation(
-            Quiver._assemble(tuple(group), arrows[root], out, into)
-        )
-        part._index(rels[root])
+    for r, group in groups.items():
+        lists = {v: out[v] for v in group}, {v: into[v] for v in group}
+        quiver = Quiver._assemble(tuple(group), ends[r], *lists)
+        part = BoundQuiverPresentation._assemble(quiver, frozenset(rels[r]))
+        part._cache["components"] = ()
         parts.append(part)
     return tuple(parts)
 
@@ -660,7 +679,7 @@ def direct_sum(presentations) -> BoundQuiverPresentation:
             (tag(i, name), tag(i, src), tag(i, tgt))
             for name, (src, tgt) in p.quiver.arrows.items()
         )
-        relations.extend(tuple(tag(i, a) for a in rel.arrows) for rel in p.relations)
+        relations.extend(tuple(tag(i, a) for a in rel) for rel in p._relset)
     return BoundQuiverPresentation(Quiver(vertices, arrows), relations)
 
 
@@ -765,40 +784,25 @@ def find_isomorphism(p1: BoundQuiverPresentation, p2: BoundQuiverPresentation):
 
     order = sorted(q1.vertices, key=vertex_sort_key)
 
+    def fits(v, w, vmap):
+        # w has as many arrows to and from each image as v to and from its preimage
+        for lists1, lists2, end in ((q1._out, q2._out, 1), (q1._in, q2._in, 0)):
+            for a in lists1[v]:
+                other = q1.arrows[a][end]
+                if other in vmap:
+                    need = sum(1 for b in lists1[v] if q1.arrows[b][end] == other)
+                    image = vmap[other]
+                    have = sum(1 for b in lists2[w] if q2.arrows[b][end] == image)
+                    if need != have:
+                        return False
+        return True
+
     def extend(vmap, used, idx):
         if idx == len(order):
             return dict(vmap)
         v = order[idx]
         for w in sig2.get(_degree_signature(p1, v), ()):
-            if w in used:
-                continue
-            ok = True
-            for a in q1.arrows_from(v):
-                other = q1.target(a)
-                if other in vmap:
-                    need = sum(
-                        1 for b in q1.arrows_from(v) if q1.target(b) == other
-                    )
-                    have = sum(
-                        1 for b in q2.arrows_from(w) if q2.target(b) == vmap[other]
-                    )
-                    if need != have:
-                        ok = False
-                        break
-            if ok:
-                for a in q1.arrows_into(v):
-                    other = q1.source(a)
-                    if other in vmap:
-                        need = sum(
-                            1 for b in q1.arrows_into(v) if q1.source(b) == other
-                        )
-                        have = sum(
-                            1 for b in q2.arrows_into(w) if q2.source(b) == vmap[other]
-                        )
-                        if need != have:
-                            ok = False
-                            break
-            if not ok:
+            if w in used or not fits(v, w, vmap):
                 continue
             vmap[v] = w
             used.add(w)
@@ -819,12 +823,10 @@ def find_isomorphism(p1: BoundQuiverPresentation, p2: BoundQuiverPresentation):
 
 def _match_arrows(p1, p2, vmap):
     q1, q2 = p1.quiver, p2.quiver
-    classes1 = {}
-    for name, (src, tgt) in q1.arrows.items():
-        classes1.setdefault((src, tgt), []).append(name)
-    classes2 = {}
-    for name, (src, tgt) in q2.arrows.items():
-        classes2.setdefault((src, tgt), []).append(name)
+    classes1, classes2 = {}, {}
+    for q, classes in ((q1, classes1), (q2, classes2)):
+        for name, ends in q.arrows.items():
+            classes.setdefault(ends, []).append(name)
     keys = []
     for (src, tgt), names in classes1.items():
         image = (vmap[src], vmap[tgt])

@@ -15,7 +15,7 @@ from ddisc import (
     strip_series,
     verify_trace,
 )
-from ddisc import classify, cli
+from ddisc import classify, cli, jordan, presentation
 from ddisc.classify import (
     AGInvariant,
     DerivedEquivClass,
@@ -36,7 +36,9 @@ from ddisc.presentation import (
     LambdaDescriptor,
     Quiver,
     _assert_finite_dimensional,
+    _thaw,
     path_counts,
+    vertex_sort_key,
 )
 
 KRONECKER = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
@@ -736,6 +738,112 @@ def outcome(route, pres):
         return type(e), str(e)
 
 
+# The union-find search for components and the clock walk that strips
+# leaves off sets of live vertices and arrows, kept as references for the
+# one-traversal search and the degree-count walk.
+
+
+def reference_components(pres):
+    """The tables of each connected part, or () when ``pres`` is connected."""
+    q = pres.quiver
+    parent = {v: v for v in q.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for src, tgt in q.arrows.values():
+        parent[find(src)] = find(tgt)
+    groups = {}
+    for v in q.vertices:
+        groups.setdefault(find(v), []).append(v)
+    if len(groups) == 1:
+        return ()
+    arrows, rels = {root: {} for root in groups}, {root: [] for root in groups}
+    for name, ends in q.arrows.items():
+        arrows[find(ends[0])][name] = ends
+    for rel in pres.relations:
+        rels[find(rel.source)].append(rel.arrows)
+    return tuple(
+        (
+            tuple(group),
+            list(arrows[root].items()),
+            {v: q._out[v] for v in group},
+            {v: q._in[v] for v in group},
+            frozenset(rels[root]),
+            max(map(len, rels[root]), default=0),
+        )
+        for root, group in groups.items()
+    )
+
+
+def component_tables(parts):
+    return tuple(
+        (
+            p.quiver.vertices,
+            list(p.quiver.arrows.items()),
+            p.quiver._out,
+            p.quiver._in,
+            p._relset,
+            p._maxrel,
+        )
+        for p in parts
+    )
+
+
+def reference_clock_walk(pres):
+    q = pres.quiver
+    alive_arrows = set(q.arrows)
+    degree = {v: len(q._out[v]) + len(q._in[v]) for v in q.vertices}
+    queue = [v for v in q.vertices if degree[v] <= 1]
+    alive_vertices = set(q.vertices)
+    while queue:
+        v = queue.pop()
+        if v not in alive_vertices or degree[v] > 1:
+            continue
+        alive_vertices.discard(v)
+        for a in (*q._out[v], *q._in[v]):
+            if a not in alive_arrows:
+                continue
+            alive_arrows.discard(a)
+            src, tgt = q.arrows[a]
+            for w in (src, tgt):
+                degree[w] -= 1
+            other = tgt if src == v else src
+            if other in alive_vertices and degree[other] <= 1:
+                queue.append(other)
+    if not alive_arrows:
+        raise PreconditionError("no cycle is left after stripping leaves")
+    start = min(alive_vertices, key=vertex_sort_key)
+    walk, used, current = [], set(), start
+    while True:
+        candidates = []
+        for a in (*q._out[current], *q._in[current]):
+            if a in used or a not in alive_arrows:
+                continue
+            src, tgt = q.arrows[a]
+            candidates.append((a, 1) if src == current else (a, -1))
+        if not candidates:
+            break
+        arrow, direction = min(candidates)
+        used.add(arrow)
+        walk.append((arrow, direction))
+        src, tgt = q.arrows[arrow]
+        current = tgt if direction == 1 else src
+    if current != start or len(used) != len(alive_arrows):
+        raise PreconditionError("the arrows left after stripping leaves are no cycle")
+    m_with = m_against = 0
+    for i, (a1, d1) in enumerate(walk):
+        a2, d2 = walk[(i + 1) % len(walk)]
+        if d1 == 1 and d2 == 1 and (a1, a2) in pres._relset:
+            m_with += 1
+        elif d1 == -1 and d2 == -1 and (a2, a1) in pres._relset:
+            m_against += 1
+    return classify.ClockReport(tuple(walk), m_with, m_against)
+
+
 def assert_link_routes_match_the_references(pres):
     assert classify._gentleness(pres) == reference_gentleness(pres)
     pairs = [
@@ -744,6 +852,14 @@ def assert_link_routes_match_the_references(pres):
     ]
     for route, reference in pairs:
         assert outcome(route, pres) == outcome(reference, pres), route.__name__
+    parts = presentation._components(pres)
+    assert component_tables(parts) == reference_components(pres)
+    # each part is known connected, so nothing searches it again
+    assert all(p._cache["components"] == () for p in parts)
+    # the walk's domain: clock_condition calls it on one cycle only
+    if cycle_count(pres) == 1:
+        walked = outcome(classify._clock_walk, pres)
+        assert walked == outcome(reference_clock_walk, pres)
 
 
 def test_link_routes_match_on_every_small_literal_lambda():
@@ -767,6 +883,40 @@ def test_link_routes_match_on_relabelings_and_sums():
     for _ in range(6):
         summed = direct_sum([relabel(rng.choice(pool), rng) for _ in range(2)])
         assert_link_routes_match_the_references(summed)
+
+
+def test_walk_records_a_loop_forward_under_any_names():
+    # in Lambda(1,1,t) the cycle is one loop, listed among both the out
+    # and the in arrows of its vertex
+    rng = random.Random(3)
+    for t in range(4):
+        for _ in range(25):
+            pres = relabel(build_lambda(1, 1, t), rng)
+            assert_link_routes_match_the_references(pres)
+            [(loop, direction)] = clock_condition(pres).cycle
+            assert direction == 1
+            assert pres.quiver.source(loop) == pres.quiver.target(loop)
+
+
+def test_component_and_walk_routes_match_on_working_copies():
+    # a series edits one working copy in place: its vertices are the live
+    # keys of its arrow lists and its arrows are in the order they were made
+    rng = random.Random(13)
+    inputs = [build_lambda(r, s, t) for s in (1, 3, 6) for r in (1, s) for t in (0, 3)]
+    inputs += [relabel(pres, rng) for pres in inputs]
+    inputs += [direct_sum(rng.sample(inputs, 2)) for _ in range(6)]
+    inputs.append(parse_presentation(SQUARE_BALANCED))
+    steps = 0
+    for pres in inputs:
+        work = _thaw(pres)
+        while True:
+            assert_link_routes_match_the_references(work)
+            step = jordan._strippable_vertex(work)
+            if step is None or len(work.quiver._out) == 1:
+                break
+            jordan._checked_corner(work, step.vertex)
+            steps += 1
+    assert steps > 80
 
 
 def test_link_routes_match_on_non_gentle_inputs():

@@ -405,3 +405,53 @@ def test_failed_verification_exits_3(monkeypatch, capsys):
     assert code == 3
     report = json.loads(capsys.readouterr().out)
     assert report["verification"] == {"ok": False, "failures": ["forced"]}
+
+
+def test_a_huge_inline_lambda_is_refused_before_it_is_built():
+    cap = cli._MAX_LAMBDA_RANK
+    for argv in (
+        ["build-lambda", "1", str(cap), "1"],
+        ["classify", "--lambda", "1", str(cap + 1), "0"],
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == f"error: Lambda(r,s,t) needs s + t at most {cap}\n"
+    # parameters outside the family keep their own message
+    result = run_cli("build-lambda", "0", str(2 * cap), "0")
+    assert result.returncode == 1 and "need 1 <= r <= s" in result.stderr
+    result = run_cli("build-lambda", "1", "2", "1")
+    assert result.returncode == 0 and result.stdout.startswith("vertex -1\n")
+
+
+def test_an_op_searches_components_once_and_builds_no_relation_path(
+    monkeypatch, tmp_path, capsys
+):
+    # the parts of a sum are marked connected when found, and a gentle
+    # input is decided on relation names: no Path is made
+    connected = tmp_path / "connected.txt"
+    connected.write_text(
+        presentation.serialize_presentation(build_lambda(2, 5, 2)), encoding="utf-8"
+    )
+    two_summands = DATA / "sum_relabeled_2_2_1_literal_1_3_0.txt"
+    searched, built = [], []
+    components, init = presentation._components, presentation.Path.__init__
+
+    def counted_components(pres):
+        searched.append(pres)
+        return components(pres)
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(presentation, "_components", counted_components)
+    monkeypatch.setattr(presentation.Path, "__init__", counted_init)
+    for path in (connected, two_summands):
+        for command in ("classify", "factors"):
+            searched.clear()
+            assert cli.main([command, str(path)]) == 0
+            assert len(searched) == 1, (path.name, command)
+        # a series searches each working copy it edits, but makes no Path
+        assert cli.main(["series", str(path)]) == 0
+    assert built == []
+    capsys.readouterr()

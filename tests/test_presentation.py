@@ -19,7 +19,7 @@ from ddisc import (
     path_basis,
     serialize_presentation,
 )
-from ddisc.presentation import BoundQuiverPresentation, LambdaDescriptor, Quiver
+from ddisc.presentation import BoundQuiverPresentation, LambdaDescriptor, Path, Quiver
 from test_classify import relabel
 
 A3_TEXT = """
@@ -387,3 +387,143 @@ def test_lambda_recognizer_agrees_with_its_definition():
         )
         assert lambda_descriptor_of(longer) == LambdaDescriptor(desc.r, desc.s, desc.t + 1)
     assert checked > 1500
+
+
+# -- the parser against the route it replaced ------------------------------------
+
+
+def reference_make_path(quiver, names):
+    """``make_path`` as it was: every name an arrow, then every joint."""
+    for a in names:
+        if a not in quiver.arrows:
+            raise PresentationError(f"unknown arrow {a!r}")
+    for a, b in zip(names, names[1:]):
+        if quiver.target(a) != quiver.source(b):
+            raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
+    return Path(quiver.source(names[0]), quiver.target(names[-1]), names)
+
+
+def reference_parse(text):
+    """The earlier parse route, kept as a reference: the same line checks,
+    then ``Quiver(...)``, ``make_path`` per relation on its own line, and
+    the constructor's relation checks."""
+    vertices, arrows, relations = {}, {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *args = line.split()
+        if kind == "vertex":
+            if len(args) != 1:
+                raise ParseError("vertex takes exactly one id", lineno)
+            table, key, entry = vertices, args[0], lineno
+        elif kind == "arrow":
+            if len(args) != 3:
+                raise ParseError("arrow takes id, source, target", lineno)
+            table, key, entry = arrows, args[0], (lineno, args[1], args[2])
+        elif kind == "relation":
+            if len(args) < 2:
+                raise ParseError("relation needs at least two arrows", lineno)
+            table, key, entry = relations, tuple(args), lineno
+        else:
+            raise ParseError(f"unknown directive {kind!r}", lineno)
+        if key in table:
+            raise ParseError(f"duplicate {kind} {key!r}", lineno)
+        table[key] = entry
+    for name, (lineno, src, tgt) in arrows.items():
+        if src not in vertices or tgt not in vertices:
+            raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
+    quiver = Quiver(vertices, [(a, src, tgt) for a, (_, src, tgt) in arrows.items()])
+    paths = []
+    for rel, lineno in relations.items():
+        try:
+            paths.append(reference_make_path(quiver, rel))
+        except PresentationError as exc:
+            raise ParseError(str(exc), lineno) from exc
+    if not vertices:
+        raise ParseError("no vertex declared")
+    return BoundQuiverPresentation(quiver, paths)
+
+
+def parse_outcome(parse, text):
+    """The tables ``parse(text)`` fills, or the text and line it refuses."""
+    try:
+        pres = parse(text)
+    except ParseError as err:
+        return str(err), err.line
+    q = pres.quiver
+    tables = (q.vertices, list(q.arrows.items()), q._out, q._in)
+    return pres, tables, pres._relset, pres._maxrel, pres.relations
+
+
+def random_presentation_lines(rng):
+    """The lines of a valid presentation: vertices, arrows (loops among
+    them) and relations of length 2 to 4 along composable arrows."""
+    # numeric ids and others, which sort apart; a repeat is kept once
+    names = [rng.choice([str(i - 2), f"v{i}", f"{i}'"]) for i in range(6)]
+    vertices = list(dict.fromkeys(names[: rng.randint(1, 6)]))
+    arrows = [
+        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(0, 7))
+    ]
+    rels = set()
+    for _ in range(rng.randint(0, 4)):
+        if not arrows:
+            break
+        path = [rng.choice(arrows)]
+        for _ in range(rng.randint(1, 3)):
+            nxt = [a for a in arrows if a[1] == path[-1][2]]
+            if nxt:
+                path.append(rng.choice(nxt))
+        if len(path) > 1:
+            rels.add(tuple(a for a, _, _ in path))
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"arrow {a} {src} {tgt}" for a, src, tgt in arrows]
+    lines += ["relation " + " ".join(rel) for rel in rels]
+    rng.shuffle(lines)
+    return lines, arrows
+
+
+def broken_line(rng, lines, arrows):
+    """One line the parser refuses, or may refuse once the rest is read."""
+    some_arrows = [a for a, _, _ in arrows] or ["a0"]
+    return rng.choice(
+        [
+            "frob x y",  # unknown directive
+            "vertex",  # bad arity
+            "vertex u v",
+            "arrow z 0",
+            "relation " + some_arrows[0],
+            rng.choice(lines or ["vertex 0"]),  # duplicate, unless lines is empty
+            f"arrow z {rng.choice(['0', 'nowhere'])} nowhere",  # undeclared endpoint
+            "relation zz " + some_arrows[0],  # unknown arrow
+            # a relation that need not compose
+            "relation " + " ".join(rng.choice(some_arrows) for _ in range(3)),
+        ]
+    )
+
+
+def test_parser_fills_the_tables_the_reference_route_fills():
+    rng = random.Random(29)
+    texts = ["", "# only a comment\n\n", "relation a b\n", "arrow a 0 0\n"]
+    for k in range(1500):
+        lines, arrows = random_presentation_lines(rng)
+        if k % 2:
+            broken = broken_line(rng, lines, arrows)
+            lines.insert(rng.randint(0, len(lines)), broken)
+        if k % 5 == 0:
+            lines = [line for line in lines if not line.startswith("vertex")]
+        decorated = []
+        for line in lines:
+            if rng.random() < 0.2:
+                decorated.append(rng.choice(["", "   ", "# a comment", "\t# x y z"]))
+            decorated.append(line + rng.choice(["", "  # trailing", " \t"]))
+        texts.append(("\r\n" if rng.random() < 0.3 else "\n").join(decorated))
+    refused = 0
+    for text in texts:
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(parse_presentation, text) == expected, text
+        refused += isinstance(expected[0], str)
+    # both routes are exercised: most broken texts are refused, and some
+    # texts with relations go through
+    assert 600 < refused < len(texts) - 500
