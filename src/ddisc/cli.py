@@ -1,22 +1,18 @@
 """Command-line front end with machine-readable reports.
 
-Commands: ``classify`` (gentleness, cycles, clock, discreteness, normal
-form), ``factors`` (composition factor multiset and simplicity), ``series``
-(greedy composition-series trace plus its replay verification), ``hom``
-(derived hom dimension tables between string objects) and ``build-lambda``
-(emit a normal-form presentation as text).
-
-Reports are JSON on stdout, deterministic for fixed input and flags; pass
+The commands and their arguments are the rows of ``_COMMANDS``.  Reports
+are JSON on stdout, deterministic for fixed input and flags; pass
 ``--pretty`` for a plain-text rendering.  Exit codes: 0 success, 1 input
 error, 2 classification unknown or computation outside the supported
 family, 3 trace verification failure.
 """
 
-import argparse
 import hashlib
 import json
 import re
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import __version__
 from .classify import (
@@ -57,28 +53,6 @@ _MAX_SHIFT = 10**6
 # the largest s + t of an inline Lambda(r,s,t): one of a million vertices
 # takes one to two GB, and a larger one would end in a MemoryError
 _MAX_LAMBDA_RANK = 10**6
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; 2 is taken, input errors are 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_input_flags(sub):
-    sub.add_argument("input", nargs="?", help="presentation file")
-    sub.add_argument(
-        "--lambda",
-        dest="lambda_spec",
-        nargs=3,
-        type=int,
-        metavar=("R", "S", "T"),
-        help="inline Lambda(r,s,t) input instead of a file",
-    )
-    sub.add_argument(
-        "--pretty", action="store_true", help="plain text instead of JSON"
-    )
 
 
 def _inline_lambda(r, s, t):
@@ -382,60 +356,154 @@ def _run_hom(args):
     return 0
 
 
-# -- entry point ----------------------------------------------------------------
+def _run_build_lambda(args):
+    sys.stdout.write(serialize_presentation(_inline_lambda(args.r, args.s, args.t)))
+    return 0
 
 
-def _build_parser():
-    parser = _Parser(prog="ddisc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner, extra in (
-        ("classify", _run_classify, ()),
-        ("factors", _run_factors, ("n",)),
-        ("series", _run_series, ()),
-        ("hom", _run_hom, ("hom",)),
-    ):
-        p = sub.add_parser(name)
-        _add_input_flags(p)
-        p.set_defaults(runner=runner)
-        if "n" in extra:
-            p.add_argument("--n", type=int, default=1, help="recollement depth")
-        if "hom" in extra:
-            p.add_argument("--from", dest="src", required=True, metavar="OBJ")
-            p.add_argument("--to", dest="dst", required=True, metavar="OBJ")
-            p.add_argument("--max-shift", type=int, required=True)
-    b = sub.add_parser("build-lambda")
-    b.add_argument("r", type=int)
-    b.add_argument("s", type=int)
-    b.add_argument("t", type=int)
-    b.set_defaults(runner=None)
-    return parser
+# -- argv -----------------------------------------------------------------------
+
+# one row per argument: its flag (None: a positional), the attribute a runner reads,
+# the number of values (0: a switch), their type, required, default, metavar, help
+_Arg = namedtuple("_Arg", "flag dest arity kind required default metavar help",
+                  defaults=(1, str, False, None, None, ""))
+_HELP = _Arg("-h, --help", "help", 0, help="show this help message and exit")
+_TOP = {"-h": _HELP, "--help": _HELP}
+_INPUT = (
+    _Arg(None, "input", help="presentation file"),
+    _Arg("--lambda", "lambda_spec", 3, int, metavar="R S T",
+         help="inline Lambda(r,s,t) input instead of a file"),
+    _Arg("--pretty", "pretty", 0, default=False, help="plain text instead of JSON"),
+)
+# command -> (runner, help, arguments in the order error messages list them)
+_COMMANDS = {
+    "classify": (_run_classify, "discreteness, gentleness, cycles, normal form", _INPUT),
+    "factors": (_run_factors, "composition factor multiset and simplicity", _INPUT + (
+        _Arg("--n", "n", kind=int, default=1, metavar="N", help="recollement depth"),)),
+    "series": (_run_series, "composition series trace and its replay verification", _INPUT),
+    "hom": (_run_hom, "derived hom dimension table between string objects", _INPUT + (
+        _Arg("--from", "src", required=True, metavar="OBJ", help="X<p> or Y<q>"),
+        _Arg("--to", "dst", required=True, metavar="OBJ", help="X<p> or Y<q>"),
+        _Arg("--max-shift", "max_shift", 1, int, True, metavar="MAX_SHIFT", help="last h"))),
+    "build-lambda": (_run_build_lambda, "emit the presentation of Lambda(r,s,t)",
+                     tuple(_Arg(None, dest, kind=int, required=True) for dest in "rst")),
+}
 
 
-_PARSER = None
+def _word(arg):
+    return f"{arg.flag} {arg.metavar}" if arg.metavar else arg.flag or arg.dest
 
 
-def _parser():
-    """The parser, built on first use and then reused.
+def _usage(command):
+    if command is None:
+        return "usage: ddisc [-h] {" + ",".join(_COMMANDS) + "} ...\n"
+    words = [_word(a) if a.required else f"[{_word(a)}]" for a in _COMMANDS[command][2]]
+    return " ".join(["usage: ddisc", command, "[-h]", *words]) + "\n"
 
-    Building it takes about 1 ms, as long as a small ``classify`` run;
-    ``parse_args`` keeps no state between calls.  A plain global rather
-    than ``functools.cache``: the benchmark tracer reads any ddisc binding
-    that has ``__wrapped__`` as one of its own wrappers.
-    """
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
+
+def _fail(command, message):
+    """Print the usage line and ``message`` to stderr; exit 1 (2 is a verdict)."""
+    prog = "ddisc" if command is None else f"ddisc {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _option(command, flags, token):
+    """What ``token`` is ahead of any ``--``: ``None`` for a value, else
+    ``(arg, flag, explicit value or None)``, with ``arg`` ``None`` for an unknown flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    prefix, eq, explicit = token.partition("=")
+    if prefix in flags:
+        return flags[prefix], prefix, explicit if eq else None
+    if token[1] == "-":
+        names, explicit = [f for f in flags if f.startswith(prefix)], explicit if eq else None
+    else:  # "-h" takes the rest of its token as its value
+        names, explicit = ["-h"] if token[1] == "h" else [], token[2:]
+    if len(names) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(names)}")
+    if names:
+        return flags[names[0]], names[0], explicit
+    number = re.match(r"^-\d+$|^-\d*\.\d+$", token)  # a negative number is a value
+    return None if number or " " in token else (None, token, None)
+
+
+def _show_help(command, flag, explicit):
+    # "-hh" asks twice; any other tail, or a value for "--help", is refused
+    rest = explicit.lstrip("h") if flag == "-h" and explicit else explicit
+    if explicit is not None and (rest or not explicit or flag != "-h"):
+        _fail(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+    rows = [(name, row[1]) for name, row in _COMMANDS.items()] if command is None else []
+    rows += [(_word(a), a.help) for a in (_HELP, *(_COMMANDS[command][2] if command else ()))]
+    width = max(len(name) for name, _ in rows)
+    lines = [f"  {name:{width}}  {text}".rstrip() for name, text in rows]
+    sys.stdout.write(_usage(command) + "\n" + "\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """The attributes a runner reads, from ``argv`` by the rows of ``_COMMANDS``, with
+    the values and error messages of the parser it replaced (the tests' reference)."""
+    extras, i = [], 0
+    while i < len(argv) and argv[i] != "--" and (option := _option(None, _TOP, argv[i])):
+        if option[0] is not None:
+            _show_help(None, *option[1:])
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _fail(None, "the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]  # "--" with more after it is no command
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = _COMMANDS[command][2]
+    flags = {**_TOP, **{a.flag: a for a in table if a.flag}}
+    positionals = [a for a in table if not a.flag]
+    args = SimpleNamespace(command=command, **{a.dest: a.default for a in table})
+    # every token ahead of "--" is read first, so an ambiguous one is reported first
+    end = rest.index("--") if "--" in rest else len(rest)
+    options = [_option(command, flags, t) for t in rest[:end]] + [None] * (len(rest) - end)
+    j, last = 0, None  # last: the last token a positional took
+    while j < len(rest):
+        option, token, k = options[j], rest[j], j
+        j += 1
+        if option is None and positionals and k != end:  # read as the positional's value
+            option, last = (positionals.pop(0), None, token), k
+        if k == end:  # this "--" goes to a positional beside it, else to extras
+            if not (last == end - 1 or positionals):
+                extras.append(token)
+        elif option is None or option[0] is None:
+            extras.append(token)
+        elif option[0] is _HELP:
+            _show_help(command, *option[1:])
+        else:
+            a, flag, explicit = option
+            if explicit is None and j + a.arity <= end and not any(options[j:j + a.arity]):
+                values, j = rest[j:j + a.arity], j + a.arity
+            elif explicit is not None and a.arity == 1:
+                values = [explicit]
+            else:
+                count = "one argument" if a.arity == 1 else f"{a.arity} arguments"
+                why = f"ignored explicit argument {explicit!r}"
+                _fail(command, f"argument {flag}: {f'expected {count}' if a.arity else why}")
+            for n, value in enumerate(values):
+                try:
+                    values[n] = a.kind(value)
+                except ValueError:
+                    _fail(command, f"argument {flag or a.dest}: invalid int value: {value!r}")
+            setattr(args, a.dest, values[0] if a.arity == 1 else values or True)
+    missing = [a.flag or a.dest for a in table if a.required and getattr(args, a.dest) is None]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "build-lambda":
-            pres = _inline_lambda(args.r, args.s, args.t)
-            sys.stdout.write(serialize_presentation(pres))
-            return 0
-        return args.runner(args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, PresentationError, InfiniteDimensionalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

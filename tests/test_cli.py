@@ -225,7 +225,6 @@ def test_optimized_interpreter_prints_the_same_hom():
 
 
 def test_in_process_calls_share_no_parser_state(capsys):
-    assert cli._parser() is cli._parser()
     lam = ["--lambda", "2", "2", "1"]
     assert cli.main(["factors", *lam, "--n", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 3
