@@ -72,9 +72,11 @@ def _load_presentation(args):
     with open(args.input, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # a leading byte order mark is no part of the text
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
-        raise ParseError(f"{args.input}: not UTF-8 text (byte offset {e.start})") from e
+        at = len(data) - len(e.object) + e.start  # e.object lacks the mark
+        raise ParseError(f"{args.input}: not UTF-8 text (byte offset {at})") from e
     return parse_presentation(text)
 
 

@@ -56,6 +56,7 @@ from . import linalg
 from .presentation import (
     Path,
     _assert_finite_dimensional,
+    _children_first,
     _paths_from,
     _states,
     lambda_descriptor_of,
@@ -620,27 +621,9 @@ def infinite_gldim_check(pres) -> str:
     the global dimension is infinite iff the graph on basis paths with the
     edges x -> each annihilator generator of x has a cycle reachable from an
     arrow (Green-Happel-Zacharia): the graph is finite, so a resolution
-    without end revisits a path.  An iterative depth-first search finds it.
+    without end revisits a path, and ``presentation._children_first`` finds it.
     Raises InfiniteDimensionalError like ``path_basis``.
     """
-    on_stack, done = set(), set()
-    for a, (src, tgt) in pres.quiver.arrows.items():
-        root = Path(src, tgt, (a,))
-        if root in done:
-            continue
-        on_stack.add(root)
-        stack = [(root, iter(_annihilator_generators(pres, root)))]
-        while stack:
-            x, children = stack[-1]
-            for y in children:
-                if y in on_stack:
-                    return "yes"
-                if y not in done:
-                    on_stack.add(y)
-                    stack.append((y, iter(_annihilator_generators(pres, y))))
-                    break
-            else:
-                stack.pop()
-                on_stack.discard(x)
-                done.add(x)
-    return "no"
+    roots = [Path(src, tgt, (a,)) for a, (src, tgt) in pres.quiver.arrows.items()]
+    found = _children_first(roots, lambda x: _annihilator_generators(pres, x))
+    return "yes" if found is None else "no"

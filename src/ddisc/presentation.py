@@ -189,15 +189,6 @@ class BoundQuiverPresentation:
         _check_walk(q.arrows, names)
         return Path(q.source(names[0]), q.target(names[-1]), names)
 
-    def _relation_ends_at(self, names, end, lo, hi) -> bool:
-        """True when a relation occupies ``names[i:end+1]`` for some ``i``
-        in ``[lo, hi]``: the slices of length 2 up to the longest relation
-        are looked up in the relation set."""
-        for i in range(max(lo, end + 1 - self._maxrel), min(hi, end - 1) + 1):
-            if names[i : end + 1] in self._relset:
-                return True
-        return False
-
     def is_normal(self, arrow_names) -> bool:
         """True when no relation occurs as a contiguous subword: every
         window of length 2 up to the longest relation is looked up in the
@@ -220,15 +211,12 @@ class BoundQuiverPresentation:
             return q
         if not q.arrows:
             return p
-        names = p.arrows + q.arrows
-        # Only subwords straddling the junction can introduce a relation:
-        # those starting at an index in [lo, len(p)].
-        m = len(p.arrows)
-        lo = max(0, m - self._maxrel + 1)
-        for end in range(lo + 1, min(len(names), m + self._maxrel)):
-            if self._relation_ends_at(names, end, lo, m):
-                return None
-        return Path(p.source, q.target, names)
+        # p and q are normal, so only a subword straddling the junction can
+        # be a relation: it lies in the maxrel - 1 arrows on either side
+        k = self._maxrel - 1
+        if k > 0 and not self.is_normal(p.arrows[-k:] + q.arrows[:k]):
+            return None
+        return Path(p.source, q.target, p.arrows + q.arrows)
 
     # -- equality and text form ------------------------------------------
 
@@ -340,9 +328,40 @@ def _relation_paths(pres):
     return tuple(sorted(paths, key=Path.sort_key))
 
 
+def _children_first(roots, children):
+    """Every node reachable from ``roots``, each listed after every node
+    below it, or None when a cycle is reachable.
+
+    ``children(node)`` lists the nodes one step below ``node``; it is asked
+    once per node reached.  The depth-first search keeps its own stack, so
+    a chain deeper than the recursion limit is walked like any other.
+    """
+    order, finished = [], {}  # finished[node] is False while it is on the stack
+    for root in roots:
+        if root in finished:
+            continue
+        finished[root] = False
+        stack = [(root, iter(children(root)))]
+        while stack:
+            node, it = stack[-1]
+            for child in it:
+                seen = finished.get(child)
+                if seen is None:
+                    finished[child] = False
+                    stack.append((child, iter(children(child))))
+                    break
+                if not seen:
+                    return None
+            else:
+                stack.pop()
+                finished[node] = True
+                order.append(node)
+    return order
+
+
 def _automaton(pres):
-    """Edges and per-state counts of every state the suffix automaton
-    reaches, found by a depth-first search from every (v, ()).
+    """Edges of every state the suffix automaton reaches from some (v, ()),
+    and those states children first.
 
     States are (vertex, window) with window the last max(relation)-1 arrows;
     that window determines which one-arrow extensions stay normal: the
@@ -351,21 +370,17 @@ def _automaton(pres):
     relation set.  So the basis paths from v are the walks from (v, ()),
     and a path x times a path y is nonzero iff y walks from the state that
     x ends in.  Path listings (``_paths_from``) and annihilator generators
-    read these edges and check no relation again.  A state is done once it
-    has ``below``, the counts by target vertex of the walks from it: the
-    search enters no done state, sets ``edges`` (the (arrow, next state)
-    pairs) of every state it enters, and finishes states children first.
-    A cycle among entered states pumps to arbitrarily long normal paths:
-    that raises InfiniteDimensionalError, a structural check rather than a
-    cutoff.
+    read these edges, the (arrow, next state) pairs of each state, and
+    check no relation again; ``path_counts`` folds counts over the order.
+    A reachable cycle pumps to arbitrarily long normal paths: that raises
+    InfiniteDimensionalError, a structural check rather than a cutoff.
     """
     q = pres.quiver
     width = max(pres._maxrel - 1, 0)
     relset = pres._relset
-    edges, below = {}, {}
-    active = set()  # states on the search stack
+    edges = {}
 
-    def enter(state):
+    def children(state):
         vertex, window = state
         outs = edges[state] = []
         for a in q.arrows_from(vertex):
@@ -376,35 +391,14 @@ def _automaton(pres):
                 k -= 1
             if k < 0:
                 outs.append((a, (q.target(a), word[-width:] if width else ())))
-        active.add(state)
-        return state, iter(outs)
+        return [nxt for _, nxt in outs]
 
-    for v in q.vertices:
-        if (v, ()) in below:
-            continue
-        stack = [enter((v, ()))]
-        while stack:
-            state, it = stack[-1]
-            for _, nxt in it:
-                if nxt in active:
-                    raise InfiniteDimensionalError(
-                        "relation-free cycle: the path basis is infinite"
-                    )
-                if nxt not in below:
-                    stack.append(enter(nxt))
-                    break
-            else:
-                active.discard(state)
-                stack.pop()
-                outs = edges[state]
-                # copying the first child's dict runs in C; most states have one
-                ends = dict(below[outs[0][1]]) if outs else {}
-                for _, nxt in outs[1:]:
-                    for w, count in below[nxt].items():
-                        ends[w] = ends.get(w, 0) + count
-                ends[state[0]] = ends.get(state[0], 0) + 1
-                below[state] = ends
-    return edges, below
+    order = _children_first([(v, ()) for v in q.vertices], children)
+    if order is None:
+        raise InfiniteDimensionalError(
+            "relation-free cycle: the path basis is infinite"
+        )
+    return edges, order
 
 
 def _states(pres):
@@ -418,7 +412,19 @@ def _assert_finite_dimensional(pres: BoundQuiverPresentation):
 
 
 def _counts_from_states(pres):
-    edges, below = _states(pres)
+    """``path_counts``: the counts by target vertex of the walks from each
+    state, folded over the automaton's order, children first."""
+    edges, order = _states(pres)
+    below = {}
+    for state in order:
+        outs = edges[state]
+        # copying the first child's dict runs in C; most states have one
+        ends = dict(below[outs[0][1]]) if outs else {}
+        for _, nxt in outs[1:]:
+            for w, count in below[nxt].items():
+                ends[w] = ends.get(w, 0) + count
+        ends[state[0]] = ends.get(state[0], 0) + 1
+        below[state] = ends
     cartan = {}
     by_first = {}
     for v in pres.quiver.vertices:
@@ -438,9 +444,10 @@ def path_counts(pres: BoundQuiverPresentation):
     counts by target of the walks from it; the walks from (v, ()) are the
     basis paths from v, so those counts are row v of the Cartan matrix.
 
-    The states, their edges and their counts stay cached on the
-    presentation; callers must not mutate the result.  A series counts no
-    path: its steps are decided on the relation set (see ``jordan``).
+    The rows and first-arrow totals stay cached on the presentation, and
+    the counts of the other states do not outlive the pass; callers must
+    not mutate the result.  A series counts no path: its steps are decided
+    on the relation set (see ``jordan``).
     Raises InfiniteDimensionalError like ``path_basis``.
     """
     return _cached(pres, "path_counts", _counts_from_states)

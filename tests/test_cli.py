@@ -1,5 +1,6 @@
 """CLI: report schema, determinism, frozen outputs, exit codes."""
 
+import codecs
 import gc
 import json
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from ddisc import BoundQuiverPresentation, TraceReport, build_lambda, parse_presentation
-from ddisc import classify, presentation
+from ddisc import classify, infinite_gldim_check, presentation
 import ddisc.cli as cli
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -132,10 +133,44 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
     assert calls == expected
 
 
+def test_no_op_folds_path_counts_it_does_not_read(monkeypatch, capsys):
+    # finite dimension is proved on the automaton's edges and order, and a
+    # hom op and the global dimension check read its edges only, so none of
+    # them folds the count tables that only ``path_counts`` reads
+    def refuse(pres):
+        raise AssertionError("path counts folded")
+
+    monkeypatch.setattr(presentation, "_counts_from_states", refuse)
+    argv = ["hom", "--lambda", "2", "2", "1", "--from", "Y-1", "--to", "X0"]
+    assert cli.main(argv + ["--max-shift", "4"]) == 0
+    for name in ("kronecker", "d4_hereditary", "a4_long_relation"):
+        code = cli.main(["classify", str(DATA / f"{name}.txt")])
+        assert code == GOLDEN_NONZERO.get((name, "classify"), 0)
+    capsys.readouterr()
+    answers = {
+        infinite_gldim_check(parse_presentation(path.read_text(encoding="utf-8")))
+        for path in DATA.glob("*.txt")
+    }
+    assert answers == {"yes", "no"}
+
+
+def test_a_relation_free_line_has_one_state_per_vertex():
+    # counted, not timed: classifying A_n walks an automaton of n states
+    # and n - 1 edges and folds no count table
+    n = 5000
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    pres = BoundQuiverPresentation(presentation.Quiver(map(str, range(n)), arrows))
+    assert classify.is_derived_discrete(pres).verdict == "yes"
+    edges, order = pres._cache["automaton"]
+    assert order == [(str(i), ()) for i in reversed(range(n))] and len(edges) == n
+    assert sum(map(len, edges.values())) == n - 1
+    assert "path_counts" not in pres._cache
+
+
 def test_names_perfbench_reads_stay_bound():
     # perfbench's tracer finds these functions by identity wherever ddisc
-    # binds them, and tier-1 does not run perfbench; ROADMAP item 5 (a stats
-    # block the tracer reads) retires these pins
+    # binds them, and tier-1 does not run perfbench; ROADMAP item 17 (the
+    # tracer reads code objects), or item 5, retires these pins
     from ddisc import homology, jordan, linalg
 
     assert callable(linalg.rank) and callable(homology._proj_coords)
@@ -354,6 +389,28 @@ def test_input_errors_exit_1(tmp_path):
     both = tmp_path / "p.txt"
     both.write_text(KRONECKER, encoding="utf-8")
     assert run_cli("classify", str(both), "--lambda", "1", "1", "0").returncode == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "factors", "series"])
+def test_a_byte_order_mark_changes_no_report(command, tmp_path, capsys):
+    # a file saved with a UTF-8 byte order mark reads as the same
+    # presentation, so its report, the input's sha256 too, keeps every byte
+    for path in sorted(DATA.glob("*.txt")):
+        marked = tmp_path / path.name
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        reports = []
+        for source in (path, marked):
+            code = cli.main([command, str(source)])
+            reports.append((code, capsys.readouterr()))
+        assert reports[0] == reports[1], path.name
+
+
+def test_a_byte_order_mark_keeps_error_offsets(tmp_path, capsys):
+    # the offset of a byte that is not UTF-8 counts the mark's three bytes
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(codecs.BOM_UTF8 + b"vertex 1\nvertex \xff\n")
+    assert cli.main(["classify", str(marked)]) == 1
+    assert "not UTF-8 text (byte offset 19)" in capsys.readouterr().err
 
 
 def test_unknown_classifications_exit_2(tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests: relation scans against their definition, path counts
+"""Property tests: relation scans against their definition, the
+children-first search against reachability by closure, path counts
 and corner algebras against the listed path basis, radical projectivity
 from path counts against a module computation and from the relation set
 against the counts, minimal exact resolutions
@@ -40,7 +41,7 @@ from ddisc import (
     verify_trace,
 )
 import ddisc.cli as cli
-from ddisc import jordan
+from ddisc import jordan, presentation
 from ddisc.classify import UnknownClass, _assert_gentle_finite, relation_full_cycles
 from ddisc.fields import GF, QQ
 from ddisc.homology import (
@@ -236,6 +237,58 @@ def test_path_counts_walk_paths_longer_than_the_recursion_limit():
     assert cartan["0"][str(n - 1)] == 1
     assert sum(len(row) for row in cartan.values()) == n * (n + 1) // 2
     assert by_first["a0"] == n - 1
+
+
+def reachable_by_closure(roots, succ):
+    """Reference: the nodes reachable from ``roots``, by growing the set
+    until it stops growing."""
+    found = set(roots)
+    while True:
+        grown = found | {w for v in found for w in succ[v]}
+        if grown == found:
+            return found
+        found = grown
+
+
+@st.composite
+def digraphs(draw):
+    """A random digraph on 1..7 nodes with 0..12 edges, and 0..3 roots."""
+    nodes = range(draw(st.integers(1, 7)))
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    succ = {v: [] for v in nodes}
+    for v, w in draw(st.lists(pairs, max_size=12)):
+        succ[v].append(w)
+    return succ, draw(st.lists(st.sampled_from(nodes), max_size=3))
+
+
+@settings(FIXED, max_examples=500)
+@given(digraphs())
+def test_children_first_matches_reachability_and_cycles(graph):
+    succ, roots = graph
+    asked = []
+
+    def children(v):
+        asked.append(v)
+        return succ[v]
+
+    order = presentation._children_first(roots, children)
+    reached = reachable_by_closure(roots, succ)
+    # a cycle is reachable iff some reached node reaches itself in a step
+    cyclic = any(v in reachable_by_closure(succ[v], succ) for v in reached)
+    assert (order is None) == cyclic
+    assert len(asked) == len(set(asked)) and set(asked) <= reached
+    if order is not None:
+        assert sorted(order) == sorted(reached) and set(asked) == reached
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[w] < place[v] for v in order for w in succ[v])
+
+
+def test_children_first_walks_chains_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    chain = presentation._children_first([0], lambda i: [i + 1] if i < n - 1 else [])
+    assert chain == list(reversed(range(n)))
+    loop = presentation._children_first([0], lambda i: [(i + 1) % n])
+    assert loop is None
 
 
 def radical_projectivity_by_modules(pres, v):
