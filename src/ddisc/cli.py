@@ -338,14 +338,14 @@ def _render_hom(report):
 
 
 def _run_hom(args):
-    pres = _load_presentation(args)
-    desc = lambda_descriptor_of(pres)
-    src = _parse_object(pres, desc, args.src)
-    dst = _parse_object(pres, desc, args.dst)
     if args.max_shift < 0:
         raise ParseError("--max-shift must be nonnegative")
     if args.max_shift > _MAX_SHIFT:
         raise ParseError(f"--max-shift must be at most {_MAX_SHIFT}")
+    pres = _load_presentation(args)
+    desc = lambda_descriptor_of(pres)
+    src = _parse_object(pres, desc, args.src)
+    dst = _parse_object(pres, desc, args.dst)
     table = hom_table(pres, src, dst, args.max_shift)
     report = _envelope("hom", pres)
     report["hom"] = {

@@ -4,37 +4,30 @@ A derived discrete algebra reduces to the base field and 2-truncated cycle
 algebras through a chain of corner-algebra steps: splitting into connected
 components, stripping a one-point extension or coextension vertex, and
 dropping a vertex whose projective has projective radical.  ``strip_series``
-builds such a chain greedily; ``verify_trace`` replays one and re-checks
-every step's precondition, so a trace is auditable evidence rather than a
-claim.  Both check and apply every step through one rule, ``_step_problem``
-then ``_apply``.  ``composition_factors`` computes the factor multiset
-straight from the normal form, giving an independent cross-check on the trace.
+builds such a chain greedily, choosing each step by the predicates that
+``_step_problem`` checks; ``verify_trace`` replays one and re-checks every
+step through ``_step_problem``, so a trace is auditable evidence rather than
+a claim.  Both apply every step through ``_apply``, whose strips are
+``presentation._corner``.  ``composition_factors`` computes the factor
+multiset straight from the normal form, giving an independent cross-check on
+the trace.
 
 A series is decided on the relation set and counts no path.  Every input
 ``strip_series`` accepts is hereditary or gentle, so its relations have
 length 2 (or there are none), and then rad P_v is projective iff no
 relation starts with an arrow out of v (Green-Happel-Zacharia), which
-``_radical_projective`` looks up.  The corner that drops such a vertex, or
-a source or a sink, is presented exactly by the quadratic relations that
-``_corner`` edits into the set: a word in its generators vanishes iff a
-relation straddles two consecutive ones, and every such pair is kept or
-born.  Only the corners of an algebra with longer relations, which no
-series of ``strip_series`` meets, are checked against the Cartan counts of
-``path_counts``.  So building and checking a series lists no path,
-constructs no module and runs no linear algebra.
-
-``strip_series`` and ``verify_trace`` never touch their input: each
-component gets one working copy (``_thaw``) at its first strip, and every
-later strip edits that copy in place at the dropped vertex's neighbours.
-``strip_series`` looks for components again only after dropping a vertex
-with two or more neighbours; a connected algebra minus a leaf stays
-connected.  ``verify_trace`` replays every step on its own copies.
+``_radical_projective`` looks up.  ``_corner`` presents the corner that
+drops such a vertex, or a source or a sink, exactly by quadratic relations.
+So building and checking a series lists no path, constructs no module and
+runs no linear algebra.  Neither touches its input, as ``_corner`` copies a
+presentation before its first edit, and a component is searched for parts
+again only when ``_corner`` could not keep it marked connected.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DdiscError, PreconditionError, StripStuckError
+from .errors import DdiscError, PreconditionError, PresentationError, StripStuckError
 from .classify import (
     DerivedEquivClass,
     DynkinHereditary,
@@ -48,7 +41,6 @@ from .presentation import (
     _assert_finite_dimensional,
     _corner,
     _freeze,
-    _thaw,
     connected_components,
     grothendieck_rank,
     path_counts,
@@ -226,7 +218,8 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     the quadratic presentation is then exact.  With longer relations it is
     validated by ``path_counts``: its Cartan counts must equal the ambient
     ones between kept vertices, else quadratic monomial relations cannot
-    present the corner and it is rejected.  Raises InfiniteDimensionalError
+    present the corner and it is rejected.  A corner that keeps no vertex
+    is refused like a quiver without one.  Raises InfiniteDimensionalError
     like ``path_basis``.
     """
     kept = set(keep)
@@ -245,29 +238,10 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
-    return _freeze(_checked_corner(_thaw(pres), v))
-
-
-def _checked_corner(work, v):
-    """Edit the working copy ``work`` into its corner without v, a vertex
-    ``idempotent_subalgebra`` or ``_step_problem`` accepted, and return it.
-    Nothing longer than a*b passes through v, as v carries no loop: it
-    would be no source and no sink, and ``_radical_projective`` refuses it.
-    So the quadratic presentation is exact for relations of length 2;
-    longer ones are checked by counts, taken before the edit."""
-    if work._maxrel <= 2:
-        return _corner(work, v)
-    # the ambient Cartan rows of the kept vertices, without column v
-    expected = {
-        u: {w: n for w, n in row.items() if w != v}
-        for u, row in path_counts(work)[0].items()
-        if u != v
-    }
-    if path_counts(_corner(work, v))[0] != expected:
-        raise PreconditionError(
-            "corner algebra is not quadratic monomial on these generators"
-        )
-    return work
+    if not kept:
+        # as ``Quiver`` refuses the corner's quiver
+        raise PresentationError("a quiver needs at least one vertex")
+    return _freeze(_corner(pres, v))
 
 
 # -- series traces ---------------------------------------------------------------
@@ -415,18 +389,16 @@ def _step_problem(current, step) -> str:
 def _apply(current, step):
     """The pieces ``step`` leaves of ``current`` and the factors it emits.
 
-    A strip edits ``current`` in place when it is a working copy, and else
-    a working copy of it, so the caller's presentation and its cached
-    components are never edited.  The parts of a split are presentations,
-    each copied at its first strip; those of a working copy share its
-    lists and arrow order, and like it never leave the series.
+    A strip is ``_corner``, which edits a working copy in place and copies
+    a presentation.  The parts of a split are presentations; those of a
+    working copy share its lists and arrow order, and like it never leave
+    the series.
     """
     if step.op == "split":
         return connected_components(current), ()
     if step.op == "terminal":
         return (), (step.factor,)
-    work = _thaw(current) if isinstance(current._relset, frozenset) else current
-    return (_checked_corner(work, step.vertex),), (K,)
+    return (_corner(current, step.vertex),), (K,)
 
 
 def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
@@ -445,12 +417,11 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         )
     steps = []
     factors = []
-    # (presentation, known connected): components are, and so is a
-    # connected one minus a vertex with at most one neighbour
-    stack = [(pres, False)]
+    stack = [pres]
     while stack:
-        comp, connected = stack.pop()
-        parts = () if connected else connected_components(comp)
+        comp = stack.pop()
+        # free on a part or a corner that _corner kept marked connected
+        parts = connected_components(comp)
         if not steps or len(parts) > 1:
             witness = "; ".join(",".join(p.quiver.vertices) for p in parts)
             step = SeriesStep("split", parts=len(parts), witness=witness)
@@ -461,17 +432,9 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
                 f"no applicable reduction on {comp!r}", residual=_freeze(comp)
             )
         steps.append(step)
-        if step.op not in ("split", "terminal"):
-            # the strip edits comp in place: read v's neighbours first
-            q, v = comp.quiver, step.vertex
-            neighbours = {q.source(a) for a in q.arrows_into(v)}
-            neighbours.update(q.target(a) for a in q.arrows_from(v))
         pieces, emitted = _apply(comp, step)
         factors += emitted
-        if step.op == "split":
-            stack.extend((p, True) for p in reversed(pieces))
-        elif pieces:
-            stack.append((pieces[0], len(neighbours) <= 1))
+        stack.extend(reversed(pieces))
     trace = SeriesTrace(pres, tuple(steps), tuple(factors))
     if trace.length() > grothendieck_rank(pres):
         raise PreconditionError(

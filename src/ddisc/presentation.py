@@ -17,7 +17,12 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from .errors import InfiniteDimensionalError, ParseError, PresentationError
+from .errors import (
+    InfiniteDimensionalError,
+    ParseError,
+    PreconditionError,
+    PresentationError,
+)
 
 
 def vertex_sort_key(v: str):
@@ -72,6 +77,8 @@ class Quiver:
 
     def __init__(self, vertices, arrows):
         verts = list(vertices)
+        if not verts:
+            raise PresentationError("a quiver needs at least one vertex")
         for v in verts:
             _check_id("vertex", v)
         if len(set(verts)) != len(verts):
@@ -514,11 +521,11 @@ def _thaw(pres) -> BoundQuiverPresentation:
     """A working copy of ``pres`` that ``_corner`` edits in place.
 
     It owns its arrow dict, its arrow lists and its relation set, a
-    ``set``: a presentation's relation set is a frozenset, and that is how
-    the two are told apart.  Its vertices are the live keys of its
-    ``_out`` dict, so they stay in sort order as vertices leave.  Its arrow
-    dict keeps products in the order they were made: ``_freeze`` sorts it.
-    A working copy must not escape to a caller or be hashed.
+    ``set`` where a presentation's is a frozenset: only ``_corner`` tells
+    the two apart.  Its vertices are the live keys of its ``_out`` dict, so
+    they stay in sort order as vertices leave.  Its arrow dict keeps
+    products in the order they were made: ``_freeze`` sorts it.  A working
+    copy must not escape to a caller or be hashed.
     """
     q = pres.quiver
     out = {v: list(arrows) for v, arrows in q._out.items()}
@@ -542,27 +549,46 @@ def _freeze(work) -> BoundQuiverPresentation:
     )
 
 
-def _corner(work, v: str):
-    """Edit the working copy ``work`` (see ``_thaw``) into its quadratic
-    presentation on every vertex but v, touching only v's neighbours.
+def _corner(pres, v: str):
+    """The corner of ``pres`` on every vertex but v, in its quadratic
+    presentation, as a working copy (see ``_thaw``): ``pres`` itself edited
+    in place when it is one, else one copy, so a presentation and its cache
+    are never edited.  Lists change at v's neighbours only.
 
-    v must carry no loop.  The generators are the arrows that avoid v and
-    the normal products a*b through v, each product labelled by a name that
-    no arrow of ``work`` carries.  The relations are the length-2 products
-    of generators that vanish in ``work``.  Generators are normal words, so
-    a product of two vanishes iff their joined word is not normal; with
-    relations of length 2 only the pair at the junction, the last arrow of
-    one and the first arrow of the other, can be a relation.  Two arrows
-    multiply to zero exactly when they form a relation, so the relations of
-    length 2 that avoid v stay unchecked.  The pairs at v and every longer
-    relation leave the set, the vanishing pairs with a product join it, and
-    the arrow lists change at v's neighbours only; no path is counted.
-    Whether the corner is the idempotent subalgebra is for the caller to
-    check.
+    v is a source, a sink or radical-projective, as the caller decides, so
+    it carries no loop and nothing longer than a*b passes through it.  The
+    generators are the arrows that avoid v and the normal products a*b
+    through v, each named apart from every arrow of ``pres``.  The relations
+    are the length-2 products of generators that vanish in ``pres``: with
+    relations of length 2 only the pair at the junction of two generators
+    can be one, so the pairs that avoid v stay, the pairs at v and every
+    longer relation leave, and the vanishing pairs with a product join.
+    With relations of length 2 or less this is exact, as a word in the
+    generators vanishes iff a relation straddles two consecutive ones, and
+    no path is counted.  Longer relations are checked: the Cartan rows of
+    the kept vertices must stay as they were, else PreconditionError.
+
+    A corner of a component marked connected (``_components``) keeps the
+    mark when v has at most one neighbour, as a connected algebra minus a
+    leaf stays connected.
     """
+    # read before _thaw, whose copy starts an empty cache
+    marked = pres._cache.get("components") == ()
+    work = _thaw(pres) if isinstance(pres._relset, frozenset) else pres
     q, relset = work.quiver, work._relset
     arrows, out, into = q.arrows, q._out, q._in
+    checked = work._maxrel > 2
+    if checked:
+        # the ambient Cartan rows of the kept vertices, without column v
+        expected = {
+            u: {w: n for w, n in row.items() if w != v}
+            for u, row in path_counts(work)[0].items()
+            if u != v
+        }
     ins, outs = into.pop(v), out.pop(v)
+    if marked:
+        neighbours = {arrows[a][0] for a in ins}.union(arrows[b][1] for b in outs)
+        marked = len(neighbours) <= 1
     # every pair through an arrow at v: no relation of the corner
     dead = [(c, a) for a in ins for c in into[arrows[a][0]]]
     dead += [(b, c) for b in outs for c in out[arrows[b][1]]]
@@ -594,12 +620,18 @@ def _corner(work, v: str):
         if not work.is_normal(products.get(g, (g,)) + products.get(h, (h,)))
     ]
     relset.difference_update(dead)
-    if work._maxrel > 2:
+    if checked:
         relset.difference_update([rel for rel in relset if len(rel) > 2])
     relset.update(born)
     for a in ins + outs:
         del arrows[a]
     work._set_relations(relset, 2 if relset else 0)
+    if checked and path_counts(work)[0] != expected:
+        raise PreconditionError(
+            "corner algebra is not quadratic monomial on these generators"
+        )
+    if marked:
+        work._cache["components"] = ()
     return work
 
 

@@ -914,7 +914,7 @@ def test_component_and_walk_routes_match_on_working_copies():
             step = jordan._strippable_vertex(work)
             if step is None or len(work.quiver._out) == 1:
                 break
-            jordan._checked_corner(work, step.vertex)
+            jordan._corner(work, step.vertex)
             steps += 1
     assert steps > 80
 

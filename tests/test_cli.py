@@ -4,6 +4,7 @@ import codecs
 import gc
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from ddisc import BoundQuiverPresentation, TraceReport, build_lambda, parse_presentation
 from ddisc import classify, infinite_gldim_check, presentation
 import ddisc.cli as cli
+from test_classify import relabel
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -443,6 +445,29 @@ def test_hom_refusals_say_why():
         assert result.returncode == 2 and result.stdout == ""
         assert all(reason in result.stderr for reason in reasons), result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_hom_checks_max_shift_before_it_reads_the_input(tmp_path, capsys):
+    # a bad shift exits 1 on every input, also on those whose objects the
+    # library refuses (exit 2): a relabeled Lambda(2,2,1) and Lambda(1,2,0)
+    relabeled = tmp_path / "relabeled_2_2_1.txt"
+    relabeled.write_text(
+        presentation.serialize_presentation(
+            relabel(build_lambda(2, 2, 1), random.Random(1))
+        ),
+        encoding="utf-8",
+    )
+    inputs = [str(relabeled)], ["--lambda", "1", "2", "0"], ["--lambda", "2", "2", "0"]
+    cap = cli._MAX_SHIFT
+    for shift, message in [
+        ("-1", "--max-shift must be nonnegative"),
+        (str(cap + 1), f"--max-shift must be at most {cap}"),
+    ]:
+        for argv in inputs:
+            objects = ["--from", "X0", "--to", "X0"]
+            code = cli.main(["hom", *argv, *objects, "--max-shift", shift])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 def test_definite_no_still_classifies(tmp_path):

@@ -161,3 +161,52 @@ def test_the_helper_check_flags_what_it_should_and_nothing_else():
         ("b", 7, "_written"),
         ("a", 10, "Box._called"),  # loaded as a name only, never as a method
     ]
+
+
+def working_copy_probes(source):
+    """(line, text) of each place in ``source`` that copies a presentation
+    for editing (a call of ``_thaw``) or tells a working copy from a
+    presentation by the type of ``_relset``."""
+    probes = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        typed = name in ("isinstance", "type") and any(
+            isinstance(n, ast.Attribute) and n.attr == "_relset"
+            for arg in node.args[:1]
+            for n in ast.walk(arg)
+        )
+        if name == "_thaw" or typed:
+            probes.append((node.lineno, ast.unparse(node)))
+    return probes
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "presentation.py"],
+    ids=lambda p: p.name,
+)
+def test_only_presentation_knows_how_working_copies_are_stored(path):
+    # presentation._corner copies a presentation or edits a working copy;
+    # every other module hands it either and never looks which
+    assert working_copy_probes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_working_copy_check_flags_what_it_should_and_nothing_else():
+    source = (
+        "from .presentation import _thaw\n"
+        "def f(p, q):\n"
+        "    w = _thaw(p)\n"
+        "    if isinstance(q._relset, frozenset): pass\n"
+        "    u = presentation._thaw(q)\n"
+        "    t = type(w._relset)\n"
+        "    return isinstance(p, set), len(q._relset), q._relset <= w._relset\n"
+    )
+    assert working_copy_probes(source) == [
+        (3, "_thaw(p)"),
+        (4, "isinstance(q._relset, frozenset)"),
+        (5, "presentation._thaw(q)"),
+        (6, "type(w._relset)"),
+    ]

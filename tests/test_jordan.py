@@ -656,7 +656,7 @@ def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
     # is decided on, and no corner it leaves, holds a count table, and a
     # valid trace never asks the counting rule
     corners, decided_on, asked = [], [], []
-    build, decide = jordan._checked_corner, jordan.is_radical_projective
+    build, decide = jordan._corner, jordan.is_radical_projective
 
     def listed(work, v):
         decided_on.append(set(work._cache))
@@ -667,7 +667,7 @@ def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
         asked.append(v)
         return decide(pres, v)
 
-    monkeypatch.setattr(jordan, "_checked_corner", listed)
+    monkeypatch.setattr(jordan, "_corner", listed)
     monkeypatch.setattr(jordan, "is_radical_projective", counted)
     pres = build_lambda(30, 60, 30)
     trace = strip_series(pres)
@@ -783,7 +783,7 @@ def test_a_strip_writes_and_copies_in_proportion_to_the_degree(monkeypatch):
     # (arrows, arrow-list items and relation pairs) are bounded by one
     # constant times the degree of the dropped vertex, at both sizes; each
     # run copies its component once, into counting containers here
-    thaw, apply = jordan._thaw, jordan._apply
+    thaw, apply = presentation._thaw, jordan._apply
     copies, ratios = [], []
 
     def counting_thaw(pres):
@@ -807,7 +807,7 @@ def test_a_strip_writes_and_copies_in_proportion_to_the_degree(monkeypatch):
         ratios[-1].append(Tally.entries / degree)
         return pieces
 
-    monkeypatch.setattr(jordan, "_thaw", counting_thaw)
+    monkeypatch.setattr(presentation, "_thaw", counting_thaw)
     monkeypatch.setattr(jordan, "_apply", measured)
     for r in (10, 80):
         copies.append(0)
@@ -818,6 +818,109 @@ def test_a_strip_writes_and_copies_in_proportion_to_the_degree(monkeypatch):
     assert copies == [2, 2]
     assert min(min(each) for each in ratios) > 0
     assert max(max(each) for each in ratios) <= 12
+
+
+def zigzag(n):
+    """The relation-free line on 0..n-1 whose arrows alternate direction:
+    almost every strip is at a vertex with two neighbours, and splits."""
+    arrows = "".join(
+        f"arrow a{i} {i} {i + 1}\n" if i % 2 == 0 else f"arrow a{i} {i + 1} {i}\n"
+        for i in range(n - 1)
+    )
+    return parse_presentation("".join(f"vertex {i}\n" for i in range(n)) + arrows)
+
+
+def test_a_series_and_its_replay_search_components_as_pinned(monkeypatch):
+    # counted, not timed: the component searches of a series (its
+    # classification included), of its replay on the same start and of its
+    # replay on an equal fresh copy; past the first split, only a strip at
+    # a vertex with two or more neighbours leaves a component to search
+    rng = random.Random(7)
+    cases = [
+        (build_lambda(2, 5, 2), (2, 0, 1)),
+        (build_lambda(3, 3, 2), (1, 0, 1)),
+        (build_lambda(4, 9, 3), (2, 0, 1)),
+        (relabel(build_lambda(2, 5, 2), rng), (4, 0, 1)),
+        (relabel(build_lambda(3, 3, 2), rng), (1, 0, 1)),
+        (relabel(build_lambda(1, 4, 1), rng), (3, 0, 1)),
+        (
+            direct_sum(build_lambda(*d) for d in [(2, 2, 1), (1, 3, 0), (2, 4, 2)]),
+            (3, 0, 1),
+        ),
+        (zigzag(9), (4, 3, 4)),
+    ]
+    searches = [0]
+    components = presentation._components
+
+    def counted(pres):
+        searches[0] += 1
+        return components(pres)
+
+    monkeypatch.setattr(presentation, "_components", counted)
+
+    for pres, expected in cases:
+        fresh = parse_presentation(serialize_presentation(pres))
+        searches[0] = 0
+        trace = strip_series(pres)
+        found = [searches[0]]
+        for start in (pres, fresh):
+            searches[0] = 0
+            assert verify_trace(start, trace).ok
+            found.append(searches[0])
+        assert tuple(found) == expected, serialize_presentation(pres)
+
+
+def test_a_corner_keeps_the_connected_mark_only_past_a_leaf(monkeypatch):
+    searched = []
+    components = presentation._components
+    monkeypatch.setattr(
+        presentation, "_components", lambda p: searched.append(p) or components(p)
+    )
+    # Lambda(2,5,2) is connected; -2 is a source with one neighbour
+    pres = build_lambda(2, 5, 2)
+    assert connected_components(pres) == (pres,) and len(searched) == 1
+    corner = presentation._corner(pres, "-2")
+    assert corner._cache == {"components": ()}
+    assert connected_components(corner) == (corner,) and len(searched) == 1
+    # from an unmarked copy the corner is not marked either
+    assert presentation._corner(presentation._thaw(pres), "-2")._cache == {}
+    # 1 is a sink with two neighbours in 0 -> 1 <- 2: the corner splits
+    line = zigzag(3)
+    connected_components(line)
+    corner = presentation._corner(line, "1")
+    assert "components" not in corner._cache
+    assert [p.quiver.vertices for p in connected_components(corner)] == [
+        ("0",),
+        ("2",),
+    ]
+    # past a vertex with two neighbours even a connected corner is searched
+    cycle = build_lambda(1, 3, 0)
+    connected_components(cycle)
+    corner = presentation._corner(cycle, "0")
+    assert corner._cache == {} and len(connected_components(corner)) == 1
+
+
+def test_a_corner_never_edits_a_presentation_or_its_components():
+    # the parts of a sum share their arrow lists with it; each corner of a
+    # part is one copy, edited in place at its later strips
+    total = direct_sum([build_lambda(2, 3, 2), zigzag(4), parse_presentation(A3)])
+    parts = connected_components(total)
+    path_counts(total)
+    text = [serialize_presentation(p) for p in (total, *parts)]
+    caches = [dict(p._cache) for p in (total, *parts)]
+    for part in parts:
+        q = part.quiver
+        v = next(v for v in q.vertices if not q.arrows_into(v))
+        corner = presentation._corner(part, v)
+        assert corner is not part and isinstance(corner._relset, set)
+        q = corner.quiver
+        w = next(w for w in q.vertices if not q.arrows_into(w))
+        assert presentation._corner(corner, w) is corner
+    assert [serialize_presentation(p) for p in (total, *parts)] == text
+    for pres, cache in zip((total, *parts), caches):
+        assert pres._cache == cache
+        assert all(pres._cache[key] is value for key, value in cache.items())
+    assert connected_components(total) is caches[0]["components"]
 
 
 @pytest.mark.parametrize(

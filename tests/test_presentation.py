@@ -433,6 +433,12 @@ def reference_parse(text):
     for name, (lineno, src, tgt) in arrows.items():
         if src not in vertices or tgt not in vertices:
             raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
+    if not vertices:
+        # a Quiver needs a vertex; with none, no arrow passed the endpoint
+        # check, so the first relation names an unknown arrow
+        for rel, lineno in relations.items():
+            raise ParseError(f"unknown arrow {rel[0]!r}", lineno)
+        raise ParseError("no vertex declared")
     quiver = Quiver(vertices, [(a, src, tgt) for a, (_, src, tgt) in arrows.items()])
     paths = []
     for rel, lineno in relations.items():
@@ -440,8 +446,6 @@ def reference_parse(text):
             paths.append(reference_make_path(quiver, rel))
         except PresentationError as exc:
             raise ParseError(str(exc), lineno) from exc
-    if not vertices:
-        raise ParseError("no vertex declared")
     return BoundQuiverPresentation(quiver, paths)
 
 
