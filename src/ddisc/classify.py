@@ -34,7 +34,7 @@ so classification is polynomial in the size of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InfiniteDimensionalError, PreconditionError
 from .presentation import (
@@ -52,10 +52,8 @@ from .presentation import find_isomorphism  # noqa: F401
 # -- gentleness --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GentleCertificate:
-    gentle: bool
-    violations: tuple  # (condition, witness) pairs
+class GentleCertificate(namedtuple("GentleCertificate", "gentle violations")):
+    __slots__ = ()  # violations: (condition, witness) pairs
 
 
 def is_gentle(pres: BoundQuiverPresentation) -> GentleCertificate:
@@ -167,11 +165,8 @@ def _betti(pres):
     return len(q.arrows) - len(q.vertices) + len(connected_components(pres))
 
 
-@dataclass(frozen=True)
-class ClockReport:
-    cycle: tuple  # (arrow, +1|-1) steps of the closed walk
-    with_count: int
-    against_count: int
+class ClockReport(namedtuple("ClockReport", "cycle with_count against_count")):
+    __slots__ = ()  # cycle: (arrow, +1|-1) steps of the closed walk
 
     @property
     def satisfied(self) -> bool:
@@ -318,11 +313,10 @@ def relation_full_cycles(pres: BoundQuiverPresentation) -> tuple:
 # -- the thread-pairing invariant ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class AGInvariant:
+class AGInvariant(namedtuple("AGInvariant", "pairs")):
     """Multiset of (n, m) pairs from the permitted/forbidden thread pairing."""
 
-    pairs: tuple  # sorted tuple of (n, m) with multiplicity
+    __slots__ = ()  # pairs: sorted tuple of (n, m) with multiplicity
 
     def as_multiset(self) -> dict:
         out = {}
@@ -408,41 +402,34 @@ def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
 # -- classification results -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaClass:
-    descriptor: LambdaDescriptor
+class LambdaClass(namedtuple("LambdaClass", "descriptor")):
+    __slots__ = ()
 
     def rank(self):
         return self.descriptor.rank()
 
 
-@dataclass(frozen=True)
-class DynkinHereditary:
-    letter: str
-    rank: int
+class DynkinHereditary(namedtuple("DynkinHereditary", "letter rank")):
+    __slots__ = ()
 
     @property
     def type_name(self):
         return f"{self.letter}{self.rank}"
 
 
-@dataclass(frozen=True)
-class UnknownClass:
-    reason: str
+class UnknownClass(namedtuple("UnknownClass", "reason")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivedEquivClass:
-    components: tuple
+class DerivedEquivClass(namedtuple("DerivedEquivClass", "components")):
+    __slots__ = ()
 
     def has_unknown(self) -> bool:
         return any(isinstance(c, UnknownClass) for c in self.components)
 
 
-@dataclass(frozen=True)
-class DiscretenessVerdict:
-    verdict: str  # yes | no | unknown
-    components: tuple  # (verdict, reason) per connected component
+class DiscretenessVerdict(namedtuple("DiscretenessVerdict", "verdict components")):
+    __slots__ = ()  # verdict: yes | no | unknown; components: (verdict, reason) each
 
 
 def _lambda_from_invariant(inv: AGInvariant, n: int):

@@ -24,8 +24,7 @@ presentation before its first edit, and a component is searched for parts
 again only when ``_corner`` could not keep it marked connected.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import DdiscError, PreconditionError, PresentationError, StripStuckError
 from .classify import (
@@ -55,16 +54,15 @@ from .homology import projective_cover  # noqa: F401
 # -- factor classes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorClass:
+class FactorClass(namedtuple("FactorClass", "kind rank")):
     """A composition factor: the base field or a 2-truncated cycle algebra.
 
-    ``rank`` is the number of simple modules the factor accounts for: 1 for
-    the field, s for the cycle algebra on s vertices.
+    ``kind`` is "field" or "cycle".  ``rank`` is the number of simple
+    modules the factor accounts for: 1 for the field, s for the cycle
+    algebra on s vertices.
     """
 
-    kind: str  # "field" | "cycle"
-    rank: int
+    __slots__ = ()
 
     def label(self) -> str:
         return "K" if self.kind == "field" else f"TwoTruncatedCycle({self.rank})"
@@ -108,11 +106,10 @@ def composition_factors(cls: DerivedEquivClass) -> Counter:
     return out
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
-    simple: bool
-    witness: str
-    n_independent: bool = True
+class SimplicityVerdict(
+    namedtuple("SimplicityVerdict", "simple witness n_independent", defaults=(True,))
+):
+    __slots__ = ()
 
 
 def is_n_derived_simple(cls: DerivedEquivClass, n: int) -> SimplicityVerdict:
@@ -151,11 +148,11 @@ def is_n_derived_simple(cls: DerivedEquivClass, n: int) -> SimplicityVerdict:
 # -- radical projectivity --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadicalProjectivity:
-    projective: bool
-    cover: tuple  # cover summand vertices of rad P_v
-    defect: int  # kernel dimension of the cover map; zero iff projective
+class RadicalProjectivity(namedtuple("RadicalProjectivity", "projective cover defect")):
+    """``cover`` lists the cover summand vertices of rad P_v; ``defect`` is
+    the kernel dimension of the cover map, zero iff projective."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.projective
@@ -247,8 +244,11 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
 # -- series traces ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesStep:
+class SeriesStep(
+    namedtuple(
+        "SeriesStep", "op vertex factor parts witness", defaults=("", None, 0, "")
+    )
+):
     """One reduction in a series trace; ``witness`` says why it applies.
 
     Ops: "split" into connected components (``parts`` of them), the vertex
@@ -256,24 +256,17 @@ class SeriesStep:
     factor), and "terminal" (emits ``factor`` and retires the component).
     """
 
-    op: str
-    vertex: str = ""
-    factor: FactorClass = None
-    parts: int = 0
-    witness: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeriesTrace:
+class SeriesTrace(namedtuple("SeriesTrace", "initial steps factors")):
     """An ordered reduction chain from an initial presentation.
 
     ``factors`` lists the emitted factor classes in emission order; its
     length is the series length and never exceeds the rank of the start.
     """
 
-    initial: BoundQuiverPresentation
-    steps: tuple
-    factors: tuple
+    __slots__ = ()
 
     def factor_multiset(self) -> Counter:
         return Counter(self.factors)
@@ -325,8 +318,12 @@ def _is_two_truncated_cycle(pres, n) -> bool:
 
 def _terminal_step(comp):
     """Terminal step when the component is the field or a 2-truncated cycle."""
-    verts = comp.quiver.vertices
+    q = comp.quiver
+    verts = q.vertices
     n = len(verts)
+    # the field needs n == 1, the cycle n arrows and n relations
+    if n != 1 and not n == len(q.arrows) == len(comp._relset):
+        return None
     if not _retire_problem(comp, K):
         [v] = verts
         return SeriesStep("terminal", v, K, witness="single vertex, no arrows")
@@ -383,6 +380,11 @@ def _step_problem(current, step) -> str:
             return f"rad P({v}) is not projective (defect {defect})"
     else:
         return f"unknown op {step.op!r}"
+    if len(q.vertices) == 1:
+        return (
+            f"vertex {v!r} is a one-vertex component;"
+            " only a terminal step retires one"
+        )
     return ""
 
 
@@ -447,10 +449,8 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
 # -- trace verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    ok: bool
-    failures: tuple  # human-readable, one entry per distinct violation
+class TraceReport(namedtuple("TraceReport", "ok failures")):
+    __slots__ = ()  # failures: human-readable, one entry per distinct violation
 
 
 def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InfiniteDimensionalError,
@@ -27,25 +27,29 @@ from .errors import (
 
 def vertex_sort_key(v: str):
     """Numeric ids before other ids, numerically; the rest lexicographic."""
+    # int() reads only text that starts with a space, a sign or a digit
+    if v[:1].isalpha():
+        return (1, 0, v)
     try:
         return (0, int(v), v)
     except ValueError:
         return (1, 0, v)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "source target arrows")):
     """A path in a quiver: a base vertex plus an ordered arrow tuple.
 
     ``arrows`` is empty exactly for the trivial path at ``source``.
     """
 
-    source: str
-    target: str
-    arrows: tuple[str, ...]
+    __slots__ = ()
 
     def __len__(self):
         return len(self.arrows)
+
+    @classmethod
+    def _make(cls, iterable):  # the stock one checks len(), which counts arrows
+        return cls(*iterable)
 
     def label(self):
         return f"e_{self.source}" if not self.arrows else "*".join(self.arrows)
@@ -725,19 +729,21 @@ def direct_sum(presentations) -> BoundQuiverPresentation:
 # -- the Lambda(r,s,t) family ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaDescriptor:
+class LambdaDescriptor(namedtuple("LambdaDescriptor", "r s t")):
     """Parameters of the one-cycle normal form Lambda(r,s,t)."""
 
-    r: int
-    s: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.r <= self.s):
-            raise PresentationError(f"need 1 <= r <= s, got r={self.r}, s={self.s}")
-        if self.t < 0:
-            raise PresentationError(f"need t >= 0, got t={self.t}")
+    def __new__(cls, r, s, t):
+        if not (1 <= r <= s):
+            raise PresentationError(f"need 1 <= r <= s, got r={r}, s={s}")
+        if t < 0:
+            raise PresentationError(f"need t >= 0, got t={t}")
+        return super().__new__(cls, r, s, t)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the new fields too
+        return cls(*iterable)
 
     def rank(self):
         return self.s + self.t

@@ -254,15 +254,19 @@ def test_help_names_every_argument_of_its_row(command, capsys):
 
 
 def test_a_run_imports_no_argparse():
+    # a site hook may load some of these first, so compare before and after
     code = (
         "import sys, io, contextlib\n"
+        "before = set(sys.modules)\n"
         "import ddisc.cli as cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'typing', 'inspect'}))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['classify', '--lambda', '2', '2', '1']) == 0\n"
         "print('argparse' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0 and result.stdout == "False\n", result.stderr
+    assert result.returncode == 0 and result.stdout == "[]\nFalse\n", result.stderr
 
 
 def test_docstrings_stripped_still_parse():

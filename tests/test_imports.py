@@ -1,5 +1,6 @@
-"""Every name a ddisc module imports is read by that module, and every
-private helper a module defines is read somewhere in the package.
+"""Every name a ddisc module imports is read by that module, no module
+imports ``dataclasses``, ``typing`` or ``inspect``, and every private
+helper a module defines is read somewhere in the package.
 
 No linter ships with the package, so this walks each module's syntax
 tree.  An import counts as read when its name is loaded somewhere in the
@@ -9,7 +10,9 @@ tools that look it up on the module).  A module-level function, class or
 assignment whose name starts with a single underscore counts as read when
 some module loads it as a name, reads it as an attribute or imports it.  A
 method of a module-level class whose name starts with a single underscore
-counts as read when some module reads it as an attribute.
+counts as read when some module reads it as an attribute, or when it
+overrides one of ``namedtuple``'s methods, whose underscore only keeps them
+clear of field names and which the other methods call.
 """
 
 import ast
@@ -20,6 +23,7 @@ import pytest
 import ddisc
 
 MODULES = sorted(pathlib.Path(ddisc.__file__).parent.glob("*.py"))
+NAMEDTUPLE_METHODS = {"_make", "_replace", "_asdict"}
 
 
 def unread_imports(source):
@@ -52,6 +56,48 @@ def unread_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_modules_read_every_name_they_import(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+# each one costs milliseconds to import, which every CLI run would pay
+SLOW_IMPORTS = {"dataclasses", "typing", "inspect"}
+
+
+def slow_imports(source):
+    """(line, module) of each import in ``source`` of a module in
+    ``SLOW_IMPORTS`` or below one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_modules_import_no_slow_standard_module(path):
+    assert slow_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_slow_import_check_flags_each_form():
+    source = (
+        "import os, typing\n"
+        "from dataclasses import dataclass\n"
+        "import inspect as i\n"
+        "from .typing import x\n"
+        "from collections import namedtuple\n"
+        "def f():\n"
+        "    import typing.re\n"
+    )
+    assert slow_imports(source) == [
+        (1, "typing"),
+        (2, "dataclasses"),
+        (3, "inspect"),
+        (7, "typing.re"),
+    ]
 
 
 def test_the_check_flags_what_it_should_and_nothing_else():
@@ -119,7 +165,7 @@ def unread_private_names(sources):
     unread += [
         (module, line, f"{cls}.{name}")
         for module, line, cls, name in methods
-        if private(name) and name not in attrs
+        if private(name) and name not in attrs | NAMEDTUPLE_METHODS
     ]
     return unread
 
@@ -143,6 +189,9 @@ def test_the_helper_check_flags_what_it_should_and_nothing_else():
             "    def _read(self): return 1\n"
             "    def _called(self): pass\n"
             "    def public(self): pass\n"
+            "class Rec(namedtuple('Rec', 'x')):\n"
+            "    def _make(cls, it): pass\n"
+            "    def _spare(self): pass\n"
         ),
         "b": (
             "from . import a\n"
@@ -160,6 +209,7 @@ def test_the_helper_check_flags_what_it_should_and_nothing_else():
         ("b", 3, "_stored"),
         ("b", 7, "_written"),
         ("a", 10, "Box._called"),  # loaded as a name only, never as a method
+        ("a", 14, "Rec._spare"),
     ]
 
 

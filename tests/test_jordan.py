@@ -3,7 +3,6 @@
 import collections.abc
 import contextlib
 import copy
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -1121,6 +1120,7 @@ A5_LONG_RELATION = parse_presentation(
     "vertex s\nvertex 1\nvertex 2\nvertex 3\nvertex 4\n"
     "arrow e s 1\narrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
 )
+ONE_ARROW = parse_presentation("vertex 0\nvertex 1\narrow a 0 1\n")
 A4_LONG_RELATION = parse_presentation(
     (DATA / "a4_long_relation.txt").read_text("utf-8")
 )
@@ -1197,6 +1197,35 @@ A4_LONG_RELATION = parse_presentation(
                 "length 3 exceeds rank 2",
             ),
         ),
+        (
+            ONE_ARROW,
+            [SPLIT, SeriesStep("strip-source", "0"), SeriesStep("strip-source", "1")],
+            (K, K),
+            (
+                "step 2: vertex '1' is a one-vertex component;"
+                " only a terminal step retires one",
+            ),
+        ),
+        (
+            ONE_ARROW,
+            [SPLIT]
+            + [SeriesStep("strip-source", v) for v in "01"]
+            + [SeriesStep("split")],
+            (K, K),
+            (
+                "step 2: vertex '1' is a one-vertex component;"
+                " only a terminal step retires one",
+            ),
+        ),
+        (
+            ONE_ARROW,
+            [SPLIT, SeriesStep("strip-source", "0"), SeriesStep("drop-radical", "1")],
+            (K, K),
+            (
+                "step 2: vertex '1' is a one-vertex component;"
+                " only a terminal step retires one",
+            ),
+        ),
     ],
 )
 def test_verify_trace_names_each_rejection(pres, steps, factors, failures):
@@ -1209,7 +1238,7 @@ def edited_trace(i, **fields):
     pres = build_lambda(1, 2, 1)
     trace = strip_series(pres)
     steps = list(trace.steps)
-    steps[i] = dataclasses.replace(steps[i], **fields)
+    steps[i] = steps[i]._replace(**fields)
     return pres, SeriesTrace(pres, tuple(steps), trace.factors)
 
 

@@ -1,4 +1,5 @@
-"""Property tests: relation scans against their definition, the
+"""Property tests: vertex sort keys against their ``int`` definition,
+relation scans against their definition, the
 children-first search against reachability by closure, path counts
 and corner algebras against the listed path basis, radical projectivity
 from path counts against a module computation and from the relation set
@@ -62,6 +63,7 @@ from ddisc.presentation import (
     connected_components,
     path_basis,
     path_counts,
+    vertex_sort_key,
 )
 from test_classify import assert_link_routes_match_the_references, relabel
 from test_homology import assert_minimal_exact_resolution, random_monomial_algebra
@@ -73,6 +75,33 @@ FIXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def sort_key_by_int(v):
+    """The definition of ``vertex_sort_key``: an id ``int`` reads is numeric."""
+    try:
+        return (0, int(v), v)
+    except ValueError:
+        return (1, 0, v)
+
+
+# ASCII and other decimal digits, a superscript digit int() refuses, signs,
+# an underscore, spaces, and letters from several scripts
+ID_CHARS = (
+    "0123456789\u0663\uff15\u07c0\u00b2+-_ \t\u3000\u00a0aZ\u00e9\u00df\u03a9\u4e00"
+)
+
+
+@settings(FIXED, max_examples=1000)
+@given(st.text(ID_CHARS, max_size=6))
+def test_vertex_sort_key_matches_its_int_definition(v):
+    assert vertex_sort_key(v) == sort_key_by_int(v)
+
+
+def test_vertex_sort_key_matches_its_int_definition_after_every_letter():
+    letters = (chr(c) for c in range(sys.maxunicode + 1) if chr(c).isalpha())
+    for v in letters:
+        assert vertex_sort_key(v + "1") == sort_key_by_int(v + "1") == (1, 0, v + "1")
 
 
 def contains_relation(pres, names):
