@@ -44,7 +44,7 @@ from .presentation import (
 
 SCHEMA_VERSION = "2"
 
-_OBJECT_RE = re.compile(r"([XY])(-?[0-9]+)")
+_OBJECT_RE = re.compile(r"([XY])(0|-?[1-9][0-9]*)")  # an index as str(int) prints it
 
 # the largest --max-shift: a table of a million entries prints in well
 # under a second, and a larger one is no table a caller reads

@@ -392,9 +392,8 @@ def _apply(current, step):
     """The pieces ``step`` leaves of ``current`` and the factors it emits.
 
     A strip is ``_corner``, which edits a working copy in place and copies
-    a presentation.  The parts of a split are presentations; those of a
-    working copy share its lists and arrow order, and like it never leave
-    the series.
+    a presentation.  The parts of a split are of the kind split: a working
+    copy's parts take over its lists and, like it, never leave the series.
     """
     if step.op == "split":
         return connected_components(current), ()

@@ -74,6 +74,19 @@ def _check_walk(arrows, names):
             raise PresentationError(f"arrows {a!r} and {b!r} do not compose")
 
 
+def _tables(vertices, ends):
+    """The tables of a quiver of checked vertex ids and arrow ends
+    ``{name: (source, target)}``: the vertices in ``vertex_sort_key`` order,
+    and the arrows and each vertex's out and in lists in name order."""
+    verts = tuple(sorted(vertices, key=vertex_sort_key))
+    arrows = dict(sorted(ends.items()))  # names are unique: no pair is compared
+    out, into = {v: [] for v in verts}, {v: [] for v in verts}
+    for name, (src, tgt) in arrows.items():
+        out[src].append(name)
+        into[tgt].append(name)
+    return verts, arrows, out, into
+
+
 class Quiver:
     """A finite quiver: named vertices and named arrows with endpoints."""
 
@@ -85,10 +98,9 @@ class Quiver:
             raise PresentationError("a quiver needs at least one vertex")
         for v in verts:
             _check_id("vertex", v)
-        if len(set(verts)) != len(verts):
+        vset = set(verts)
+        if len(vset) != len(verts):
             raise PresentationError("duplicate vertex id")
-        self.vertices = tuple(sorted(verts, key=vertex_sort_key))
-        vset = set(self.vertices)
         named = {}
         for name, src, tgt in arrows:
             _check_id("arrow", name)
@@ -97,20 +109,14 @@ class Quiver:
             if src not in vset or tgt not in vset:
                 raise PresentationError(f"arrow {name!r} has undeclared endpoint")
             named[name] = (src, tgt)
-        self.arrows = {name: named[name] for name in sorted(named)}
-        self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
-        for name, (src, tgt) in self.arrows.items():
-            self._out[src].append(name)
-            self._in[tgt].append(name)
+        self.vertices, self.arrows, self._out, self._in = _tables(verts, named)
 
     @classmethod
     def _assemble(cls, vertices, arrows, out, into):
-        """A quiver from parts another quiver or the parser already
-        validated: vertices in sort order, arrows sorted by name (a working
-        copy's in the order they were made), and the per-vertex arrow lists
-        in name order.  The lists may be shared, as quivers never change,
-        except a working copy's (``_thaw``), which it owns and edits."""
+        """A quiver of tables already checked and ordered as ``_tables``
+        orders them (a working copy's arrows in the order they were made).
+        The lists may be shared, as quivers never change, except a working
+        copy's (``_thaw``), which it owns, edits and hands to its parts."""
         quiver = object.__new__(cls)
         quiver.vertices = vertices
         quiver.arrows = arrows
@@ -288,7 +294,7 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
     for name, (lineno, src, tgt) in arrows.items():
         if src not in vertices or tgt not in vertices:
             raise ParseError(f"arrow {name!r} has undeclared endpoint", lineno)
-    ends = {name: (src, tgt) for name, (_, src, tgt) in sorted(arrows.items())}
+    ends = {name: (src, tgt) for name, (_, src, tgt) in arrows.items()}
     for rel, lineno in relations.items():
         try:
             _check_walk(ends, rel)
@@ -296,12 +302,7 @@ def parse_presentation(text: str) -> BoundQuiverPresentation:
             raise ParseError(str(exc), lineno) from exc
     if not vertices:
         raise ParseError("no vertex declared")
-    verts = tuple(sorted(vertices, key=vertex_sort_key))
-    out, into = {v: [] for v in verts}, {v: [] for v in verts}
-    for name, (src, tgt) in ends.items():
-        out[src].append(name)
-        into[tgt].append(name)
-    quiver = Quiver._assemble(verts, ends, out, into)
+    quiver = Quiver._assemble(*_tables(vertices, ends))
     return BoundQuiverPresentation._assemble(quiver, frozenset(relations))
 
 
@@ -542,12 +543,7 @@ def _freeze(work) -> BoundQuiverPresentation:
     """A presentation equal to the working copy ``work``, sharing nothing
     with it: vertices in a tuple, arrows sorted by name."""
     q = work.quiver
-    quiver = Quiver._assemble(
-        tuple(q._out),
-        dict(sorted(q.arrows.items())),
-        {v: list(arrows) for v, arrows in q._out.items()},
-        {v: list(arrows) for v, arrows in q._in.items()},
-    )
+    quiver = Quiver._assemble(*_tables(q._out, q.arrows))
     return BoundQuiverPresentation._assemble(
         quiver, frozenset(work._relset), work._maxrel
     )
@@ -659,7 +655,8 @@ def _components(pres):
 
     One traversal along the arrow lists from each vertex not yet reached,
     in sort order, labels every vertex with the smallest vertex of its
-    part.  Each part is marked connected in its cache.
+    part.  Each part is marked connected in its cache.  The parts keep the
+    kind of ``pres``: a working copy's (``_thaw``) take over its lists.
     """
     q = pres.quiver
     arrows, out, into = q.arrows, q._out, q._in
@@ -685,11 +682,13 @@ def _components(pres):
         ends[root[pair[0]]][name] = pair
     for rel in pres._relset:
         rels[root[arrows[rel[0]][0]]].append(rel)
+    kind = frozenset if isinstance(pres._relset, frozenset) else set
     parts = []
     for r, group in groups.items():
         lists = {v: out[v] for v in group}, {v: into[v] for v in group}
-        quiver = Quiver._assemble(tuple(group), ends[r], *lists)
-        part = BoundQuiverPresentation._assemble(quiver, frozenset(rels[r]))
+        verts = tuple(group) if kind is frozenset else lists[0].keys()
+        quiver = Quiver._assemble(verts, ends[r], *lists)
+        part = BoundQuiverPresentation._assemble(quiver, kind(rels[r]))
         part._cache["components"] = ()
         parts.append(part)
     return tuple(parts)

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import signal
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,11 @@ from ddisc import (
     InfiniteDimensionalError,
     PreconditionError,
     build_lambda,
+    cartan_matrix,
+    connected_components,
     direct_sum,
     parse_presentation,
+    serialize_presentation,
     strip_series,
     verify_trace,
 )
@@ -780,9 +784,10 @@ def reference_components(pres):
 
 
 def component_tables(parts):
+    # a working copy's parts keep their vertices as the keys of their lists
     return tuple(
         (
-            p.quiver.vertices,
+            tuple(p.quiver.vertices),
             list(p.quiver.arrows.items()),
             p.quiver._out,
             p.quiver._in,
@@ -966,3 +971,92 @@ def test_gentle_infinite_dimension_is_refused_as_the_automaton_refuses_it(
     for command in ("classify", "factors", "series"):
         assert cli.main([command, str(path)]) == 1
     assert "infinite" in capsys.readouterr().err
+
+
+# -- derived invariants against the normal form ----------------------------------
+
+
+def bareiss_det(rows):
+    """The determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination: every division is exact."""
+    m = [list(row) for row in rows]
+    n, sign, pivot = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def derived_invariants(pres):
+    """det C of the Cartan matrix C and, when it is nonzero, the values of
+    det(kC - C^T) at k = 0..n.
+
+    The characteristic polynomial of C^-1 C^T is det(xC - C^T) / det C, of
+    degree n, so given det C those n + 1 values fix it."""
+    verts = pres.quiver.vertices
+    counts = cartan_matrix(pres)
+    c = [[counts[u, w] for w in verts] for u in verts]
+    det = bareiss_det(c)
+    if det == 0:
+        return det, None
+    n = len(verts)
+    return det, tuple(
+        bareiss_det([[k * c[i][j] - c[j][i] for j in range(n)] for i in range(n)])
+        for k in range(n + 1)
+    )
+
+
+def dynkin_normal_form(letter, n):
+    """An orientation of the Dynkin tree letter + n: the line 0 -> ... -> n-2
+    and the vertex n-1 hung on its end (A), on 1 (D) or on 2 (E)."""
+    hub = {"A": n - 2, "D": 1, "E": 2}[letter]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 2)]
+    arrows += [("b", str(hub), str(n - 1))] if n > 1 else []
+    pres = BoundQuiverPresentation(Quiver([str(i) for i in range(n)], arrows))
+    assert dynkin_type(pres) == (letter, n)
+    return pres
+
+
+def test_each_yes_component_shares_its_derived_invariants_with_its_normal_form():
+    # A derived equivalence restricts to the perfect complexes (Rickard
+    # 1989), so it induces an isometry of their K0 for the form
+    # (X, Y) -> sum_i (-1)^i dim Hom(X, Y[i]), whose Gram matrix on the
+    # projectives is the Cartan matrix C: C' = P^T C P with P invertible
+    # over Z.  So det C, and the characteristic polynomial of C^-1 C^T when
+    # det C is nonzero, are derived invariants (Happel 1988).
+    rng = random.Random(16)
+    data = pathlib.Path(__file__).parent / "data"
+    inputs = [parse_presentation(p.read_text()) for p in sorted(data.glob("*.txt"))]
+    for s in range(1, 7):
+        for r in range(1, s + 1):
+            for t in range(4):
+                inputs += [build_lambda(r, s, t), relabel(build_lambda(r, s, t), rng)]
+    normal_forms, mismatches, compared = {}, [], Counter()
+    for pres in inputs:
+        parts = zip(
+            connected_components(pres),
+            is_derived_discrete(pres).components,
+            lambda_normal_form(pres).components,
+        )
+        for comp, (verdict, _), form in parts:
+            if verdict != "yes":
+                continue
+            if form not in normal_forms:
+                normal = (
+                    build_lambda(*form.descriptor)
+                    if isinstance(form, LambdaClass)
+                    else dynkin_normal_form(form.letter, form.rank)
+                )
+                normal_forms[form] = derived_invariants(normal)
+            compared[type(form).__name__] += 1
+            if derived_invariants(comp) != normal_forms[form]:
+                mismatches.append((serialize_presentation(comp), form))
+    assert mismatches == []
+    assert compared == {"LambdaClass": 180, "DynkinHereditary": 2}

@@ -447,6 +447,29 @@ def test_hom_refusals_say_why():
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("X-0", " is not of the form X<p> or Y<q>"),
+        ("X01", " is not of the form X<p> or Y<q>"),
+        ("Y-01", " is not of the form X<p> or Y<q>"),
+        ("Y-0", " is not of the form X<p> or Y<q>"),
+        ("X+1", " is not of the form X<p> or Y<q>"),
+        ("X-1", ": index -1 outside 0..1"),
+        ("Y0", ": index 0 outside -1..-1"),
+        ("X2", ": index 2 outside 0..1"),
+    ],
+)
+def test_hom_object_indices_are_written_as_integers_print(spec, message, capsys):
+    # over Lambda(2,2,1): an index other than str(int) of itself names no
+    # object, and a well-formed one outside the ranges keeps its message
+    for objects in (["--from", spec, "--to", "X0"], ["--from", "X0", "--to", spec]):
+        argv = ["hom", "--lambda", "2", "2", "1", *objects, "--max-shift", "2"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: object {spec!r}{message}\n")
+
+
 def test_hom_checks_max_shift_before_it_reads_the_input(tmp_path, capsys):
     # a bad shift exits 1 on every input, also on those whose objects the
     # library refuses (exit 2): a relabeled Lambda(2,2,1) and Lambda(1,2,0)

@@ -833,7 +833,9 @@ def test_a_series_and_its_replay_search_components_as_pinned(monkeypatch):
     # counted, not timed: the component searches of a series (its
     # classification included), of its replay on the same start and of its
     # replay on an equal fresh copy; past the first split, only a strip at
-    # a vertex with two or more neighbours leaves a component to search
+    # a vertex with two or more neighbours leaves a component to search.
+    # Each run copies each component of its input once, as a split of a
+    # working copy hands its lists on to parts that are working copies.
     rng = random.Random(7)
     cases = [
         (build_lambda(2, 5, 2), (2, 0, 1)),
@@ -847,26 +849,41 @@ def test_a_series_and_its_replay_search_components_as_pinned(monkeypatch):
             (3, 0, 1),
         ),
         (zigzag(9), (4, 3, 4)),
+        (zigzag(400), (200, 199, 200)),
     ]
-    searches = [0]
-    components = presentation._components
+    searches, copies = [0], [0]
+    components, thaw = presentation._components, presentation._thaw
 
     def counted(pres):
         searches[0] += 1
-        return components(pres)
+        parts = components(pres)
+        if isinstance(pres._relset, set):
+            out = pres.quiver._out
+            for part in parts:
+                q = part.quiver
+                assert isinstance(part._relset, set)
+                assert q.vertices == q._out.keys()
+                assert all(q._out[v] is out[v] for v in q.vertices)
+        return parts
+
+    def counted_thaw(pres):
+        copies[0] += 1
+        return thaw(pres)
 
     monkeypatch.setattr(presentation, "_components", counted)
-
+    monkeypatch.setattr(presentation, "_thaw", counted_thaw)
     for pres, expected in cases:
         fresh = parse_presentation(serialize_presentation(pres))
-        searches[0] = 0
+        searches[0] = copies[0] = 0
         trace = strip_series(pres)
-        found = [searches[0]]
+        found, copied = [searches[0]], [copies[0]]
         for start in (pres, fresh):
-            searches[0] = 0
+            searches[0] = copies[0] = 0
             assert verify_trace(start, trace).ok
             found.append(searches[0])
+            copied.append(copies[0])
         assert tuple(found) == expected, serialize_presentation(pres)
+        assert copied == [len(connected_components(fresh))] * 3
 
 
 def test_a_corner_keeps_the_connected_mark_only_past_a_leaf(monkeypatch):
@@ -888,7 +905,7 @@ def test_a_corner_keeps_the_connected_mark_only_past_a_leaf(monkeypatch):
     connected_components(line)
     corner = presentation._corner(line, "1")
     assert "components" not in corner._cache
-    assert [p.quiver.vertices for p in connected_components(corner)] == [
+    assert [tuple(p.quiver.vertices) for p in connected_components(corner)] == [
         ("0",),
         ("2",),
     ]

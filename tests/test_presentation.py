@@ -20,6 +20,7 @@ from ddisc import (
     serialize_presentation,
 )
 from ddisc.presentation import BoundQuiverPresentation, LambdaDescriptor, Path, Quiver
+from ddisc.presentation import _freeze, _thaw, vertex_sort_key
 from test_classify import relabel
 
 A3_TEXT = """
@@ -456,7 +457,8 @@ def parse_outcome(parse, text):
     except ParseError as err:
         return str(err), err.line
     q = pres.quiver
-    tables = (q.vertices, list(q.arrows.items()), q._out, q._in)
+    lists = [list(q._out.items()), list(q._in.items())]  # in order
+    tables = (q.vertices, list(q.arrows.items()), lists)
     return pres, tables, pres._relset, pres._maxrel, pres.relations
 
 
@@ -527,7 +529,28 @@ def test_parser_fills_the_tables_the_reference_route_fills():
     for text in texts:
         expected = parse_outcome(reference_parse, text)
         assert parse_outcome(parse_presentation, text) == expected, text
-        refused += isinstance(expected[0], str)
+        if isinstance(expected[0], str):
+            refused += 1
+            continue
+        # the tables in their order, read off the arrows alone
+        pres, q = expected[0], expected[0].quiver
+        assert q.vertices == tuple(sorted(q.vertices, key=vertex_sort_key))
+        assert list(q.arrows) == sorted(q.arrows)
+        for lists, end in ((q._out, 0), (q._in, 1)):
+            at = {v: [] for v in q.vertices}
+            for a, ends in q.arrows.items():
+                at[ends[end]].append(a)
+            assert list(lists.items()) == list(at.items())
+        # a working copy frozen, and the public route from shuffled parts
+        vertices = list(q.vertices)
+        arrows = [(a, *ends) for a, ends in q.arrows.items()]
+        relations = [rel.arrows for rel in pres.relations]
+        for parts in (vertices, arrows, relations):
+            rng.shuffle(parts)
+        public = BoundQuiverPresentation(Quiver(vertices, arrows), relations)
+        frozen = _freeze(_thaw(parse_presentation(text)))
+        for route in (lambda _: frozen, lambda _: public):
+            assert parse_outcome(route, text) == expected, text
     # both routes are exercised: most broken texts are refused, and some
     # texts with relations go through
     assert 600 < refused < len(texts) - 500
