@@ -2,8 +2,8 @@
 
 Scalars are plain Python numbers: ``Fraction``/``int`` over the rationals,
 canonical residues in ``[0, p)`` over a prime field.  Ring arithmetic on
-scalars is ordinary ``+``/``*`` followed by :meth:`Field.reduce`; only the
-linear algebra kernels need to know the field beyond that.
+scalars is ordinary ``+``/``*`` followed by :meth:`Field.reduce`; the
+linear algebra kernels also take a nonzero scalar's :meth:`Field.inverse`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ class RationalField:
 
     def is_zero(self, x):
         return x == 0
+
+    def inverse(self, x):
+        return 1 / x
 
     def __repr__(self):
         return "QQ"
@@ -116,6 +119,9 @@ class PrimeField:
 
     def is_zero(self, x):
         return x % self.p == 0
+
+    def inverse(self, x):
+        return pow(x, -1, self.p)
 
     def __repr__(self):
         return self.name

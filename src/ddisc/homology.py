@@ -48,7 +48,7 @@ table does not grow with its depth.
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .errors import PreconditionError
 from .fields import QQ
@@ -571,20 +571,17 @@ def ext_dim(pres, M: RepModule, N: RepModule, h: int) -> int:
 # -- hom tables --------------------------------------------------------------------
 
 
-class HomTable:
-    __slots__ = ("entries",)
+class HomTable(namedtuple("HomTable", "entries")):
+    """Hom(X, Y[h]) for h = 0..hmax, as a tuple of ints."""
 
-    def __init__(self, entries):
-        self.entries = tuple(int(x) for x in entries)
+    __slots__ = ()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomTable)
-            and self.entries == other.entries
-        )
+    def __new__(cls, entries):
+        return super().__new__(cls, tuple(int(x) for x in entries))
 
-    def __repr__(self):
-        return f"HomTable(entries={self.entries})"
+    @classmethod
+    def _make(cls, iterable):  # so that _replace makes ints of the new entries too
+        return cls(*iterable)
 
 
 def hom_table(pres, X: RepModule, Y: RepModule, hmax: int) -> HomTable:

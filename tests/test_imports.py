@@ -1,6 +1,7 @@
 """Every name a ddisc module imports is read by that module, no module
-imports ``dataclasses``, ``typing`` or ``inspect``, and every private
-helper a module defines is read somewhere in the package.
+imports ``dataclasses``, ``typing`` or ``inspect``, every private helper a
+module defines is read somewhere in the package, and every module parses
+as the oldest Python that ``pyproject.toml`` accepts.
 
 No linter ships with the package, so this walks each module's syntax
 tree.  An import counts as read when its name is loaded somewhere in the
@@ -17,12 +18,14 @@ clear of field names and which the other methods call.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import ddisc
 
 MODULES = sorted(pathlib.Path(ddisc.__file__).parent.glob("*.py"))
+PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 NAMEDTUPLE_METHODS = {"_make", "_replace", "_asdict"}
 
 
@@ -260,3 +263,34 @@ def test_the_working_copy_check_flags_what_it_should_and_nothing_else():
         (5, "presentation._thaw(q)"),
         (6, "type(w._relset)"),
     ]
+
+
+def minimum_python():
+    """(major, minor) of the ``requires-python = ">=X.Y"`` floor."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    return int(floor[1]), int(floor[2])
+
+
+def syntax_errors(source, version):
+    """(line, message) of the first construct in ``source`` that Python
+    ``version`` cannot parse, or ``[]``."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError as e:
+        return [(e.lineno, e.msg)]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_modules_parse_as_the_oldest_python_declared(path):
+    assert syntax_errors(path.read_text(encoding="utf-8"), minimum_python()) == []
+
+
+def test_the_syntax_check_rejects_what_the_floor_cannot_parse():
+    assert minimum_python() == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert syntax_errors(source, (3, 11)) == []
+    [(_, message)] = syntax_errors(source, (3, 10))
+    assert "only supported in Python 3.11" in message
+    assert syntax_errors("match x:\n    case 1:\n        pass\n", (3, 10)) == []

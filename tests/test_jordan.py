@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 
 import ddisc
+import ddisc.cli
 from ddisc import (
     K,
     PreconditionError,
@@ -45,6 +46,7 @@ from ddisc.presentation import (
     vertex_sort_key,
 )
 from test_classify import relabel
+from test_cli import GOLDEN_NONZERO
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -1333,11 +1335,12 @@ def test_series_needs_no_isomorphism_search(monkeypatch):
             assert trace.factor_multiset() == composition_factors(nf)
 
 
-def test_series_needs_no_linear_algebra(monkeypatch):
-    # path counts decide every step, so series and its replay list no path
+def test_series_needs_no_linear_algebra(monkeypatch, capsys):
+    # path counts decide every step, so series and its replay list no path;
+    # no command but hom reaches a module, and none reaches linear algebra
     def refuse(*args, **kwargs):
         raise AssertionError(
-            "module, linear algebra or path listing on the series path"
+            "module, linear algebra or path listing on a series or command path"
         )
 
     banned = [
@@ -1370,6 +1373,12 @@ def test_series_needs_no_linear_algebra(monkeypatch):
         assert any(step.op == "drop-radical" for step in trace.steps)
         assert verify_trace(pres, trace).ok
         assert trace.factor_multiset() == composition_factors(lambda_normal_form(pres))
+    for path in sorted(DATA.glob("*.txt")):
+        for command in ("classify", "factors", "series"):
+            code = ddisc.cli.main([command, str(path)])
+            assert code == GOLDEN_NONZERO.get((path.stem, command), 0), (path, command)
+            golden = path.with_name(f"{path.stem}.{command}.out")
+            assert capsys.readouterr().out == golden.read_text("utf-8")
 
 
 # -- simplicity --------------------------------------------------------------------

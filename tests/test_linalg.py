@@ -245,3 +245,30 @@ def test_sparse_rows_with_empty_and_zero_rows():
         assert linalg.rref([[0, 0], [0, 0]], 2, field) == ([[0, 0], [0, 0]], [])
     assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, QQ) == 2
     assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, GF(2)) == 1
+
+
+def test_prime_field_kernel_coerces_fraction_entries():
+    # GF(p) reads a Fraction through its coercion, so 1/2 is 3 in GF(5)
+    assert linalg.rank([[Fraction(1, 2), 1]], 2, GF(5)) == 1
+    assert linalg.rref([[Fraction(1, 2), 1]], 2, GF(5)) == ([[1, 2]], [0])
+    # det 5/2: independent over QQ, dependent over GF(5)
+    assert linalg.rank([[Fraction(1, 2), 1], [1, 7]], 2, QQ) == 2
+    matrices = [
+        [[Fraction(1, 2), 1]],
+        [[Fraction(1, 2), 1], [1, 7]],
+        [[Fraction(1, 2), Fraction(2, 3)], [1, Fraction(4, 3)]],
+        [[Fraction(-3, 4), 0, Fraction(7, 2)], [Fraction(1, 3), 2, 5], [0, Fraction(1, 7), 1]],
+        [[0, Fraction(-1, 6), Fraction(5, 3)], [0, Fraction(1, 3), Fraction(-10, 3)]],
+    ]
+    for field in (GF(5), GF(32003), GF(2**61 - 1)):
+        for mat in matrices:
+            ncols = len(mat[0])
+            expected_rows, expected_pivots = _reference_rref(mat, ncols, field)
+            assert linalg.rref(mat, ncols, field) == (expected_rows, expected_pivots)
+            assert linalg.rank(mat, ncols, field) == len(expected_pivots)
+            sparse = [linalg.SparseRow((j, x) for j, x in enumerate(row) if x) for row in mat]
+            assert linalg.rank(sparse, ncols, field) == len(expected_pivots)
+    # a denominator that vanishes mod p has no residue, as in GF(p).coerce
+    for call in (linalg.rank, linalg.rref):
+        with pytest.raises(ZeroDivisionError, match="vanishes mod 5"):
+            call([[1, 0], [Fraction(1, 5), 1]], 2, GF(5))

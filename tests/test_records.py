@@ -1,7 +1,9 @@
 """The result records are immutable named tuples that print, compare and
 hash by their fields, as the frozen dataclasses before them did.
 
-Each ``repr`` below is the text the dataclass records printed.
+Each ``repr`` below is the text the records printed before they were
+named tuples: the dataclass text, and the hand-written ``HomTable`` one.
+``HomTable`` compared by its entries but did not hash.
 """
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from ddisc import (
     K,
     DynkinHereditary,
+    HomTable,
     LambdaDescriptor,
     Path,
     PresentationError,
@@ -19,7 +22,9 @@ from ddisc import (
     UnknownClass,
     ag_invariant,
     build_lambda,
+    build_string_object,
     clock_condition,
+    hom_table,
     is_derived_discrete,
     is_gentle,
     is_n_derived_simple,
@@ -30,6 +35,8 @@ from ddisc import (
 )
 
 L121 = build_lambda(1, 2, 1)
+L221 = build_lambda(2, 2, 1)
+X0 = build_string_object(L221, "X", 0)
 TRACE = strip_series(L121)
 SPLIT_TEXT = "SeriesStep(op='split', vertex='', factor=None, parts=1, witness='-1,0,1')"
 STRIP_TEXT = (
@@ -140,6 +147,12 @@ RECORDS = [
         0,
         "LambdaDescriptor(r=1, s=2, t=1)",
     ),
+    (
+        hom_table(L221, X0, X0, 4),
+        "entries",
+        (1, 0),
+        "HomTable(entries=(1, 0, 1, 0, 1))",
+    ),
 ]
 
 
@@ -198,3 +211,12 @@ def test_records_equal_the_tuple_of_their_fields():
     # the one change from the dataclasses, which equalled only their own class
     assert K == ("field", 1)
     assert LambdaDescriptor(1, 2, 1) == (1, 2, 1)
+    assert hom_table(L221, X0, X0, 2) == ((1, 0, 1),)
+
+
+def test_a_hom_table_holds_a_tuple_of_ints():
+    table = HomTable([1, True, 2.0])
+    assert table.entries == (1, 1, 2) and all(type(x) is int for x in table.entries)
+    assert repr(table) == "HomTable(entries=(1, 1, 2))"
+    other = table._replace(entries=[False, 3])
+    assert other.entries == (0, 3) and all(type(x) is int for x in other.entries)
