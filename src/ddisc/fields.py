@@ -118,7 +118,7 @@ class PrimeField:
         return x % self.p
 
     def is_zero(self, x):
-        return x % self.p == 0
+        return self.coerce(x) == 0
 
     def inverse(self, x):
         return pow(x, -1, self.p)

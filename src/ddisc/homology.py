@@ -48,7 +48,7 @@ table does not grow with its depth.
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import PreconditionError
 from .fields import QQ
@@ -58,6 +58,7 @@ from .presentation import (
     _assert_finite_dimensional,
     _children_first,
     _paths_from,
+    _relations_by_source,
     _states,
     lambda_descriptor_of,
     vertex_sort_key,
@@ -188,11 +189,18 @@ def _quotient_of(pres, v, gens, basis, field) -> RepModule:
     The relations are checked on paths: a relation r acts as zero when no
     kept path p ending where r starts has p*r kept.  Kept paths are normal,
     so this guards the path table that lists them, not the caller's input.
+    Each kept path is tested only against the relations that start at its
+    end, read off a cached table of the relations by source, so the guard
+    costs the kept paths and the relations at their ends.  The relation
+    named is the first failure met in basis order, and at one path by
+    length, then names, whatever the hash seed.
     """
     kept = {p.arrows for p in basis}
-    for rel in pres.relations:
-        if any(p.target == rel.source and p.arrows + rel.arrows in kept for p in basis):
-            raise PreconditionError(f"relation {rel.label()} does not act as zero")
+    starting_at = _relations_by_source(pres)
+    for p in basis:
+        for rel in starting_at.get(p.target, ()):
+            if p.arrows + rel in kept:
+                raise PreconditionError(f"relation {'*'.join(rel)} does not act as zero")
     M = object.__new__(RepModule)
     M.pres, M.field, M._maps = pres, field, None
     M.dims = dict.fromkeys(pres.quiver.vertices, 0)
@@ -224,6 +232,10 @@ def path_quotient(pres, v, paths, field=QQ) -> RepModule:
     some q_i as a prefix, is no basis path and so zero in the quotient.
     Its cover is P_v, with kernel the sum of q_iA over the prefix-minimal
     q_i, so the module records it when built and no elimination runs.
+    One pass over the basis paths from v, shortest first, marks the cut
+    ones: a path is cut when it is some q_i or its one-arrow-shorter prefix
+    is cut.  A second pass lists the kept paths and the prefix-minimal q_i,
+    those cut with a kept parent, in cover order.
     Paths are given as :class:`Path` objects or as sequences of arrow names,
     checked like relations; a path that does not start at v, or that is zero
     in the algebra, raises :class:`PreconditionError`.
@@ -238,14 +250,21 @@ def path_quotient(pres, v, paths, field=QQ) -> RepModule:
         if not pres.is_normal(q.arrows):
             raise PreconditionError(f"path {q.label()} is zero in the algebra")
         words.add(q.arrows)
-    gens, basis = [], []
     by_target = _paths_from(pres, v)
+    # a path shorter than every q_i is kept; the others are looked at
+    # shortest first, so that a path's parent is decided before it
+    shortest = min(map(len, words), default=sys.maxsize)
+    cut = set()
+    longer = [p for ps in by_target.values() for p in ps if len(p.arrows) >= shortest]
+    for p in sorted(longer, key=lambda p: len(p.arrows)):
+        if p.arrows in words or p.arrows[:-1] in cut:
+            cut.add(p.arrows)
+    gens, basis = [], []
     for w in pres.quiver.vertices:
         for p in by_target.get(w, ()):
-            cuts = [k for k in range(1, len(p) + 1) if p.arrows[:k] in words]
-            if not cuts:
+            if len(p.arrows) < shortest or p.arrows not in cut:
                 basis.append(p)
-            elif cuts == [len(p)]:
+            elif p.arrows[:-1] not in cut:
                 gens.append(p)
     return _quotient_of(pres, v, gens, basis, field)
 
@@ -491,14 +510,16 @@ def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
     top = [pair(u, ys) for u, ys in zip(cover, children)]
     counts = [(sum(r for r, _ in top), sum(live for _, live in top))]
     known, seen = {}, {}
-    level = Counter(y for _, y in gens)
+    level = {}
+    for _, y in gens:
+        level[y] = level.get(y, 0) + 1
     for k in range(1, hmax + 1):
         key = frozenset(level.items())
         if key in seen:
             return counts, seen[key]
         seen[key] = k
         rows = live = 0
-        below = Counter()
+        below = {}
         for x, mult in level.items():
             if x not in known:
                 ys = _annihilator_generators(pres, x)
@@ -507,7 +528,7 @@ def _hom_complex_counts(M: RepModule, N: RepModule, hmax: int):
             rows += mult * x_rows
             live += mult * x_live
             for y in ys:
-                below[y] += mult
+                below[y] = below.get(y, 0) + mult
         counts.append((rows, live))
         level = below
     return counts, None

@@ -59,18 +59,21 @@ def rref(rows, ncols, field):
 
 
 def mat_mul(a, b, ncols_b, field):
-    """Product of row-major matrices; ``a`` is m x k, ``b`` is k x n."""
+    """Product of row-major matrices; ``a`` is m x k, ``b`` is k x n.
+
+    Entries are coerced into the field first, as ``rank`` and ``rref`` do,
+    so each is false exactly when zero.
+    """
+    coerce, reduce = field.coerce, field.reduce
+    b = [[coerce(y) for y in row[:ncols_b]] for row in b]
     out = []
     for row in a:
-        new = [field.coerce(0)] * ncols_b
+        new = [coerce(0)] * ncols_b
         for i, x in enumerate(row):
-            if field.is_zero(x):
-                continue
-            brow = b[i]
-            for j in range(ncols_b):
-                y = brow[j]
-                if not field.is_zero(y):
-                    new[j] = field.reduce(new[j] + x * y)
+            if x := coerce(x):
+                for j, y in enumerate(b[i]):
+                    if y:
+                        new[j] = reduce(new[j] + x * y)
         out.append(new)
     return out
 

@@ -340,6 +340,24 @@ def _relation_paths(pres):
     return tuple(sorted(paths, key=Path.sort_key))
 
 
+def _relations_by_source(pres):
+    """The relations' arrow tuples by source vertex, each list sorted by
+    length, then names (``Path.sort_key`` order): a table read by path
+    checks, which never build ``relations``.  Made on first read and cached."""
+    return _cached(pres, "relations_by_source", _relation_table)
+
+
+def _relation_table(pres):
+    ends = pres.quiver.arrows
+    by_source = {}
+    for r in pres._relset:
+        by_source.setdefault(ends[r[0]][0], []).append(r)
+    for rels in by_source.values():
+        rels.sort()
+        rels.sort(key=len)  # stable: by length, then names
+    return by_source
+
+
 def _children_first(roots, children):
     """Every node reachable from ``roots``, each listed after every node
     below it, or None when a cycle is reachable.
@@ -388,6 +406,7 @@ def _automaton(pres):
     InfiniteDimensionalError, a structural check rather than a cutoff.
     """
     q = pres.quiver
+    out, ends = q._out, q.arrows
     width = max(pres._maxrel - 1, 0)
     relset = pres._relset
     edges = {}
@@ -395,14 +414,14 @@ def _automaton(pres):
     def children(state):
         vertex, window = state
         outs = edges[state] = []
-        for a in q.arrows_from(vertex):
+        for a in out[vertex]:
             word = window + (a,)
             # kept inline: it runs once per edge
             k = len(word) - 2
             while k >= 0 and word[k:] not in relset:
                 k -= 1
             if k < 0:
-                outs.append((a, (q.target(a), word[-width:] if width else ())))
+                outs.append((a, (ends[a][1], word[-width:] if width else ())))
         return [nxt for _, nxt in outs]
 
     order = _children_first([(v, ()) for v in q.vertices], children)
@@ -502,7 +521,8 @@ def _paths_from(pres, v):
                 found.append(Path(v, nxt[0], new))
                 stack.append((nxt, new))
         by_target = {}
-        for p in sorted(found, key=Path.sort_key):
+        # every path starts at v, so this is ``Path.sort_key`` order
+        for p in sorted(found, key=lambda p: (len(p.arrows), p.arrows)):
             by_target.setdefault(p.target, []).append(p)
         table[v] = by_target
     return by_target

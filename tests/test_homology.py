@@ -2,14 +2,16 @@
 
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from itertools import islice
 
 import pytest
 
-from ddisc import cli, homology, linalg
+from ddisc import cli, homology, linalg, presentation
 from ddisc import (
     GF,
     QQ,
@@ -885,6 +887,67 @@ def test_path_quotients_still_check_their_relations(monkeypatch):
         path_quotient(L, rel.source, ())
 
 
+def _forged_table(pres, v, extra):
+    """The path table of P_v with the paths ``extra`` (zero in the algebra)
+    listed first at their targets, as a table that lists a zero path would."""
+    table = {}
+    for names in extra:
+        rel = pres.make_path(names.split())
+        table.setdefault(rel.target, []).append(rel)
+    for w, ps in _paths_from(pres, v).items():
+        table.setdefault(w, []).extend(ps)
+    return table
+
+
+def test_path_quotients_check_relations_of_any_length(monkeypatch):
+    pres = parse_presentation(A4_ABC)
+    table = _forged_table(pres, "1", ["a b c"])
+    monkeypatch.setattr(homology, "_paths_from", lambda pres, v: table)
+    with pytest.raises(PreconditionError, match=r"^relation a\*b\*c does not act as zero$"):
+        path_quotient(pres, "1", ())
+
+
+# two relations out of vertex 1 and one out of 2, all forged into the table
+# of P_1 below
+_THREE_FAILURES = (
+    "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+    "arrow a 1 2\narrow b 2 3\narrow d 2 4\narrow e 4 5\n"
+    "relation a d\nrelation d e\nrelation a b\n"
+)
+
+
+def test_the_relation_named_does_not_depend_on_the_hash_seed():
+    # the relation set is a frozenset of name tuples, so its order follows
+    # the hash seed: the guard must name the same relation under every seed
+    code = (
+        "from ddisc import homology, parse_presentation\n"
+        "from ddisc.homology import _paths_from\n"
+        + inspect.getsource(_forged_table)
+        + f"pres = parse_presentation({_THREE_FAILURES!r})\n"
+        "table = _forged_table(pres, '1', ['a b', 'a d', 'd e'])\n"
+        "homology._paths_from = lambda pres, v: table\n"
+        "print(sorted(pres._relset) == list(pres._relset))\n"
+        "try:\n"
+        "    homology.path_quotient(pres, '1', ())\n"
+        "except homology.PreconditionError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    orders, named = set(), set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        in_order, message = result.stdout.splitlines()
+        orders.add(in_order)
+        named.add(message)
+    # some seed lists the relations out of order, and none changes the answer
+    assert orders == {"True", "False"}
+    assert named == {"relation a*b does not act as zero"}
+
+
 def test_matrix_given_modules_take_one_cover_each(monkeypatch):
     calls = _count_linear_algebra(monkeypatch)
     L = build_lambda(3, 3, 2)
@@ -1451,6 +1514,69 @@ def test_hom_tables_of_string_objects_do_no_linear_algebra(monkeypatch, capsys):
         expected = tuple(_closed_form_hom(3, "X1", "Y-2", h) for h in range(hmax + 1))
         assert table.entries == expected
         assert not calls, calls
+
+
+def test_hom_tables_build_no_relation_view(monkeypatch, capsys):
+    # path checks read the relations by source, and never the sorted view
+    def refuse(pres):
+        raise AssertionError("the relations view was built")
+
+    monkeypatch.setattr(presentation, "_relation_paths", refuse)
+    F = GF(32003)
+    for (r, s, t), src, dst, hmax, dims in _SPOT_TABLES:
+        argv = ["hom", "--lambda", str(r), str(s), str(t), "--from", src, "--to", dst]
+        assert cli.main(argv + ["--max-shift", str(hmax)]) == 0
+        assert json.loads(capsys.readouterr().out)["hom"]["dims"] == list(dims)
+        L = build_lambda(r, s, t)
+        assert hom_table(L, _named(L, src, F), _named(L, dst, F), hmax).entries == dims
+    for s in range(1, 6):
+        for t in range(4):
+            L = build_lambda(s, s, t)
+            objects = _string_objects(L, s, t)
+            for src, X in objects.items():
+                for dst, Y in objects.items():
+                    expected = tuple(_closed_form_hom(s, src, dst, h) for h in range(13))
+                    assert hom_table(L, X, Y, 12).entries == expected, (s, t, src, dst)
+
+
+def _traced_lines(work):
+    """Line events of ``work()`` in frames of ``homology`` and ``presentation``:
+    a count of the interpreted work, whatever the machine's speed."""
+    files = {homology.__file__, presentation.__file__}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        work()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_hom_work_grows_linearly_with_its_objects():
+    # X<s/2> to Y<-t/2> over Lambda(s,s,s/2): the objects grow linearly in s,
+    # so four times s must cost at most about four times the work
+    def work(s):
+        L = build_lambda(s, s, s // 2)
+
+        def table():
+            X = build_string_object(L, "X", s // 2)
+            Y = build_string_object(L, "Y", -(s // 4))
+            hom_table(L, X, Y, 50)
+
+        return _traced_lines(table)
+
+    small, large = work(400), work(1600)
+    assert large <= 4.4 * small, (small, large)
 
 
 def _named(L, name, field=QQ):

@@ -272,3 +272,20 @@ def test_prime_field_kernel_coerces_fraction_entries():
     for call in (linalg.rank, linalg.rref):
         with pytest.raises(ZeroDivisionError, match="vanishes mod 5"):
             call([[1, 0], [Fraction(1, 5), 1]], 2, GF(5))
+
+
+def test_prime_field_product_and_zero_test_coerce_fraction_entries():
+    # 1/2 is 3 in GF(5), and 5/2 is 0 there: a Fraction is read as its residue
+    f5 = GF(5)
+    assert f5.is_zero(Fraction(5, 2))
+    assert not f5.is_zero(Fraction(1, 2))
+    assert linalg.mat_mul([[Fraction(1, 2)]], [[1]], 1, f5) == [[3]]
+    assert linalg.mat_mul([[1]], [[Fraction(1, 2)]], 1, f5) == [[3]]
+    assert linalg.mat_mul([[Fraction(5, 2), 1]], [[1], [2]], 1, f5) == [[2]]
+    for field in (GF(5), GF(32003), QQ):
+        a = [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4), 5]]
+        b = [[Fraction(1, 3), 1], [2, Fraction(-1, 6)]]
+        product = linalg.mat_mul(a, b, 2, field)
+        a, b = ([[field.coerce(x) for x in row] for row in m] for m in (a, b))
+        assert product == linalg.mat_mul(a, b, 2, field)
+        assert all(x == field.coerce(x) for row in product for x in row)
