@@ -58,7 +58,6 @@ from .presentation import (
     _assert_finite_dimensional,
     _children_first,
     _paths_from,
-    _relations_by_source,
     _states,
     lambda_descriptor_of,
     vertex_sort_key,
@@ -184,23 +183,9 @@ class RepModule:
 
 
 def _quotient_of(pres, v, gens, basis, field) -> RepModule:
-    """P_v/(g_1A+...+g_kA) with its kept paths ``basis``, in cover order.
-
-    The relations are checked on paths: a relation r acts as zero when no
-    kept path p ending where r starts has p*r kept.  Kept paths are normal,
-    so this guards the path table that lists them, not the caller's input.
-    Each kept path is tested only against the relations that start at its
-    end, read off a cached table of the relations by source, so the guard
-    costs the kept paths and the relations at their ends.  The relation
-    named is the first failure met in basis order, and at one path by
-    length, then names, whatever the hash seed.
-    """
-    kept = {p.arrows for p in basis}
-    starting_at = _relations_by_source(pres)
-    for p in basis:
-        for rel in starting_at.get(p.target, ()):
-            if p.arrows + rel in kept:
-                raise PreconditionError(f"relation {'*'.join(rel)} does not act as zero")
+    """P_v/(g_1A+...+g_kA) with its kept paths ``basis``, in cover order:
+    the dimension at each vertex counts the kept paths ending there, and
+    the cover records P_v, the generators and the kept paths."""
     M = object.__new__(RepModule)
     M.pres, M.field, M._maps = pres, field, None
     M.dims = dict.fromkeys(pres.quiver.vertices, 0)

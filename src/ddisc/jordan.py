@@ -215,9 +215,10 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     the quadratic presentation is then exact.  With longer relations it is
     validated by ``path_counts``: its Cartan counts must equal the ambient
     ones between kept vertices, else quadratic monomial relations cannot
-    present the corner and it is rejected.  A corner that keeps no vertex
-    is refused like a quiver without one.  Raises InfiniteDimensionalError
-    like ``path_basis``.
+    present the corner and it is rejected, also when that presentation is
+    infinite dimensional.  A corner that keeps no vertex is refused like a
+    quiver without one.  Raises InfiniteDimensionalError like
+    ``path_basis`` only for an infinite dimensional input.
     """
     kept = set(keep)
     unknown = kept.difference(pres.quiver.vertices)

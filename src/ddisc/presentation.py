@@ -340,24 +340,6 @@ def _relation_paths(pres):
     return tuple(sorted(paths, key=Path.sort_key))
 
 
-def _relations_by_source(pres):
-    """The relations' arrow tuples by source vertex, each list sorted by
-    length, then names (``Path.sort_key`` order): a table read by path
-    checks, which never build ``relations``.  Made on first read and cached."""
-    return _cached(pres, "relations_by_source", _relation_table)
-
-
-def _relation_table(pres):
-    ends = pres.quiver.arrows
-    by_source = {}
-    for r in pres._relset:
-        by_source.setdefault(ends[r[0]][0], []).append(r)
-    for rels in by_source.values():
-        rels.sort()
-        rels.sort(key=len)  # stable: by length, then names
-    return by_source
-
-
 def _children_first(roots, children):
     """Every node reachable from ``roots``, each listed after every node
     below it, or None when a cycle is reachable.
@@ -586,7 +568,8 @@ def _corner(pres, v: str):
     With relations of length 2 or less this is exact, as a word in the
     generators vanishes iff a relation straddles two consecutive ones, and
     no path is counted.  Longer relations are checked: the Cartan rows of
-    the kept vertices must stay as they were, else PreconditionError.
+    the kept vertices must stay as they were, else PreconditionError, which
+    a corner whose quadratic presentation is infinite raises too.
 
     A corner of a component marked connected (``_components``) keeps the
     mark when v has at most one neighbour, as a connected algebra minus a
@@ -646,10 +629,15 @@ def _corner(pres, v: str):
     for a in ins + outs:
         del arrows[a]
     work._set_relations(relset, 2 if relset else 0)
-    if checked and path_counts(work)[0] != expected:
-        raise PreconditionError(
-            "corner algebra is not quadratic monomial on these generators"
-        )
+    if checked:
+        try:
+            kept = path_counts(work)[0]
+        except InfiniteDimensionalError:  # a relation-free cycle of generators
+            kept = None
+        if kept != expected:
+            raise PreconditionError(
+                "corner algebra is not quadratic monomial on these generators"
+            )
     if marked:
         work._cache["components"] = ()
     return work

@@ -1140,6 +1140,12 @@ A5_LONG_RELATION = parse_presentation(
     "arrow e s 1\narrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
 )
 ONE_ARROW = parse_presentation("vertex 0\nvertex 1\narrow a 0 1\n")
+# 15 basis paths and rad P_2 projective, but the corner dropping 2 has the
+# generators x*y and z and no relation: an infinite quadratic presentation
+CYCLE_XYZX = parse_presentation(
+    "vertex 1\nvertex 2\nvertex 3\n"
+    "arrow x 1 2\narrow y 2 3\narrow z 3 1\nrelation x y z x\n"
+)
 A4_LONG_RELATION = parse_presentation(
     (DATA / "a4_long_relation.txt").read_text("utf-8")
 )
@@ -1196,6 +1202,15 @@ A4_LONG_RELATION = parse_presentation(
             (K,),
             (
                 "step 0: corner construction failed: corner algebra is not"
+                " quadratic monomial on these generators",
+            ),
+        ),
+        (
+            CYCLE_XYZX,
+            [SPLIT, SeriesStep("drop-radical", "2")],
+            (K,),
+            (
+                "step 1: corner construction failed: corner algebra is not"
                 " quadratic monomial on these generators",
             ),
         ),

@@ -151,6 +151,18 @@ def bound_quivers(draw):
 def test_relation_scans_match_the_definition(data):
     pres = data.draw(bound_quivers())
     q = pres.quiver
+    # every path the automaton lists is normal, composes, and is filed
+    # under its own ends
+    for v in q.vertices:
+        try:
+            table = _paths_from(pres, v)
+        except InfiniteDimensionalError:
+            break
+        for w, ps in table.items():
+            for p in ps:
+                assert (p.source, p.target) == (v, w)
+                assert not contains_relation(pres, p.arrows), p.label()
+                assert not p.arrows or pres.make_path(p.arrows) == p
     for _ in range(10):
         start, word = data.draw(walks(q, 7))
         normal = not contains_relation(pres, word)
@@ -216,7 +228,11 @@ def corner_by_listing(pres, v):
         Quiver(kept, [(p.label(), p.source, p.target) for p in gens]), relations
     )
     expected = Counter((p.source, p.target) for p in corner)
-    if expected != Counter((p.source, p.target) for p in path_basis(out)):
+    try:
+        listed = path_basis(out)
+    except InfiniteDimensionalError:  # an infinite presentation is refused too
+        listed = ()
+    if expected != Counter((p.source, p.target) for p in listed):
         raise PreconditionError(
             "corner algebra is not quadratic monomial on these generators"
         )

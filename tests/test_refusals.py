@@ -126,6 +126,19 @@ REFUSALS = {
         PreconditionError,
         "unknown string object kind 'Z'",
     ),
+    "corner presented by an infinite quiver": (
+        # x*y*z*x leaves 15 basis paths, but the corner's generators x*y
+        # and z form a cycle with no relation between them
+        lambda: idempotent_subalgebra(
+            parse_presentation(
+                "vertex 1\nvertex 2\nvertex 3\narrow x 1 2\narrow y 2 3\n"
+                "arrow z 3 1\nrelation x y z x\n"
+            ),
+            ["1", "3"],
+        ),
+        PreconditionError,
+        "corner algebra is not quadratic monomial on these generators",
+    ),
     "corner keeping nothing": (
         lambda: idempotent_subalgebra(parse_presentation("vertex 0\n"), []),
         PresentationError,
