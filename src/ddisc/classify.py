@@ -21,11 +21,10 @@ Vossieck (2001), normal forms Bobinski-Geiss-Skowronski (2004).
 :func:`is_derived_discrete` and :func:`lambda_normal_form` read one pass
 over the components, cached on the presentation.
 
-Gentleness, relation-full cycles, finite dimension and the invariant read
-one arrow-link table (:func:`_links`), made by one linear pass over the
-vertices and cached.  A gentle component with relations is finite
-dimensional exactly when its nonzero successors (at most one per arrow)
-have no cycle, so classifying it walks no automaton; the other components
+Gentleness, finite dimension, relation-full cycles and the invariant of a
+component read one link pass over its vertices (:func:`_link_table`) and
+one walk along its threads (:func:`_thread_walk`), both cached; a sum
+reads its parts'.  So a gentle component walks no automaton; the others
 are checked on the suffix automaton.  Normal forms of one-cycle classes
 are read off :func:`ag_invariant`, which sends ``Lambda(r,s,t)`` to the
 pairs ``(r+t, t)`` and ``(s-r, s)``.  No step searches for an isomorphism,
@@ -34,7 +33,7 @@ so classification is polynomial in the size of the input.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import InfiniteDimensionalError, PreconditionError
 from .presentation import (
@@ -43,17 +42,27 @@ from .presentation import (
     _assert_finite_dimensional,
     _cached,
     connected_components,
+    vertex_sort_key,
 )
 
 # Unused here since normal forms come from the invariant, but
 # perfbench/test_perfbench.py checks that its tracer wraps this binding.
 from .presentation import find_isomorphism  # noqa: F401
 
-# -- gentleness --------------------------------------------------------------
+# -- gentleness: the link pass ------------------------------------------------
 
 
 class GentleCertificate(namedtuple("GentleCertificate", "gentle violations")):
     __slots__ = ()  # violations: (condition, witness) pairs
+
+
+# the witnesses of the link pass's faults by code (G1 for 0-1, G3 for 2-3,
+# G4 for 4-5), in the order a report lists those of one vertex or arrow
+_FAULTS = (
+    "vertex {} has more than two in-arrows", "vertex {} has more than two out-arrows",
+    "arrow {} starts two relations", "arrow {} ends two relations",
+    "arrow {} has two nonzero continuations", "arrow {} has two nonzero predecessors",
+)
 
 
 def is_gentle(pres: BoundQuiverPresentation) -> GentleCertificate:
@@ -68,87 +77,132 @@ def is_gentle(pres: BoundQuiverPresentation) -> GentleCertificate:
 
 
 def _gentleness(pres):
-    q = pres.quiver
-    violations = []
-    for v in q.vertices:
-        if len(q._in[v]) > 2:
-            violations.append(("G1", f"vertex {v} has more than two in-arrows"))
-        if len(q._out[v]) > 2:
-            violations.append(("G1", f"vertex {v} has more than two out-arrows"))
-    for rel in pres.relations if pres._maxrel > 2 else ():
-        if len(rel) != 2:
-            violations.append(("G2", f"relation {rel.label()} has length {len(rel)}"))
-    rel_next, rel_prev, nz_next, nz_prev = _links(pres)
-    for b in q.arrows:
-        if len(rel_next[b]) > 1:
-            violations.append(("G3", f"arrow {b} starts two relations"))
-        if len(rel_prev[b]) > 1:
-            violations.append(("G3", f"arrow {b} ends two relations"))
-        if len(nz_next[b]) > 1:
-            violations.append(("G4", f"arrow {b} has two nonzero continuations"))
-        if len(nz_prev[b]) > 1:
-            violations.append(("G4", f"arrow {b} has two nonzero predecessors"))
-    return GentleCertificate(not violations, tuple(violations))
-
-
-# -- the arrow-link table ----------------------------------------------------
-
-
-def _links(pres):
-    """``(rel_next, rel_prev, nz_next, nz_prev)``, cached: per arrow b, the
-    arrows c with b*c a relation, resp. nonzero, in ``arrows_from`` order,
-    and the arrows a with a*b so, in ``arrows_into`` order.  It holds arrow
-    names only."""
-    return _cached(pres, "links", _link_table)
+    # a sum sorts the faults of its parts' link tables into its own order:
+    # G1 by vertex, G2, then G3 and G4 by arrow (arrows are in name order)
+    faults = [f for p in connected_components(pres) for f in _cached(p, "links", _link_table)[2]]
+    if not faults and pres._maxrel <= 2:
+        return GentleCertificate(True, ())
+    faults.sort(key=lambda f: (f[0] > 1, f[1] if f[0] > 1 else vertex_sort_key(f[1]), f[0]))
+    violations = [("G" + "113344"[k], _FAULTS[k].format(x)) for k, x in faults]
+    g1, long = sum(k < 2 for k, _ in faults), pres.relations if pres._maxrel > 2 else ()
+    violations[g1:g1] = [
+        ("G2", f"relation {r.label()} has length {len(r)}") for r in long if len(r) != 2
+    ]
+    return GentleCertificate(False, tuple(violations))
 
 
 def _link_table(pres):
+    """``(rel_next, nz_next, faults, permitted, forbidden)``, cached as
+    ``"links"``: one pass over the (in, out) arrow pairs at each vertex.
+    rel_next[a] is the first c (in ``arrows_from`` order) with a*c a
+    relation, nz_next[a] the first with a*c nonzero, where there is one;
+    faults lists (``_FAULTS`` code, vertex or arrow).  As the pairs at v are
+    all that precedes an arrow out of v, the pass also lists the thread
+    starts (``_thread_walk``): the arrows with no predecessor of the kind,
+    a forbidden one with its hop slot, and the trivial threads by slot.
+    """
     q = pres.quiver
-    relset = pres._relset
-    table = tuple({a: [] for a in q.arrows} for _ in range(4))
-    rel_next, rel_prev, nz_next, nz_prev = table
+    relset, out = pres._relset, q._out
+    rel_next, nz_next, faults = {}, {}, []
+    p_starts, f_starts, p_trivial, f_trivial = [], [], {}, {}
     for v, ins in q._in.items():
-        outs = q._out[v]
+        outs = out[v]
+        if len(ins) == 1 == len(outs):
+            a, c = ins[0], outs[0]
+            if (a, c) in relset:
+                rel_next[a] = c
+                p_starts.append(c)
+                f_trivial[v,] = (c, 0)
+            else:
+                nz_next[a] = c
+                f_starts.append((c, (v,)))
+                p_trivial[v,] = a
+            continue
+        faults += [(k, v) for k, side in enumerate((ins, outs)) if len(side) > 2]
         for a in ins:
-            for c in outs:
-                if (a, c) in relset:
-                    rel_next[a].append(c)
-                    rel_prev[c].append(a)
-                else:
-                    nz_next[a].append(c)
-                    nz_prev[c].append(a)
-    return table
+            rel = [c for c in outs if (a, c) in relset]
+            nonzero = [c for c in outs if c not in rel]
+            for k, succ, found in ((2, rel_next, rel), (4, nz_next, nonzero)):
+                if found:
+                    succ[a] = found[0]
+                if len(found) > 1:
+                    faults.append((k, a))
+        for c in outs:
+            rel = sum((a, c) in relset for a in ins)
+            faults += [(k, c) for k, n in ((3, rel), (5, len(ins) - rel)) if n > 1]
+            if rel == len(ins):
+                p_starts.append(c)
+            if not rel:
+                f_starts.append((c, outs[outs[0] == c] if len(outs) > 1 else (v,)))
+        if len(ins) + len(outs) < 2:
+            p_trivial[v,] = ins[0] if ins else (v,)
+            f_trivial[v,] = (outs[0] if outs else (v,), 0)
+    return rel_next, nz_next, faults, (p_starts, p_trivial), (f_starts, f_trivial)
 
 
-def _cycles(succ):
-    """Cycles of the map b -> succ[b][0] (lists of at most one arrow), in
-    the order of a scan in name order (a quiver's arrow order)."""
-    cycles = []
-    scan_of = {}  # arrow -> the scan that reached it
-    for i, a in enumerate(succ):
+# -- the thread walk ---------------------------------------------------------
+
+
+def _thread_walk(pres):
+    """``(permitted, forbidden, finite, cycles)`` of a gentle ``pres``,
+    cached as ``"threads"``.  Threads are maximal paths along nonzero
+    (permitted) or relation (forbidden) successors; a vertex with at most
+    one arrow in and out has a trivial one, permitted unless its pair is a
+    relation and forbidden unless it is nonzero.  Slots are end arrows, or
+    ``(v,)`` for a trivial thread at v.  ``permitted`` maps a first slot to
+    the forbidden last slot on the other in-slot at its end; ``forbidden``
+    maps a last slot to the permitted first slot on the other out-slot at
+    its start, and its length.  By G3 and G4 threads of a kind share no
+    arrow: one on no permitted thread lies on a nonzero cycle (``finite``
+    is false), one on no forbidden thread on a relation-full cycle, and
+    only then are ``cycles`` searched.
+    """
+    arrows, into = pres.quiver.arrows, pres.quiver._in
+    links = _cached(pres, "links", _link_table)
+    rel_next, nz_next, _, (p_starts, p_trivial), (f_starts, f_trivial) = links
+    permitted, forbidden = dict(p_trivial), dict(f_trivial)
+    on_permitted = on_forbidden = 0
+    for b in p_starts:
+        e, nxt, length = b, nz_next.get(b), 1
+        while nxt is not None:
+            e, nxt, length = nxt, nz_next.get(nxt), length + 1
+        on_permitted += length
+        v = arrows[e][1]
+        ins = into[v]
+        permitted[b] = ins[ins[0] == e] if len(ins) > 1 else (v,)
+    for b, hop in f_starts:
+        e, nxt, length = b, rel_next.get(b), 1
+        while nxt is not None:
+            e, nxt, length = nxt, rel_next.get(nxt), length + 1
+        on_forbidden += length
+        forbidden[e] = (hop, length)
+    inner = set(rel_next.values()).intersection(rel_next) if on_forbidden < len(arrows) else ()
+    cycles = _cycles(rel_next, [b for b in arrows if b in inner]) if inner else ()
+    return permitted, forbidden, on_permitted == len(arrows), cycles
+
+
+def _cycles(succ, scan):
+    """Cycles of the map ``succ`` met by walks from the arrows of ``scan`` in
+    order, each rotated to start at its smallest arrow name."""
+    cycles, scan_of = [], {}  # scan_of: arrow -> the walk that reached it
+    for i, a in enumerate(scan):
         path, cur = [], a
         while cur is not None and cur not in scan_of:
             scan_of[cur] = i
             path.append(cur)
-            nxt = succ[cur]
-            cur = nxt[0] if nxt else None
+            cur = succ.get(cur)
         if cur is not None and scan_of[cur] == i:
-            cycles.append(path[path.index(cur) :])
-    return cycles
+            cycle = path[path.index(cur) :]
+            k = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[k:] + cycle[:k]))
+    return tuple(cycles)
 
 
 def _assert_gentle_finite(pres):
-    """Raise InfiniteDimensionalError when a gentle ``pres`` is infinite
-    dimensional, with the automaton's message.
-
-    Relations have length 2, so the suffix automaton's states below its
-    roots are the arrows and its edges their nonzero successors, at most
-    one each by G4: the basis is infinite exactly when that map has a cycle.
-    """
-    if _cached(pres, "nonzero_cycles", lambda p: _cycles(_links(p)[2])):
-        raise InfiniteDimensionalError(
-            "relation-free cycle: the path basis is infinite"
-        )
+    """Raise InfiniteDimensionalError, with the automaton's message, when
+    the gentle ``pres`` is infinite dimensional (``_thread_walk``)."""
+    if not _cached(pres, "threads", _thread_walk)[2]:
+        raise InfiniteDimensionalError("relation-free cycle: the path basis is infinite")
 
 
 # -- cycle structure ---------------------------------------------------------
@@ -185,6 +239,9 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
         raise PreconditionError("clock condition needs exactly one cycle")
     if not is_gentle(pres).gentle:
         raise PreconditionError("clock condition needs a gentle presentation")
+    parts = connected_components(pres)
+    if len(parts) > 1:  # the walk would strip every part but the one cycled
+        return clock_condition(next(p for p in parts if cycle_count(p)))
     return _cached(pres, "clock", _clock_walk)
 
 
@@ -195,7 +252,7 @@ def _clock_walk(pres):
     # strip leaves until only the unique cycle remains: a stripped vertex
     # has degree 0, so an arrow is left exactly when both its ends have a
     # degree; a loop counts twice at its vertex and is never stripped
-    degree = {v: len(out[v]) + len(into[v]) for v in q.vertices}
+    degree = {v: len(out[v]) + len(ins) for v, ins in into.items()}
     queue = [v for v, d in degree.items() if d == 1]
     while queue:
         v = queue.pop()
@@ -218,7 +275,7 @@ def _clock_walk(pres):
     # takes the smallest arrow left other than the one it came by (forward
     # when it starts at the current vertex, as a loop does) goes round to
     # start, and what is left is one cycle when the walk takes every arrow
-    start = next(v for v in q.vertices if degree[v])
+    start = next(filter(degree.get, q.vertices))
     walk, current, prev = [], start, None
     regular = max(degree.values()) == 2
     while regular and (not walk or current != start):
@@ -297,17 +354,16 @@ def relation_full_cycles(pres: BoundQuiverPresentation) -> tuple:
 
     Needs unique relation successors per arrow (gentleness gives that).
     Cycles come back as arrow tuples rotated to start at the smallest arrow
-    name.
+    name, in the order a scan of the arrows in name order meets them: a
+    gentle input reads them off its threads, any other scans every arrow.
     """
-    rel_next = _links(pres)[0]
-    for b, succ in rel_next.items():
-        if len(succ) > 1:
-            raise PreconditionError(f"arrow {b} starts two relations")
-    out = []
-    for cyc in _cycles(rel_next):
-        k = cyc.index(min(cyc))
-        out.append(tuple(cyc[k:] + cyc[:k]))
-    return tuple(out)
+    if is_gentle(pres).gentle:
+        return _cached(pres, "threads", _thread_walk)[3]
+    rel_next, _, faults, _, _ = _cached(pres, "links", _link_table)
+    forked = [b for k, b in faults if k == 2]
+    if forked:
+        raise PreconditionError(f"arrow {min(forked)} starts two relations")
+    return _cycles(rel_next, pres.quiver.arrows)
 
 
 # -- the thread-pairing invariant ---------------------------------------------
@@ -319,82 +375,34 @@ class AGInvariant(namedtuple("AGInvariant", "pairs")):
     __slots__ = ()  # pairs: sorted tuple of (n, m) with multiplicity
 
     def as_multiset(self) -> dict:
-        out = {}
-        for pair in self.pairs:
-            out[pair] = out.get(pair, 0) + 1
-        return out
+        return dict(Counter(self.pairs))
 
 
 def ag_invariant(pres: BoundQuiverPresentation) -> AGInvariant:
     """Derived-equivalence invariant of a finite dimensional gentle algebra.
 
-    Threads are maximal paths: permitted ones avoid relations, forbidden
-    ones consist of relations only (chains of the link table's nonzero and
-    relation successors).  A trivial thread sits at any vertex with at most
-    one arrow in and out; it is permitted when the in/out pair composes to
-    a nonzero path and forbidden when the pair is a relation (or an arrow
-    is missing, where both may coexist).  Threads start and end at a
-    (vertex, slot), the slot being the end arrow (None if trivial).  The
-    walk pairs a permitted thread end with the forbidden thread ending at
-    the same vertex on the other in-slot, then hops to the permitted thread
-    leaving the forbidden thread's start on the other out-slot; each orbit
-    of that permutation yields a pair (number of permitted threads
-    consumed, total forbidden length).  Oriented cycles all of whose
-    consecutive pairs are relations contribute (0, cycle length) each.
+    Pairs the threads of ``_thread_walk``: from a permitted thread's end to
+    the forbidden thread ending on the other in-slot there, then to the
+    permitted thread on the other out-slot at that one's start.  Each orbit
+    yields a pair (permitted threads consumed, total forbidden length), and
+    each relation-full cycle the pair (0, cycle length).
     """
     cert = is_gentle(pres)
     if not cert.gentle:
         raise PreconditionError(f"not gentle: {cert.violations[0]}")
     _assert_gentle_finite(pres)
-    q = pres.quiver
-    arrows, out, into = q.arrows, q._out, q._in
-    rel_next, rel_prev, nz_next, nz_prev = _links(pres)
-    # A permitted thread, by its start, names the forbidden thread its end
-    # pairs with: the one ending on the other in-slot.  A forbidden thread,
-    # by its end, gives its length and the permitted thread the walk hops
-    # to: the one starting on the other out-slot.  Slots are at most two.
-    permitted, forbidden = {}, {}
-    for b, (src, _) in arrows.items():
-        if not nz_prev[b]:
-            e = b
-            while nz_next[e]:
-                e = nz_next[e][0]
-            v = arrows[e][1]
-            ins = into[v]
-            permitted[src, b] = (v, ins[ins[0] == e] if len(ins) > 1 else None)
-        if not rel_prev[b]:
-            e, length = b, 1
-            while rel_next[e]:
-                e = rel_next[e][0]
-                length += 1
-            outs = out[src]
-            hop = (src, outs[outs[0] == b] if len(outs) > 1 else None)
-            forbidden[arrows[e][1], e] = (hop, length)
-    for v, ins in into.items():
-        outs = out[v]
-        if len(ins) > 1 or len(outs) > 1:
-            continue
-        is_rel = bool(ins and outs and rel_next[ins[0]])
-        if not is_rel:
-            permitted[v, None] = (v, ins[0] if ins else None)
-        if is_rel or not (ins and outs):
-            forbidden[v, None] = ((v, outs[0] if outs else None), 0)
-
-    pairs = [(0, len(c)) for c in relation_full_cycles(pres)]
-    consumed = set()
-    for start in permitted:
-        if start in consumed:
-            continue
-        key, hops, total = start, 0, 0
-        while True:
-            consumed.add(key)
-            hops += 1
-            key, length = forbidden[permitted[key]]
-            total += length
-            if key == start:
-                break
-            if key in consumed:
-                raise PreconditionError("thread pairing is not a permutation")
+    permitted, forbidden, _, cycles = _cached(pres, "threads", _thread_walk)
+    pairs = [(0, len(c)) for c in cycles]
+    todo = dict(permitted)
+    while todo:
+        start, slot = todo.popitem()
+        hops = total = 0
+        while slot is not None:  # until the orbit meets a consumed thread
+            key, length = forbidden[slot]
+            hops, total = hops + 1, total + length
+            slot = todo.pop(key, None)
+        if key != start:
+            raise PreconditionError("thread pairing is not a permutation")
         pairs.append((hops, total))
     return AGInvariant(tuple(sorted(pairs)))
 

@@ -119,7 +119,11 @@ def _component_label(entry):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(value, newline="\n"):
+_ATOMS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__,
+          type(None): {None: "null"}.get}
+
+
+def _json(value):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder; this one
@@ -127,32 +131,34 @@ def _json(value, newline="\n"):
     tuples, str (through the C escaper), int, bool and None.  Anything
     else, keys included, raises ``TypeError`` rather than print other bytes.
     """
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = newline + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = (_quote(k) + ": " + _json(value[k], inner) for k in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        if all(type(x) is int for x in value):
-            items = map(int.__repr__, value)
-        else:
-            items = (_json(x, inner) for x in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"a report cannot hold {kind.__name__}")
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        return atom(value)
+    pieces = []
+    _write(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _write(value, newline, put):
+    # a container's pieces go to ``put``; only a member that is one recurses
+    kind, inner = type(value), newline + "  "
+    keyed = kind is dict
+    if not keyed and kind is not list and kind is not tuple:
+        raise TypeError(f"a report cannot hold {kind.__name__}")
+    if not value:
+        put("{}" if keyed else "[]")
+    elif not keyed and type(value[0]) is int and all(type(x) is int for x in value):
+        put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+    else:
+        sep = ("{" if keyed else "[") + inner
+        for k in sorted(value) if keyed else range(len(value)):
+            x = value[k]
+            atom = _ATOMS.get(type(x))
+            put(sep + (_quote(k) + ": " if keyed else "") + (atom(x) if atom else ""))
+            if atom is None:
+                _write(x, inner, put)
+            sep = "," + inner
+        put(newline + ("}" if keyed else "]"))
 
 
 def _emit(report, pretty, render):

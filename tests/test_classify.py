@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import signal
+import sys
 from collections import Counter
 
 import pytest
@@ -955,6 +956,129 @@ def test_link_routes_match_on_non_gentle_inputs():
         assert not is_gentle(pres).gentle
         assert_link_routes_match_the_references(pres)
 
+
+
+# -- one link pass and one thread walk -----------------------------------------
+
+
+def counted_calls(monkeypatch, names):
+    """The arguments of every call of each of ``classify``'s ``names``."""
+    calls = {}
+    for name in names:
+        inner = getattr(classify, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls.setdefault(name, []).append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rst", [(2, 3, 1), (1, 4, 0), (2, 2, 1), (3, 3, 0)])
+def test_a_gentle_component_takes_one_link_pass_and_one_thread_walk(rst, monkeypatch):
+    # finite dimension, relation-full cycles and the invariant read one walk
+    # along the threads, and cycles are searched only when one is there
+    calls = counted_calls(monkeypatch, ("_link_table", "_thread_walk", "_cycles"))
+    pres = build_lambda(*rst)
+    assert is_derived_discrete(pres).verdict == "yes"
+    cycles = classify.relation_full_cycles(pres)
+    ag_invariant(pres)
+    classify._assert_gentle_finite(pres)
+    full = rst[0] == rst[1]
+    assert bool(cycles) == full
+    expected = {"_link_table": 1, "_thread_walk": 1, **({"_cycles": 1} if full else {})}
+    assert {name: len(args) for name, args in calls.items()} == expected
+
+
+def traced_lines(work, modules):
+    """Line events of ``work()`` in frames of ``modules``: a count of the
+    interpreted work, whatever the machine's speed."""
+    files = {module.__file__ for module in modules}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        work()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_classification_work_grows_linearly_with_the_input():
+    # literal Lambda(r,2r,r) has 3r vertices: four times r must cost at most
+    # about four times the work
+    def work(r):
+        pres = build_lambda(r, 2 * r, r)
+        both = lambda: (is_derived_discrete(pres), lambda_normal_form(pres))  # noqa: E731
+        return traced_lines(both, (classify, presentation))
+
+    small, large = work(400), work(1600)
+    assert large <= 4.4 * small, (small, large)
+
+
+def test_a_sum_reads_its_certificates_off_its_parts(monkeypatch, tmp_path, capsys):
+    calls = counted_calls(monkeypatch, ("_link_table", "_clock_walk"))
+
+    def sizes(name):
+        return [len(args[0].quiver.vertices) for args in calls.pop(name, [])]
+
+    data = pathlib.Path(__file__).parent / "data"
+    assert cli.main(["classify", str(data / "sum_relabeled_2_2_1_literal_1_3_0.txt")]) == 0
+    assert sizes("_link_table") == [3, 3]
+    assert sizes("_clock_walk") == [3, 3]
+    # one cycle in all: the report of the sum is that of the part with it
+    line = parse_presentation("vertex x\nvertex y\narrow z x y\n")
+    path = tmp_path / "lambda_and_line.txt"
+    path.write_text(serialize_presentation(direct_sum([build_lambda(1, 2, 1), line])))
+    assert cli.main(["classify", str(path)]) == 0
+    assert sizes("_link_table") == [3, 2]
+    assert sizes("_clock_walk") == [3]
+    assert '"with": 1' in capsys.readouterr().out
+
+
+def test_sums_list_their_parts_violations_in_their_own_order():
+    rng = random.Random(29)
+    broken = [
+        "vertex 0\nvertex 1\nvertex 2\nvertex 3\narrow a 0 1\narrow b 0 2\narrow c 0 3\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+        "arrow a 1 2\narrow b 2 3\narrow c 2 4\nrelation a b\nrelation a c\n",
+        "vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow a 1 3\narrow b 2 3\narrow c 3 4\n",
+        "vertex 1\narrow x 1 1\narrow y 1 1\nrelation x x\nrelation x y\n",
+    ]
+    broken = [parse_presentation(text) for text in broken]
+    for _ in range(60):
+        # names drawn after the sum interleave the parts in every order
+        pres = relabel(direct_sum(rng.sample(broken, 2)), rng)
+        parts = connected_components(pres)
+        assert len(parts) == 2 and not any(is_gentle(p).gentle for p in parts)
+        assert is_gentle(pres) == reference_gentleness(pres)
+        assert "links" not in pres._cache
+
+
+def test_a_sum_with_one_cycle_takes_the_clock_of_that_part():
+    rng = random.Random(31)
+    cycled = [build_lambda(2, 3, 1), build_lambda(1, 1, 2), build_lambda(3, 3, 0)]
+    cycled += [parse_presentation(t) for t in (TRIANGLE, SQUARE_BALANCED)]
+    vee = "vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 3 2\n"
+    trees = [parse_presentation(t) for t in (A3_REL, vee)]
+    for _ in range(60):
+        parts = [rng.choice(cycled)] + rng.sample(trees, rng.randint(1, 2))
+        pres = relabel(direct_sum(rng.sample(parts, len(parts))), rng)
+        assert cycle_count(pres) == 1
+        walked = classify._clock_walk(pres)
+        assert clock_condition(pres) == walked == reference_clock_walk(pres)
 
 
 def test_gentle_infinite_dimension_is_refused_as_the_automaton_refuses_it(

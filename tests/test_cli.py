@@ -96,10 +96,10 @@ def test_reports_match_golden_files(name, command, capsys):
 
 @pytest.mark.parametrize("command", ["classify", "factors", "series", "hom"])
 def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
-    # the link table, gentleness, cycles, the clock walk, the components
-    # and the Lambda recognizer are cached on the presentation; a gentle
-    # input proves finite dimension off the link table, and only hom walks
-    # the automaton
+    # the link table, gentleness, the thread walk, cycles, the clock walk,
+    # the components and the Lambda recognizer are cached on the
+    # presentation; a gentle input proves finite dimension off its threads,
+    # and only hom walks the automaton
     calls = {}
 
     def counted(module, name):
@@ -111,7 +111,7 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_link_table", "_gentleness", "_betti", "_clock_walk"):
+    for name in ("_link_table", "_gentleness", "_thread_walk", "_betti", "_clock_walk"):
         counted(classify, name)
     for name in ("_automaton", "_components", "_lambda_descriptor"):
         counted(presentation, name)
@@ -123,7 +123,8 @@ def test_structure_is_computed_once_per_op(command, monkeypatch, capsys):
     else:
         argv = [command, "--lambda", "2", "3", "1"]
         expected = dict.fromkeys(
-            ("_link_table", "_gentleness", "_betti", "_clock_walk", "_components"), 1
+            ("_link_table", "_gentleness", "_thread_walk", "_betti", "_clock_walk", "_components"),
+            1,
         )
     assert cli.main(argv) == 0
     capsys.readouterr()
