@@ -1019,7 +1019,10 @@ def test_classification_work_grows_linearly_with_the_input():
     # about four times the work
     def work(r):
         pres = build_lambda(r, 2 * r, r)
-        both = lambda: (is_derived_discrete(pres), lambda_normal_form(pres))  # noqa: E731
+
+        def both():
+            return is_derived_discrete(pres), lambda_normal_form(pres)
+
         return traced_lines(both, (classify, presentation))
 
     small, large = work(400), work(1600)
