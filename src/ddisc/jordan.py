@@ -12,16 +12,17 @@ a claim.  Both apply every step through ``_apply``, whose strips are
 multiset straight from the normal form, giving an independent cross-check on
 the trace.
 
-A series is decided on the relation set and counts no path.  Every input
-``strip_series`` accepts is hereditary or gentle, so its relations have
-length 2 (or there are none), and then rad P_v is projective iff no
-relation starts with an arrow out of v (Green-Happel-Zacharia), which
-``_radical_projective`` looks up.  ``_corner`` presents the corner that
-drops such a vertex, or a source or a sink, exactly by quadratic relations.
-So building and checking a series lists no path, constructs no module and
-runs no linear algebra.  Neither touches its input, as ``_corner`` copies a
-presentation before its first edit, and a component is searched for parts
-again only when ``_corner`` could not keep it marked connected.
+A series is decided on the relation set and counts no path.  Its steps
+need relations of length at most 2 and refuse longer ones: every input
+``strip_series`` accepts is hereditary or gentle, so it has no others.
+Then rad P_v is projective iff no relation starts with an arrow out of v
+(Green-Happel-Zacharia), which ``_radical_projective`` looks up, and
+``_corner`` presents the corner that drops such a vertex, or a source or a
+sink, exactly by quadratic relations.  So building and checking a series
+lists no path, constructs no module and runs no linear algebra.  Neither
+touches its input, as ``_corner`` copies a presentation before its first
+edit, and a component is searched for parts again only when ``_corner``
+could not keep it marked connected.
 """
 
 from collections import Counter, namedtuple
@@ -38,6 +39,7 @@ from .classify import (
 from .presentation import (
     BoundQuiverPresentation,
     _assert_finite_dimensional,
+    _assert_quadratic,
     _corner,
     _freeze,
     connected_components,
@@ -184,13 +186,12 @@ def is_radical_projective(pres, v) -> RadicalProjectivity:
 
 def _radical_projective(pres, v) -> bool:
     """``is_radical_projective(pres, v).projective``, looked up in the
-    relation set when no relation is longer than 2: the summand aA of
-    rad P_v is P_w for a: v -> w iff no nonzero path p has ap = 0, iff no
-    relation starts with a.  A loop at v is refused outright: over a finite
-    dimensional algebra it starts a relation, and ``_corner`` needs none.
-    Longer relations are decided by the counts."""
-    if pres._maxrel > 2:
-        return is_radical_projective(pres, v).projective
+    relation set, whose relations must have length at most 2
+    (``_assert_quadratic``): the summand aA of rad P_v is P_w for
+    a: v -> w iff no nonzero path p has ap = 0, iff no relation starts
+    with a.  A loop at v is refused outright: over a finite dimensional
+    algebra it starts a relation, and ``_corner`` needs none."""
+    _assert_quadratic(pres)
     q, relset = pres.quiver, pres._relset
     return not any(
         q.target(a) == v or any((a, b) in relset for b in q.arrows_from(q.target(a)))
@@ -209,15 +210,12 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     interior vertex, read at v: the arrows between kept vertices and the
     normal products a*b through v, each product named apart from every
     arrow of the input.  Relations are the length-2 products of those that
-    vanish in the ambient algebra.  The corner is the ambient's copy with
+    vanish in the ambient algebra, which presents the corner exactly, as
+    the ambient's relations must have length at most 2: longer ones are
+    refused with PreconditionError.  The corner is the ambient's copy with
     one series step's edit applied: lists change at v's neighbours only,
-    and no path is counted when the relations have length 2 or less, as
-    the quadratic presentation is then exact.  With longer relations it is
-    validated by ``path_counts``: its Cartan counts must equal the ambient
-    ones between kept vertices, else quadratic monomial relations cannot
-    present the corner and it is rejected, also when that presentation is
-    infinite dimensional.  A corner that keeps no vertex is refused like a
-    quiver without one.  Raises InfiniteDimensionalError like
+    and no path is counted.  A corner that keeps no vertex is refused like
+    a quiver without one.  Raises InfiniteDimensionalError like
     ``path_basis`` only for an infinite dimensional input.
     """
     kept = set(keep)
@@ -458,7 +456,8 @@ def verify_trace(pres: BoundQuiverPresentation, trace: SeriesTrace) -> TraceRepo
 
     Reported separately: a start mismatch, the first step whose precondition
     fails on the replayed state or cannot be checked there (the defect of a
-    drop is counted, which an infinite dimensional state refuses), recorded
+    failed drop is counted, which an infinite dimensional state refuses, and
+    every step refuses relations longer than 2), recorded
     factors differing from the replay, a factor multiset disagreeing with
     the classified normal form, and a series longer than the rank allows.
     """

@@ -459,8 +459,9 @@ def path_counts(pres: BoundQuiverPresentation):
 
     The rows and first-arrow totals stay cached on the presentation, and
     the counts of the other states do not outlive the pass; callers must
-    not mutate the result.  A series counts no path: its steps are decided
-    on the relation set (see ``jordan``).
+    not mutate the result.  A series counts no path: its steps need
+    relations of length at most 2 and are decided on the relation set (see
+    ``jordan``).
     Raises InfiniteDimensionalError like ``path_basis``.
     """
     return _cached(pres, "path_counts", _counts_from_states)
@@ -551,43 +552,41 @@ def _freeze(work) -> BoundQuiverPresentation:
     )
 
 
+def _assert_quadratic(pres):
+    """Refuse relations longer than 2, on which no series step is decided."""
+    if pres._maxrel > 2:
+        raise PreconditionError(
+            "series steps need relations of length at most 2,"
+            f" found length {pres._maxrel}"
+        )
+
+
 def _corner(pres, v: str):
     """The corner of ``pres`` on every vertex but v, in its quadratic
     presentation, as a working copy (see ``_thaw``): ``pres`` itself edited
     in place when it is one, else one copy, so a presentation and its cache
     are never edited.  Lists change at v's neighbours only.
 
-    v is a source, a sink or radical-projective, as the caller decides, so
-    it carries no loop and nothing longer than a*b passes through it.  The
+    Relations longer than 2 are refused (``_assert_quadratic``).  v is a
+    source, a sink or radical-projective, as the caller decides, so it
+    carries no loop and no relation starts with an arrow out of it.  The
     generators are the arrows that avoid v and the normal products a*b
-    through v, each named apart from every arrow of ``pres``.  The relations
-    are the length-2 products of generators that vanish in ``pres``: with
-    relations of length 2 only the pair at the junction of two generators
-    can be one, so the pairs that avoid v stay, the pairs at v and every
-    longer relation leave, and the vanishing pairs with a product join.
-    With relations of length 2 or less this is exact, as a word in the
-    generators vanishes iff a relation straddles two consecutive ones, and
-    no path is counted.  Longer relations are checked: the Cartan rows of
-    the kept vertices must stay as they were, else PreconditionError, which
-    a corner whose quadratic presentation is infinite raises too.
+    through v, each named apart from every arrow of ``pres``.  A word in
+    the generators vanishes iff a relation straddles two consecutive ones,
+    so the relations are the pairs that avoid v and the pairs (g, a*b) with
+    (g, a) a relation; a*b*h is never zero, as b leaves v.  No path is
+    counted.
 
     A corner of a component marked connected (``_components``) keeps the
     mark when v has at most one neighbour, as a connected algebra minus a
     leaf stays connected.
     """
+    _assert_quadratic(pres)
     # read before _thaw, whose copy starts an empty cache
     marked = pres._cache.get("components") == ()
     work = _thaw(pres) if isinstance(pres._relset, frozenset) else pres
     q, relset = work.quiver, work._relset
     arrows, out, into = q.arrows, q._out, q._in
-    checked = work._maxrel > 2
-    if checked:
-        # the ambient Cartan rows of the kept vertices, without column v
-        expected = {
-            u: {w: n for w, n in row.items() if w != v}
-            for u, row in path_counts(work)[0].items()
-            if u != v
-        }
     ins, outs = into.pop(v), out.pop(v)
     if marked:
         neighbours = {arrows[a][0] for a in ins}.union(arrows[b][1] for b in outs)
@@ -612,32 +611,18 @@ def _corner(pres, v: str):
         ends = arrows[name] = (arrows[a][0], arrows[b][1])
         bisect.insort(out[ends[0]], name)
         bisect.insort(into[ends[1]], name)
-
-    # new relations: the pairs with a product in them that vanish in work,
-    # decided before its relation set changes
-    pairs = [(g, gen) for gen, (a, _) in products.items() for g in into[arrows[a][0]]]
-    pairs += [(gen, h) for gen, (_, b) in products.items() for h in out[arrows[b][1]]]
+    # decided before the relation set changes
     born = [
-        (g, h)
-        for g, h in pairs
-        if not work.is_normal(products.get(g, (g,)) + products.get(h, (h,)))
+        (g, gen)
+        for gen, (a, _) in products.items()
+        for g in into[arrows[a][0]]
+        if (g, a) in relset
     ]
     relset.difference_update(dead)
-    if checked:
-        relset.difference_update([rel for rel in relset if len(rel) > 2])
     relset.update(born)
     for a in ins + outs:
         del arrows[a]
     work._set_relations(relset, 2 if relset else 0)
-    if checked:
-        try:
-            kept = path_counts(work)[0]
-        except InfiniteDimensionalError:  # a relation-free cycle of generators
-            kept = None
-        if kept != expected:
-            raise PreconditionError(
-                "corner algebra is not quadratic monomial on these generators"
-            )
     if marked:
         work._cache["components"] = ()
     return work

@@ -336,16 +336,17 @@ def test_corner_rejects_unsupported_drops():
         idempotent_subalgebra(build_lambda(1, 2, 0), ["0", "nope"])
 
 
-def test_corner_rejects_nonquadratic_shape():
-    # one long relation straddling three corner generators needs a cubic
-    # relation, which the corner presentation cannot carry
+def test_corner_refuses_a_relation_longer_than_two():
+    # rad P_2 is projective, but the relation of length 4 is refused: its
+    # corner would need a relation straddling three generators, and a
+    # series step presents corners by length-2 relations only
     a5 = parse_presentation(
         "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
         "arrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\n"
         "relation a b c d\n"
     )
     assert is_radical_projective(a5, "2").projective
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="relations of length at most 2"):
         idempotent_subalgebra(a5, ["1", "3", "4", "5"])
 
 
@@ -654,22 +655,25 @@ def test_series_walks_the_automaton_from_scratch_a_fixed_number_of_times(
 
 def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
     # counted, not timed: no state that a step of the series or its replay
-    # is decided on, and no corner it leaves, holds a count table, and a
-    # valid trace never asks the counting rule
-    corners, decided_on, asked = [], [], []
-    build, decide = jordan._corner, jordan.is_radical_projective
+    # is decided on, and no corner it leaves, holds a count table, and no
+    # step of a series, of its replay or of idempotent_subalgebra tests a
+    # word for normality, counts paths or asks the counting rule
+    corners, decided_on = [], []
+    build = jordan._corner
 
     def listed(work, v):
         decided_on.append(set(work._cache))
         corners.append(build(work, v))
         return corners[-1]
 
-    def counted(pres, v):
-        asked.append(v)
-        return decide(pres, v)
+    def refused(*args):
+        raise AssertionError("path arithmetic in a series step")
 
     monkeypatch.setattr(jordan, "_corner", listed)
-    monkeypatch.setattr(jordan, "is_radical_projective", counted)
+    monkeypatch.setattr(BoundQuiverPresentation, "is_normal", refused)
+    monkeypatch.setattr(presentation, "path_counts", refused)
+    monkeypatch.setattr(jordan, "path_counts", refused)
+    monkeypatch.setattr(jordan, "is_radical_projective", refused)
     pres = build_lambda(30, 60, 30)
     trace = strip_series(pres)
     assert verify_trace(pres, trace).ok
@@ -679,7 +683,15 @@ def test_a_series_and_its_replay_leave_no_count_table(monkeypatch):
     assert len({id(corner) for corner in corners}) == 2
     for keys in decided_on + [set(corner._cache) for corner in corners]:
         assert not {"automaton", "path_counts"} & keys
-    assert asked == []
+    # literal, relabeled and summed inputs, and every legal single drop
+    rng = random.Random(7)
+    for pres in [*grid(), clashing_sum(), *(relabel(p, rng) for p in grid())]:
+        assert verify_trace(pres, strip_series(pres)).ok
+        q = pres.quiver
+        for v in q.vertices:
+            inner = q.arrows_into(v) and q.arrows_from(v)
+            if not inner or jordan._radical_projective(pres, v):
+                idempotent_subalgebra(pres, [w for w in q.vertices if w != v])
 
 
 class Tally:
@@ -1140,8 +1152,8 @@ A5_LONG_RELATION = parse_presentation(
     "arrow e s 1\narrow a 1 2\narrow b 2 3\narrow c 3 4\nrelation a b c\n"
 )
 ONE_ARROW = parse_presentation("vertex 0\nvertex 1\narrow a 0 1\n")
-# 15 basis paths and rad P_2 projective, but the corner dropping 2 has the
-# generators x*y and z and no relation: an infinite quadratic presentation
+# 15 basis paths and rad P_2 projective, but its relation of length 4 is
+# refused before the drop is checked
 CYCLE_XYZX = parse_presentation(
     "vertex 1\nvertex 2\nvertex 3\n"
     "arrow x 1 2\narrow y 2 3\narrow z 3 1\nrelation x y z x\n"
@@ -1201,8 +1213,8 @@ A4_LONG_RELATION = parse_presentation(
             [SeriesStep("strip-source", "s")],
             (K,),
             (
-                "step 0: corner construction failed: corner algebra is not"
-                " quadratic monomial on these generators",
+                "step 0: corner construction failed: series steps need"
+                " relations of length at most 2, found length 3",
             ),
         ),
         (
@@ -1210,8 +1222,8 @@ A4_LONG_RELATION = parse_presentation(
             [SPLIT, SeriesStep("drop-radical", "2")],
             (K,),
             (
-                "step 1: corner construction failed: corner algebra is not"
-                " quadratic monomial on these generators",
+                "step 1: step check failed: series steps need relations of"
+                " length at most 2, found length 4",
             ),
         ),
         (
@@ -1219,7 +1231,10 @@ A4_LONG_RELATION = parse_presentation(
             [SeriesStep("strip-source", v) for v in "123"]
             + [SeriesStep("terminal", "4", K)],
             (K, K, K, K),
-            ("factor check unavailable: normal form has unknown components",),
+            (
+                "step 0: corner construction failed: series steps need"
+                " relations of length at most 2, found length 3",
+            ),
         ),
         (
             L220,

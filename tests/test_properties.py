@@ -5,6 +5,8 @@ and corner algebras against the listed path basis, radical projectivity
 from path counts against a module computation and from the relation set
 against the counts, minimal exact resolutions
 read off paths, relabeling invariance of classify, factors and series,
+invariance of the verdict, normal forms and factors under the opposite
+algebra,
 classification, series and global dimension of random gentle quivers,
 replays of forged series traces over random quivers,
 hom tables that do not depend on the field, and the report emitter against
@@ -65,7 +67,11 @@ from ddisc.presentation import (
     path_counts,
     vertex_sort_key,
 )
-from test_classify import assert_link_routes_match_the_references, relabel
+from test_classify import (
+    assert_link_routes_match_the_references,
+    random_small_presentation,
+    relabel,
+)
 from test_homology import assert_minimal_exact_resolution, random_monomial_algebra
 from test_jordan import checking_corners
 
@@ -199,10 +205,30 @@ def counts_by_listing(pres):
     return cartan, Counter(p.arrows[0] for p in basis if p.arrows)
 
 
+LONG_RELATION = "series steps need relations of length at most 2, found length {}"
+
+
+def longest_relation(pres):
+    return max(map(len, pres.relations), default=0)
+
+
+def quadratic_projection(pres):
+    """The draw with its length-2 relations alone."""
+    return BoundQuiverPresentation(
+        pres.quiver, [rel.arrows for rel in pres.relations if len(rel) == 2]
+    )
+
+
 def corner_by_listing(pres, v):
     """Reference: the corner algebra dropping v, read off the whole listed
-    path basis."""
+    path basis.  Relations longer than 2 are refused, after an infinite
+    dimensional input.  The count check at the end refuses a corner that
+    its quadratic presentation does not present, which on length-2
+    relations cannot happen, so the library refuses none."""
     q = pres.quiver
+    if longest_relation(pres) > 2:
+        path_basis(pres)
+        raise PreconditionError(LONG_RELATION.format(longest_relation(pres)))
     kept = set(q.vertices) - {v}
     if q.arrows_into(v) and q.arrows_from(v):
         basis = path_basis(pres)
@@ -264,7 +290,9 @@ def assert_counts_and_corners_match_listing(pres):
 @settings(FIXED, max_examples=400)
 @given(bound_quivers())
 def test_path_counts_and_corners_match_listing_on_random_quivers(pres):
-    assert_counts_and_corners_match_listing(pres)
+    # the quadratic projection keeps random corners built, not refused
+    for p in (pres, quadratic_projection(pres)):
+        assert_counts_and_corners_match_listing(p)
 
 
 def test_path_counts_and_corners_match_listing_on_lambda():
@@ -370,24 +398,27 @@ def assert_radical_projectivity_matches_modules(pres):
 
 
 def assert_the_relation_set_rule_matches_the_counts(pres):
+    longest = longest_relation(pres)
     for v in pres.quiver.vertices:
-        expected = is_radical_projective(pres, v).projective
-        assert jordan._radical_projective(pres, v) == expected, v
+        if longest > 2:
+            expected = PreconditionError, LONG_RELATION.format(longest)
+        else:
+            expected = is_radical_projective(pres, v).projective
+        assert outcome(jordan._radical_projective, pres, v) == expected, v
 
 
 @settings(FIXED, max_examples=400)
 @given(bound_quivers())
 def test_radical_projectivity_on_the_relation_set_matches_the_counts(pres):
-    # the draw and its length-2 relations alone, where the rule looks up
-    quadratic = BoundQuiverPresentation(
-        pres.quiver, [rel.arrows for rel in pres.relations if len(rel) == 2]
-    )
-    for p in (pres, quadratic):
+    # the draw, whose longer relations are refused, and its length-2
+    # relations alone, where the rule looks up
+    for p in (pres, quadratic_projection(pres)):
         if finite_dimensional(p):
             assert_the_relation_set_rule_matches_the_counts(p)
 
 
 def test_the_relation_set_rule_matches_the_counts_on_monomial_algebras():
+    # a draw with a relation of length 3 or 4 is refused
     rng = random.Random(5)
     for longest in (2, 3, 4):
         for _ in range(300):
@@ -454,6 +485,43 @@ def test_classify_factors_series_are_relabeling_invariant(pair):
     trace = strip_series(pres)
     assert verify_trace(pres, trace).ok
     assert trace.factor_multiset() == factors
+
+
+def opposite(pres):
+    """The opposite algebra: every arrow and every relation reversed."""
+    arrows = [(a, w, u) for a, (u, w) in pres.quiver.arrows.items()]
+    return BoundQuiverPresentation(
+        Quiver(pres.quiver.vertices, arrows),
+        [rel.arrows[::-1] for rel in pres.relations],
+    )
+
+
+def derived_answer(pres):
+    """The verdict, the normal forms and the factors; an unknown component
+    by its kind alone, as its reason names arrows, and no factors then."""
+    nf = lambda_normal_form(pres)
+    forms = tuple(
+        c.reason.split(" (")[0] if isinstance(c, UnknownClass) else c
+        for c in nf.components
+    )
+    factors = None if nf.has_unknown() else composition_factors(nf)
+    return is_derived_discrete(pres).verdict, forms, factors
+
+
+def test_the_opposite_algebra_changes_no_answer():
+    # D(A^op) is D(A)^op, and gentleness, the clock condition and Dynkin
+    # type are symmetric under op
+    rng = random.Random(4)
+    inputs = [
+        build_lambda(r, s, t)
+        for s in range(1, 7)
+        for r in range(1, s + 1)
+        for t in range(4)
+    ]
+    inputs += [random_small_presentation(rng) for _ in range(2500)]
+    for pres in inputs:
+        expected = outcome(derived_answer, pres)
+        assert outcome(derived_answer, opposite(pres)) == expected, pres.relations
 
 
 @st.composite

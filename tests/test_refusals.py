@@ -126,9 +126,9 @@ REFUSALS = {
         PreconditionError,
         "unknown string object kind 'Z'",
     ),
-    "corner presented by an infinite quiver": (
-        # x*y*z*x leaves 15 basis paths, but the corner's generators x*y
-        # and z form a cycle with no relation between them
+    "corner of a long relation": (
+        # x*y*z*x leaves 15 basis paths and rad P_2 projective, but a
+        # corner step is decided on length-2 relations only
         lambda: idempotent_subalgebra(
             parse_presentation(
                 "vertex 1\nvertex 2\nvertex 3\narrow x 1 2\narrow y 2 3\n"
@@ -137,7 +137,7 @@ REFUSALS = {
             ["1", "3"],
         ),
         PreconditionError,
-        "corner algebra is not quadratic monomial on these generators",
+        "series steps need relations of length at most 2, found length 4",
     ),
     "corner keeping nothing": (
         lambda: idempotent_subalgebra(parse_presentation("vertex 0\n"), []),
