@@ -9,17 +9,19 @@ Per connected component it gives a verdict, a reason and a normal form:
 * no relations otherwise: not discrete;
 * not gentle: unknown, naming the first violated gentleness condition;
 * gentle with more than one independent cycle: unknown;
-* gentle tree: discrete (derived equivalent to type A_n, Assem-Happel
-  1981), normal form A_n when the invariant confirms it;
+* gentle tree: discrete, normal form A_n; it has no oriented cycle, so it
+  is finite dimensional, and it is iterated tilted of type A_n
+  (Assem-Happel 1981);
 * gentle with one cycle: discrete exactly when the two traversal
   orientations of the cycle carry different numbers of relations (the
   clock condition fails), normal form the ``Lambda(r,s,t)`` that matches
   the invariant.
 
-A normal form the invariant does not confirm is unknown.  Verdicts follow
-Vossieck (2001), normal forms Bobinski-Geiss-Skowronski (2004).
-:func:`is_derived_discrete` and :func:`lambda_normal_form` read one pass
-over the components, cached on the presentation.
+Verdicts follow Vossieck (2001), normal forms Bobinski-Geiss-Skowronski
+(2004): a discrete one-cycle component is some ``Lambda(r,s,t)``, so the
+invariant always matches one.  :func:`is_derived_discrete` and
+:func:`lambda_normal_form` read one pass over the components, cached on
+the presentation.
 
 Gentleness, finite dimension, relation-full cycles and the invariant of a
 component read one link pass over its vertices (:func:`_link_table`) and
@@ -246,6 +248,8 @@ def clock_condition(pres: BoundQuiverPresentation) -> ClockReport:
 
 
 def _clock_walk(pres):
+    # precondition, checked by clock_condition: the graph has exactly one
+    # cycle, so stripping its leaves leaves that cycle, every degree on it 2
     q = pres.quiver
     arrows, out, into = q.arrows, q._out, q._in
 
@@ -268,17 +272,12 @@ def _clock_walk(pres):
         if degree[w] == 1:
             queue.append(w)
 
-    left = sum(degree.values()) // 2
-    if not left:
-        raise PreconditionError("no cycle is left after stripping leaves")
-    # every vertex left has degree 2 or more; when each has 2, a walk that
-    # takes the smallest arrow left other than the one it came by (forward
-    # when it starts at the current vertex, as a loop does) goes round to
-    # start, and what is left is one cycle when the walk takes every arrow
+    # a walk that takes the smallest arrow left other than the one it came
+    # by (forward when it starts at the current vertex, as a loop does)
+    # goes round the cycle to start
     start = next(filter(degree.get, q.vertices))
     walk, current, prev = [], start, None
-    regular = max(degree.values()) == 2
-    while regular and (not walk or current != start):
+    while not walk or current != start:
         step = None
         for a in out[current] + into[current]:
             src, tgt = arrows[a]
@@ -287,8 +286,6 @@ def _clock_walk(pres):
                 step = a, 1 if src == current else -1, end
         prev, direction, current = step
         walk.append((prev, direction))
-    if len(walk) != left:
-        raise PreconditionError("the arrows left after stripping leaves are no cycle")
 
     relpairs = pres._relset
     m_with = m_against = 0
@@ -479,17 +476,14 @@ def _classify_component(comp: BoundQuiverPresentation):
         _assert_finite_dimensional(comp)
         reason = "not gentle ({}: {})".format(*cert.violations[0])
         return "unknown", reason, UnknownClass(reason)
-    _assert_gentle_finite(comp)
     betti = cycle_count(comp)
+    if not betti:
+        nf = DynkinHereditary("A", n)
+        return "yes", "gentle tree (assumed discrete, classical fact)", nf
+    _assert_gentle_finite(comp)
     if betti > 1:
         reason = f"gentle with {betti} independent cycles"
         return "unknown", reason, UnknownClass(reason)
-    if betti == 0:
-        if ag_invariant(comp) == AGInvariant(((n + 1, n - 1),)):
-            nf = DynkinHereditary("A", n)
-        else:
-            nf = UnknownClass("gentle tree with unexpected invariant")
-        return "yes", "gentle tree (assumed discrete, classical fact)", nf
     clock = clock_condition(comp)
     if clock.satisfied:
         reason = (
@@ -498,16 +492,15 @@ def _classify_component(comp: BoundQuiverPresentation):
         )
         nf = UnknownClass("one-cycle gentle satisfying the clock condition")
         return "no", reason, nf
-    desc = _lambda_from_invariant(ag_invariant(comp), n)
+    inv = ag_invariant(comp)
+    desc = _lambda_from_invariant(inv, n)
     if desc is None:
-        nf = UnknownClass("invariant matches no one-cycle normal form")
-    else:
-        nf = LambdaClass(desc)
+        raise PreconditionError(f"invariant {inv.pairs} matches no one-cycle normal form")
     reason = (
         "one-cycle gentle, unbalanced cycle relations "
         f"({clock.with_count} vs {clock.against_count})"
     )
-    return "yes", reason, nf
+    return "yes", reason, LambdaClass(desc)
 
 
 def _classification(pres: BoundQuiverPresentation) -> tuple:

@@ -221,11 +221,7 @@ def _run_classify(args):
         "normal_form": _normal_form_payload(cls),
     }
     _emit(report, args.pretty, _render_classify)
-    if verdict.verdict == "unknown":
-        return 2
-    if verdict.verdict == "yes" and cls.has_unknown():
-        return 2
-    return 0
+    return 2 if verdict.verdict == "unknown" else 0
 
 
 # -- factors ------------------------------------------------------------------

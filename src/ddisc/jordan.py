@@ -435,13 +435,7 @@ def strip_series(pres: BoundQuiverPresentation) -> SeriesTrace:
         pieces, emitted = _apply(comp, step)
         factors += emitted
         stack.extend(reversed(pieces))
-    trace = SeriesTrace(pres, tuple(steps), tuple(factors))
-    if trace.length() > grothendieck_rank(pres):
-        raise PreconditionError(
-            f"series of length {trace.length()} exceeds the rank"
-            f" {grothendieck_rank(pres)}"
-        )
-    return trace
+    return SeriesTrace(pres, tuple(steps), tuple(factors))
 
 
 # -- trace verification ------------------------------------------------------------

@@ -531,6 +531,13 @@ def test_invariant_outside_the_family_has_no_normal_form():
         assert _lambda_from_invariant(AGInvariant(pairs), n) is None, pairs
 
 
+def test_an_invariant_outside_the_family_is_an_error_not_a_normal_form(monkeypatch):
+    # Bobinski-Geiss-Skowronski rule it out on a discrete one-cycle input
+    monkeypatch.setattr(classify, "ag_invariant", lambda pres: AGInvariant(((1, 2), (2, 1))))
+    with pytest.raises(PreconditionError, match=r"invariant \(\(1, 2\), \(2, 1\)\) matches no"):
+        lambda_normal_form(build_lambda(2, 3, 1))
+
+
 def test_relabeled_large_input_classifies():
     # n = 1000: any search over labellings or candidates would not finish
     pres = relabel(build_lambda(100, 100, 900), random.Random(3))
@@ -991,6 +998,32 @@ def test_a_gentle_component_takes_one_link_pass_and_one_thread_walk(rst, monkeyp
     assert {name: len(args) for name, args in calls.items()} == expected
 
 
+def gentle_trees(rng, count):
+    """``count`` draws of ``random_small_presentation`` that are gentle
+    trees, relabeled."""
+    trees = []
+    while len(trees) < count:
+        pres = random_small_presentation(rng)
+        if not cycle_count(pres) and is_gentle(pres).gentle:
+            trees.append(relabel(pres, rng))
+    return trees
+
+
+def test_a_gentle_tree_reads_neither_its_threads_nor_its_invariant(monkeypatch, capsys):
+    # a gentle tree is A_n (Assem-Happel 1981), so its row is decided by
+    # the link pass and the cycle count alone
+    trees = gentle_trees(random.Random(8), 200)
+    calls = counted_calls(monkeypatch, ("_thread_walk", "ag_invariant"))
+    data = pathlib.Path(__file__).parent / "data"
+    assert cli.main(["classify", str(data / "gentle_tree.txt")]) == 0
+    assert '"dynkin": "A4"' in capsys.readouterr().out
+    for pres in trees:
+        assert is_derived_discrete(pres).verdict == "yes"
+        n = len(pres.quiver.vertices)
+        assert lambda_normal_form(pres).components == (DynkinHereditary("A", n),)
+    assert calls == {}
+
+
 def traced_lines(work, modules):
     """Line events of ``work()`` in frames of ``modules``: a count of the
     interpreted work, whatever the machine's speed."""
@@ -1263,3 +1296,41 @@ def test_each_yes_component_shares_its_derived_invariants_with_its_normal_form()
                 mismatches.append((serialize_presentation(comp), form))
     assert mismatches == []
     assert compared == {"LambdaClass": 212, "DynkinHereditary": 247}
+
+
+def test_every_discrete_gentle_component_has_the_invariant_of_its_normal_form():
+    # a gentle tree on n vertices is A_n (Assem-Happel 1981), whose invariant
+    # is ((n+1, n-1),); a discrete one-cycle component is derived equivalent
+    # to a Lambda(r,s,t) (Bobinski-Geiss-Skowronski 2004), and the invariant
+    # is a derived invariant, so the two share it
+    rng = random.Random(12)
+    inputs = []
+    for s in range(1, 7):
+        for r in range(1, s + 1):
+            for t in range(4):
+                inputs += [build_lambda(r, s, t), relabel(build_lambda(r, s, t), rng)]
+    inputs += [random_small_presentation(rng) for _ in range(6000)]
+    seen = Counter()
+    for pres in inputs:
+        try:
+            discrete = is_derived_discrete(pres)
+        except InfiniteDimensionalError:
+            continue
+        parts = zip(
+            connected_components(pres),
+            discrete.components,
+            lambda_normal_form(pres).components,
+        )
+        for comp, (verdict, _), form in parts:
+            if verdict == "yes":
+                assert not isinstance(form, UnknownClass), serialize_presentation(comp)
+            if not is_gentle(comp).gentle:
+                continue
+            n, betti = len(comp.quiver.vertices), cycle_count(comp)
+            if not betti:
+                assert ag_invariant(comp) == AGInvariant(((n + 1, n - 1),))
+                seen["tree"] += 1
+            elif betti == 1 and verdict == "yes":
+                assert ag_invariant(comp) == ag_invariant(build_lambda(*form.descriptor))
+                seen["one cycle"] += 1
+    assert seen == {"tree": 1257, "one cycle": 402}

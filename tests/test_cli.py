@@ -7,13 +7,20 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from ddisc import BoundQuiverPresentation, TraceReport, build_lambda, parse_presentation
+from ddisc import (
+    BoundQuiverPresentation,
+    TraceReport,
+    build_lambda,
+    parse_presentation,
+    serialize_presentation,
+)
 from ddisc import classify, infinite_gldim_check, presentation
 import ddisc.cli as cli
-from test_classify import relabel
+from test_classify import random_small_presentation, relabel
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -492,6 +499,48 @@ def test_hom_checks_max_shift_before_it_reads_the_input(tmp_path, capsys):
             code = cli.main(["hom", *argv, *objects, "--max-shift", shift])
             out, err = capsys.readouterr()
             assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+def random_presentation_text(rng):
+    """A draw of ``random_small_presentation`` with up to two more random
+    relations of length 3 or 4, finite dimensional or not, as text."""
+    pres = random_small_presentation(rng)
+    quiver, relations = pres.quiver, {rel.arrows for rel in pres.relations}
+    for _ in range(rng.randint(0, 2)):
+        at, word = rng.choice(quiver.vertices), []
+        for _ in range(rng.randint(3, 4)):
+            outs = quiver.arrows_from(at)
+            if not outs:
+                break
+            word.append(rng.choice(outs))
+            at = quiver.target(word[-1])
+        if len(word) > 1:
+            relations.add(tuple(word))
+    return serialize_presentation(BoundQuiverPresentation(quiver, sorted(relations)))
+
+
+def test_random_presentations_exit_0_1_or_2_and_series_agrees_with_factors(
+    tmp_path, capsys
+):
+    rng = random.Random(3)
+    path = tmp_path / "input.txt"
+    codes = Counter()
+    for _ in range(1000):
+        text = random_presentation_text(rng)
+        path.write_text(text, encoding="utf-8")
+        outs = {}
+        for command in ("classify", "factors", "series"):
+            code = cli.main([command, str(path)])
+            outs[command] = code, capsys.readouterr().out
+        triple = tuple(code for code, _ in outs.values())
+        assert set(triple) <= {0, 1, 2}, text
+        assert (triple[1] == 0) == (triple[2] == 0), text
+        if triple[2] == 0:
+            factors = json.loads(outs["factors"][1])["factors"]
+            series = json.loads(outs["series"][1])["series"]["factors"]
+            assert Counter(series) == {f["class"]: f["multiplicity"] for f in factors}, text
+        codes[triple] += 1
+    assert codes == {(0, 0, 0): 235, (0, 2, 2): 90, (1, 1, 1): 167, (2, 2, 2): 508}
 
 
 def test_definite_no_still_classifies(tmp_path):

@@ -6,7 +6,7 @@ from path counts against a module computation and from the relation set
 against the counts, minimal exact resolutions
 read off paths, relabeling invariance of classify, factors and series,
 invariance of the verdict, normal forms and factors under the opposite
-algebra,
+algebra and under chains of it and reflections,
 classification, series and global dimension of random gentle quivers,
 replays of forged series traces over random quivers,
 hom tables that do not depend on the field, and the report emitter against
@@ -39,6 +39,7 @@ from ddisc import (
     is_derived_discrete,
     is_radical_projective,
     lambda_normal_form,
+    serialize_presentation,
     strip_series,
     two_truncated_cycle,
     verify_trace,
@@ -522,6 +523,54 @@ def test_the_opposite_algebra_changes_no_answer():
     for pres in inputs:
         expected = outcome(derived_answer, pres)
         assert outcome(derived_answer, opposite(pres)) == expected, pres.relations
+
+
+def reflection(pres, v):
+    """Every arrow at the source or sink ``v`` reversed."""
+    arrows = [
+        (a, w, u) if v in (u, w) else (a, u, w) for a, (u, w) in pres.quiver.arrows.items()
+    ]
+    return BoundQuiverPresentation(
+        Quiver(pres.quiver.vertices, arrows), [rel.arrows for rel in pres.relations]
+    )
+
+
+def reflectable(pres):
+    """The sources and sinks with an arrow that no relation touches; a
+    vertex with a loop is neither."""
+    q = pres.quiver
+    touched = {end for rel in pres.relations for a in rel.arrows for end in q.arrows[a]}
+    return [
+        v
+        for v in q.vertices
+        if bool(q.arrows_from(v)) != bool(q.arrows_into(v)) and v not in touched
+    ]
+
+
+def test_chained_derived_equivalences_change_no_answer():
+    # at a sink v that no relation touches, the APR tilting module (the
+    # other projectives plus the cokernel of P_v -> sum of P_u over the
+    # arrows u -> v; Auslander-Platzeck-Reiten 1979) has the reflected
+    # algebra as its endomorphism ring, as no path into v vanishes; a
+    # source is a sink of the opposite algebra, and D(A^op) is D(A)^op.
+    # Each move is followed by a relabeling.
+    rng = random.Random(12)
+    inputs = [
+        build_lambda(r, s, t)
+        for s in range(1, 6)
+        for r in range(1, s + 1)
+        for t in range(4)
+    ]
+    inputs += [random_small_presentation(rng) for _ in range(1500)]
+    moves = Counter()
+    for pres in inputs:
+        expected = outcome(derived_answer, pres)
+        for _ in range(3):
+            v = rng.choice([None, *reflectable(pres)])
+            pres = relabel(opposite(pres) if v is None else reflection(pres, v), rng)
+            moves["opposite" if v is None else "reflection"] += 1
+            assert outcome(derived_answer, pres) == expected, serialize_presentation(pres)
+    assert moves == {"opposite": 2568, "reflection": 2112}
 
 
 @st.composite
