@@ -263,11 +263,12 @@ def _clock_walk(pres):
         if not degree[v]:  # its last arrow left with its other end
             continue
         degree[v] = 0
-        for a in out[v] + into[v]:
-            src, tgt = arrows[a]
-            w = tgt if src == v else src
+        for a in out[v]:
+            w = arrows[a][1]
             if degree[w]:
                 break
+        else:
+            w = next(filter(degree.get, (arrows[a][0] for a in into[v])))
         degree[w] -= 1
         if degree[w] == 1:
             queue.append(w)
@@ -279,11 +280,14 @@ def _clock_walk(pres):
     walk, current, prev = [], start, None
     while not walk or current != start:
         step = None
-        for a in out[current] + into[current]:
-            src, tgt = arrows[a]
-            end = tgt if src == current else src
+        for a in out[current]:
+            end = arrows[a][1]
             if a != prev and degree[end] and (step is None or a < step[0]):
-                step = a, 1 if src == current else -1, end
+                step = a, 1, end
+        for a in into[current]:
+            end = arrows[a][0]
+            if a != prev and degree[end] and (step is None or a < step[0]):
+                step = a, -1, end
         prev, direction, current = step
         walk.append((prev, direction))
 

@@ -69,8 +69,8 @@ def _load_presentation(args):
         return _inline_lambda(*args.lambda_spec)
     if args.input is None:
         raise ParseError("no input: give a presentation file or --lambda R S T")
-    with open(args.input, "rb") as fh:
-        data = fh.read()
+    with open(args.input, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
         # a leading byte order mark is no part of the text
         text = data.decode("utf-8-sig")
@@ -392,6 +392,10 @@ _COMMANDS = {
     "build-lambda": (_run_build_lambda, "emit the presentation of Lambda(r,s,t)",
                      tuple(_Arg(None, dest, kind=int, required=True) for dest in "rst")),
 }
+# command -> its flags, "-h" and "--help" among them, and its positionals in order
+_TABLES = {command: ({**_TOP, **{a.flag: a for a in row[2] if a.flag}},
+                     tuple(a for a in row[2] if not a.flag))
+           for command, row in _COMMANDS.items()}
 
 
 def _word(arg):
@@ -461,8 +465,7 @@ def _parse(argv):
         choices = ", ".join(map(repr, _COMMANDS))
         _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
     table = _COMMANDS[command][2]
-    flags = {**_TOP, **{a.flag: a for a in table if a.flag}}
-    positionals = [a for a in table if not a.flag]
+    flags, positionals = _TABLES[command][0], list(_TABLES[command][1])
     args = SimpleNamespace(command=command, **{a.dest: a.default for a in table})
     # every token ahead of "--" is read first, so an ambiguous one is reported first
     end = rest.index("--") if "--" in rest else len(rest)

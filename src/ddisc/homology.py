@@ -204,8 +204,8 @@ def simple_module(pres, v, field=QQ) -> RepModule:
     if v not in q.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
     # the cover lists coordinates by target vertex, then by name
-    arrows = sorted(q.arrows_from(v), key=lambda a: (vertex_sort_key(q.target(a)), a))
-    gens = [Path(v, q.target(a), (a,)) for a in arrows]
+    arrows = sorted(q._out[v], key=lambda a: (vertex_sort_key(q.arrows[a][1]), a))
+    gens = [Path(v, q.arrows[a][1], (a,)) for a in arrows]
     return _quotient_of(pres, v, gens, [pres.trivial_path(v)], field)
 
 

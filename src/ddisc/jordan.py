@@ -173,15 +173,15 @@ def is_radical_projective(pres, v) -> RadicalProjectivity:
     """
     if v not in pres.quiver.vertices:
         raise PreconditionError(f"unknown vertex {v!r}")
-    q = pres.quiver
+    out, arrows = pres.quiver._out, pres.quiver.arrows
     by_first = path_counts(pres)[1]
 
     def dim_projective(w):
-        return 1 + sum(by_first[b] for b in q.arrows_from(w))
+        return 1 + sum(by_first[b] for b in out[w])
 
-    outs = sorted(q.arrows_from(v), key=lambda a: vertex_sort_key(q.target(a)))
-    defect = sum(dim_projective(q.target(a)) - by_first[a] for a in outs)
-    return RadicalProjectivity(defect == 0, tuple(q.target(a) for a in outs), defect)
+    outs = sorted(out[v], key=lambda a: vertex_sort_key(arrows[a][1]))
+    defect = sum(dim_projective(arrows[a][1]) - by_first[a] for a in outs)
+    return RadicalProjectivity(defect == 0, tuple(arrows[a][1] for a in outs), defect)
 
 
 def _radical_projective(pres, v) -> bool:
@@ -191,12 +191,17 @@ def _radical_projective(pres, v) -> bool:
     a: v -> w iff no nonzero path p has ap = 0, iff no relation starts
     with a.  A loop at v is refused outright: over a finite dimensional
     algebra it starts a relation, and ``_corner`` needs none."""
-    _assert_quadratic(pres)
+    if pres._maxrel > 2:
+        _assert_quadratic(pres)
     q, relset = pres.quiver, pres._relset
-    return not any(
-        q.target(a) == v or any((a, b) in relset for b in q.arrows_from(q.target(a)))
-        for a in q.arrows_from(v)
-    )
+    for a in q._out[v]:
+        w = q.arrows[a][1]
+        if w == v:
+            return False
+        for b in q._out[w]:
+            if (a, b) in relset:
+                return False
+    return True
 
 
 # -- corner algebras -------------------------------------------------------------
@@ -230,7 +235,7 @@ def idempotent_subalgebra(pres, keep) -> BoundQuiverPresentation:
     [v] = dropped
     _assert_finite_dimensional(pres)
     q = pres.quiver
-    if q.arrows_into(v) and q.arrows_from(v) and not _radical_projective(pres, v):
+    if q._in[v] and q._out[v] and not _radical_projective(pres, v):
         raise PreconditionError(
             f"vertex {v!r} is not a source, a sink, or radical-projective"
         )
@@ -275,17 +280,18 @@ class SeriesTrace(namedtuple("SeriesTrace", "initial steps factors")):
 
 
 def _strippable_vertex(comp):
-    """First applicable strip: sources, then sinks, then radical drops."""
+    """First applicable strip: sources, then sinks, then radical drops.
+    The arrow tables are keyed in vertex order."""
     q = comp.quiver
-    for v in q.vertices:
-        if not q.arrows_into(v):
+    for v, ins in q._in.items():
+        if not ins:
             return SeriesStep("strip-source", v, witness=f"no arrows into {v}")
-    for v in q.vertices:
-        if not q.arrows_from(v):
+    for v, outs in q._out.items():
+        if not outs:
             return SeriesStep("strip-sink", v, witness=f"no arrows out of {v}")
     for v in q.vertices:
         if _radical_projective(comp, v):
-            cover = sorted(map(q.target, q.arrows_from(v)), key=vertex_sort_key)
+            cover = sorted((q.arrows[a][1] for a in q._out[v]), key=vertex_sort_key)
             witness = f"rad P({v}) is projective with cover {','.join(cover)}"
             return SeriesStep("drop-radical", v, witness=witness)
     return None
@@ -300,12 +306,12 @@ def _is_two_truncated_cycle(pres, n) -> bool:
     q = pres.quiver
     if n < 1 or not len(q.vertices) == len(q.arrows) == len(pres._relset) == n:
         return False
-    if any(len(q.arrows_from(v)) != 1 for v in q.vertices):
+    if any(len(q._out[v]) != 1 for v in q.vertices):
         return False
-    first = q.arrows_from(next(iter(q.vertices)))[0]
+    first = q._out[next(iter(q.vertices))][0]
     cycle = [first]
     while len(cycle) <= n:
-        nxt = q.arrows_from(q.target(cycle[-1]))[0]
+        nxt = q._out[q.arrows[cycle[-1]][1]][0]
         if nxt == first:
             break
         cycle.append(nxt)
@@ -365,13 +371,13 @@ def _step_problem(current, step) -> str:
             return "terminal step without a factor"
         return _retire_problem(current, step.factor, step.vertex)
     v = step.vertex
-    if v not in q.vertices:
+    if v not in q._out:
         return f"no vertex {v!r} here"
     if step.op == "strip-source":
-        if q.arrows_into(v):
+        if q._in[v]:
             return f"vertex {v!r} has incoming arrows"
     elif step.op == "strip-sink":
-        if q.arrows_from(v):
+        if q._out[v]:
             return f"vertex {v!r} has outgoing arrows"
     elif step.op == "drop-radical":
         if not _radical_projective(current, v):

@@ -561,6 +561,23 @@ def _assert_quadratic(pres):
         )
 
 
+def _linked(edges, nodes) -> bool:
+    """Whether ``edges``, pairs of nodes, link all of ``nodes``: a
+    union-find over the nodes they touch."""
+    root = {}
+
+    def find(u):
+        while u in root:
+            u = root[u]
+        return u
+
+    for s, t in edges:
+        s, t = find(s), find(t)
+        if s != t:
+            root[s] = t
+    return len(set(map(find, nodes))) <= 1
+
+
 def _corner(pres, v: str):
     """The corner of ``pres`` on every vertex but v, in its quadratic
     presentation, as a working copy (see ``_thaw``): ``pres`` itself edited
@@ -575,28 +592,37 @@ def _corner(pres, v: str):
     the generators vanishes iff a relation straddles two consecutive ones,
     so the relations are the pairs that avoid v and the pairs (g, a*b) with
     (g, a) a relation; a*b*h is never zero, as b leaves v.  No path is
-    counted.
+    counted, and a source or a sink makes no product.
 
     A corner of a component marked connected (``_components``) keeps the
-    mark when v has at most one neighbour, as a connected algebra minus a
-    leaf stays connected.
+    mark when the products through v link all of v's neighbours (a leaf
+    has one): every other vertex reached v through a neighbour, by arrows
+    that the corner keeps.  Otherwise it is searched, and may split.
     """
-    _assert_quadratic(pres)
+    if pres._maxrel > 2:
+        _assert_quadratic(pres)
     # read before _thaw, whose copy starts an empty cache
     marked = pres._cache.get("components") == ()
     work = _thaw(pres) if isinstance(pres._relset, frozenset) else pres
     q, relset = work.quiver, work._relset
     arrows, out, into = q.arrows, q._out, q._in
     ins, outs = into.pop(v), out.pop(v)
-    if marked:
-        neighbours = {arrows[a][0] for a in ins}.union(arrows[b][1] for b in outs)
-        marked = len(neighbours) <= 1
-    # every pair through an arrow at v: no relation of the corner
-    dead = [(c, a) for a in ins for c in into[arrows[a][0]]]
-    dead += [(b, c) for b in outs for c in out[arrows[b][1]]]
-    products = {}
+    # the pairs through an arrow at v leave; a relation (c, a) with a into
+    # v comes back as (c, a*b) for each product a*b
+    dead, born, products = [], [], {}
+    for b in outs:
+        w = arrows[b][1]
+        into[w].remove(b)
+        for c in out[w]:
+            dead.append((b, c))
     for a in ins:
-        out[arrows[a][0]].remove(a)
+        u = arrows[a][0]
+        out[u].remove(a)
+        heads = []
+        for c in into[u]:
+            if (c, a) in relset:
+                heads.append(c)
+                dead.append((c, a))
         for b in outs:
             if (a, b) in relset:
                 dead.append((a, b))
@@ -604,22 +630,18 @@ def _corner(pres, v: str):
             label = f"{a}*{b}"  # single arrows are normal
             while label in arrows or label in products:
                 label += "'"
-            products[label] = (a, b)
-    for b in outs:
-        into[arrows[b][1]].remove(b)
-    for name, (a, b) in products.items():
-        ends = arrows[name] = (arrows[a][0], arrows[b][1])
+            products[label] = (u, arrows[b][1])
+            for c in heads:
+                born.append((c, label))
+    for name, ends in products.items():
+        arrows[name] = ends
         bisect.insort(out[ends[0]], name)
         bisect.insort(into[ends[1]], name)
-    # decided before the relation set changes
-    born = [
-        (g, gen)
-        for gen, (a, _) in products.items()
-        for g in into[arrows[a][0]]
-        if (g, a) in relset
-    ]
     relset.difference_update(dead)
     relset.update(born)
+    if marked and len(ins) + len(outs) > 1:
+        ends = [arrows[a][0] for a in ins] + [arrows[b][1] for b in outs]
+        marked = _linked(products.values(), ends)
     for a in ins + outs:
         del arrows[a]
     work._set_relations(relset, 2 if relset else 0)
@@ -661,9 +683,13 @@ def _components(pres):
         root[v], groups[v], stack = v, [v], [v]
         while stack:
             u = stack.pop()
-            for a in out[u] + into[u]:
-                src, tgt = arrows[a]
-                w = tgt if src == u else src
+            for a in out[u]:
+                w = arrows[a][1]
+                if w not in root:
+                    root[w] = v
+                    stack.append(w)
+            for a in into[u]:
+                w = arrows[a][0]
                 if w not in root:
                     root[w] = v
                     stack.append(w)

@@ -9,6 +9,7 @@ same argvs, with the same values and the same error lines.
 import argparse
 import contextlib
 import io
+import pathlib
 import random
 import subprocess
 import sys
@@ -277,3 +278,16 @@ def test_docstrings_stripped_still_parse():
         text=True,
     )
     assert result.returncode == 0 and result.stderr == ""
+
+
+def test_a_file_is_read_and_closed_under_warnings_as_errors():
+    # dev mode reports an unclosed file as a ResourceWarning, which -W error
+    # turns into output on stderr
+    path = pathlib.Path(__file__).parent / "data" / "lambda_2_3_1.txt"
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "ddisc.cli", "classify", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    expected = path.with_name("lambda_2_3_1.classify.out").read_text(encoding="utf-8")
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
