@@ -107,12 +107,14 @@ class PrimeField:
         self.name = f"GF({p})"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
-        return int(x) % self.p
+        if isinstance(x, int):
+            return x % self.p
+        # read as QQ reads it, so 1.5 is 3/2 in both fields
+        x = Fraction(x)
+        den = x.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def reduce(self, x):
         return x % self.p

@@ -20,8 +20,9 @@ right ideals qA over its prefix-minimal paths q, and the kernel of
 P_{t(x)} -> xA, y -> xy, is spanned by the paths y with xy = 0.  So each
 summand below the cover is a P_{t(x)} whose differential is left
 multiplication by one path x, and the summands below it are the
-prefix-minimal paths y out of t(x) with xy = 0, read off the same
-automaton (:func:`_annihilator_generators`).  Only a module given by
+prefix-minimal paths y out of t(x) with xy = 0, which
+``presentation._annihilator_generators`` reads off the automaton's edges;
+this module reads paths and never a state.  Only a module given by
 matrices needs linear algebra, once, to find its cover
 (:func:`projective_cover`).
 
@@ -55,10 +56,10 @@ from .fields import QQ
 from . import linalg
 from .presentation import (
     Path,
+    _annihilator_generators,
     _assert_finite_dimensional,
     _children_first,
     _paths_from,
-    _states,
     lambda_descriptor_of,
     vertex_sort_key,
 )
@@ -107,7 +108,10 @@ class RepModule:
             stray = next((key for key in given if key not in known), None)
             if stray is not None:
                 raise PreconditionError(f"unknown {kind} {stray!r}")
-        full = {v: int(dims.get(v, 0)) for v in q.vertices}
+        full = {v: dims.get(v, 0) for v in q.vertices}
+        odd = next((v for v, d in full.items() if type(d) is not int), None)
+        if odd is not None:
+            raise PreconditionError(f"dimension {full[odd]!r} at vertex {odd} is not an int")
         if any(d < 0 for d in full.values()):
             raise PreconditionError("negative dimension")
         self.dims = full
@@ -116,9 +120,10 @@ class RepModule:
             mat = maps.get(a)
             if mat is None:
                 mat = linalg.zeros(full[src], full[tgt], field)
-            rows = tuple(
-                tuple(field.coerce(x) for x in row) for row in mat
-            )
+            try:
+                rows = tuple(tuple(field.coerce(x) for x in row) for row in mat)
+            except (ArithmeticError, TypeError, ValueError):
+                raise PreconditionError(f"map for arrow {a} has an entry {field} cannot read")
             if len(rows) != full[src] or any(len(r) != full[tgt] for r in rows):
                 raise PreconditionError(f"map for arrow {a} has the wrong shape")
             fixed[a] = rows
@@ -348,7 +353,8 @@ def build_string_object(pres, kind, index, field=QQ) -> RepModule:
 
 
 def projective_cover(M: RepModule):
-    """Cover summand vertices and the epimorphism, per vertex, by rref.
+    """Cover summand vertices and the epimorphism, per vertex, from the
+    pivots of one echelon form per vertex.
 
     Returns ``(summands, epi)`` where ``epi[w]`` maps cover coordinates at
     ``w`` (see ``_proj_coords``) onto the fiber of M at ``w``.  Only a
@@ -362,7 +368,7 @@ def projective_cover(M: RepModule):
     summands, tops = [], []
     for u in pres.quiver.vertices:
         rad_rows = [list(r) for a in pres.quiver.arrows_into(u) for r in M.maps[a]]
-        _, pivots = linalg.rref(rad_rows, M.dims[u], field)
+        pivots = linalg.pivots(rad_rows, M.dims[u], field)
         for f in sorted(set(range(M.dims[u])) - set(pivots)):
             summands.append(u)
             tops.append(f)
@@ -425,31 +431,6 @@ def _path_cover(M: RepModule):
         gens = tuple((i, p) for i, p in kernel if (i, p.arrows[:-1]) not in words)
         M._cover = (summands, gens, tuple(basis))
     return M._cover
-
-
-def _annihilator_generators(pres, x):
-    """Prefix-minimal paths y out of ``x.target`` with x*y = 0.
-
-    They generate the kernel of P_{t(x)} -> xA.  Two walks along the
-    automaton's edges go side by side: y is a basis path iff it walks from
-    (t(x), ()), and x*y is nonzero iff it walks from the state x ends in.
-    Each generator is y*a at an arrow a that the first walk takes and the
-    second lacks, so the search stops at each generator.
-    """
-    edges = _states(pres)[0]
-    width = pres._maxrel - 1
-    u = x.target
-    found = []
-    stack = [((u, ()), (u, x.arrows[-width:] if width > 0 else ()), ())]
-    while stack:
-        alone, after_x, word = stack.pop()
-        joined = dict(edges[after_x])
-        for a, nxt in edges[alone]:
-            if a in joined:
-                stack.append((nxt, joined[a], word + (a,)))
-            else:
-                found.append(Path(u, nxt[0], word + (a,)))
-    return found
 
 
 # -- hom dimensions ---------------------------------------------------------------

@@ -1,23 +1,21 @@
 """Exact linear algebra over QQ and GF(p).
 
-Rank and reduced row echelon form are the elimination kernels of the
-package: a projective cover takes one rref per vertex and checks that it
-is onto with one rank per vertex.  Path quotients are read off paths with
-no rref, and resolutions past the cover, and the Ext counts read off
-them, do no linear algebra.
-``rank`` and ``rref`` share one sparse Gauss-Jordan elimination on rows
+Rank and pivot columns are the elimination kernels of the package: a
+projective cover takes one echelon form per vertex, reads its pivots, and
+checks that it is onto with one rank per vertex.  Path quotients are read
+off paths with no elimination, and resolutions past the cover, and the
+Ext counts read off them, do no linear algebra.
+``rank`` and ``pivots`` share one sparse Gaussian elimination on rows
 stored as ``{col: value}``, in the field's own arithmetic: every nonzero
 entry is coerced into the field, pivot rows are made monic with the
 pivot's inverse, and each update goes through the field's reduction.
 Over QQ the entries are ``Fraction``s; over GF(p) they are canonical
-residues, so results are exact for every prime, however large.  ``rref``
-output is canonical (fully reduced, with entries of the field's type), so
-callers may compare it directly.
+residues, so results are exact for every prime, however large.
 
 Matrices are lists of rows; linear maps act on row vectors, i.e. a map
 ``V -> W`` is stored as a ``dim V x dim W`` matrix and composition is plain
-matrix product in application order.  ``rank`` also takes rows given as
-:class:`SparseRow`.
+matrix product in application order.  ``rank`` and ``pivots`` also take
+rows given as :class:`SparseRow`.
 """
 
 from __future__ import annotations
@@ -36,32 +34,17 @@ def rank(rows, ncols, field) -> int:
     return len(_echelon(rows, field))
 
 
-def rref(rows, ncols, field):
-    """Canonical reduced row echelon form; returns ``(rows, pivot_cols)``."""
+def pivots(rows, ncols, field) -> list:
+    """The pivot columns of a row echelon form, sorted."""
     if not rows or ncols == 0:
-        return [list(r) for r in rows], []
-    echelon = _echelon(rows, field)
-    pivots = sorted(echelon)
-    # right to left, so the rows used to clear a pivot row are already reduced
-    for c in reversed(pivots):
-        row = echelon[c]
-        for later in [j for j in row if j > c and j in echelon]:
-            _eliminate(row, echelon[later], later, field)
-    zero = field.coerce(0)
-    out = []
-    for c in pivots:
-        dense = [zero] * ncols
-        for j, x in echelon[c].items():
-            dense[j] = x
-        out.append(dense)
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+        return []
+    return sorted(_echelon(rows, field))
 
 
 def mat_mul(a, b, ncols_b, field):
     """Product of row-major matrices; ``a`` is m x k, ``b`` is k x n.
 
-    Entries are coerced into the field first, as ``rank`` and ``rref`` do,
+    Entries are coerced into the field first, as ``rank`` and ``pivots`` do,
     so each is false exactly when zero.
     """
     coerce, reduce = field.coerce, field.reduce

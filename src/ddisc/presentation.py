@@ -382,8 +382,9 @@ def _automaton(pres):
     relation set.  So the basis paths from v are the walks from (v, ()),
     and a path x times a path y is nonzero iff y walks from the state that
     x ends in.  Path listings (``_paths_from``) and annihilator generators
-    read these edges, the (arrow, next state) pairs of each state, and
-    check no relation again; ``path_counts`` folds counts over the order.
+    (``_annihilator_generators``) read these edges, the (arrow, next state)
+    pairs of each state, and check no relation again; no other module reads
+    a state.  ``path_counts`` folds counts over the order.
     A reachable cycle pumps to arbitrarily long normal paths: that raises
     InfiniteDimensionalError, a structural check rather than a cutoff.
     """
@@ -509,6 +510,31 @@ def _paths_from(pres, v):
             by_target.setdefault(p.target, []).append(p)
         table[v] = by_target
     return by_target
+
+
+def _annihilator_generators(pres, x):
+    """Prefix-minimal paths y out of ``x.target`` with x*y = 0.
+
+    They generate the kernel of P_{t(x)} -> xA.  Two walks along the
+    automaton's edges go side by side: y is a basis path iff it walks from
+    (t(x), ()), and x*y is nonzero iff it walks from the state x ends in.
+    Each generator is y*a at an arrow a that the first walk takes and the
+    second lacks, so the search stops at each generator.
+    """
+    edges = _states(pres)[0]
+    width = pres._maxrel - 1
+    u = x.target
+    found = []
+    stack = [((u, ()), (u, x.arrows[-width:] if width > 0 else ()), ())]
+    while stack:
+        alone, after_x, word = stack.pop()
+        joined = dict(edges[after_x])
+        for a, nxt in edges[alone]:
+            if a in joined:
+                stack.append((nxt, joined[a], word + (a,)))
+            else:
+                found.append(Path(u, nxt[0], word + (a,)))
+    return found
 
 
 def cartan_matrix(pres: BoundQuiverPresentation) -> dict:

@@ -291,3 +291,28 @@ def test_a_file_is_read_and_closed_under_warnings_as_errors():
     )
     expected = path.with_name("lambda_2_3_1.classify.out").read_text(encoding="utf-8")
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+def _run_under_warnings_as_errors(argv):
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "ddisc.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_series_and_hom_run_under_warnings_as_errors():
+    # series reads its file and replays its trace; hom resolves string
+    # objects through the annihilator generators the automaton yields
+    data = pathlib.Path(__file__).parent / "data"
+    path = data / "lambda_2_3_1.txt"
+    result = _run_under_warnings_as_errors(["series", str(path)])
+    expected = path.with_name("lambda_2_3_1.series.out").read_text(encoding="utf-8")
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+    argv = ["hom", str(data / "lambda_3_3_2.txt"), "--from", "X1", "--to", "Y-2"]
+    argv += ["--max-shift", "12"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    result = _run_under_warnings_as_errors(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out.getvalue(), "")

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -566,6 +567,24 @@ def test_repmodule_rejects_unknown_vertices_and_arrows():
         RepModule(L, {"zz": 3, "0": 1}, {"nope": [[1]]})
     with pytest.raises(PreconditionError, match="unknown arrow 'nope'"):
         RepModule(L, {"0": 1}, {"nope": [[1]]})
+
+
+def test_a_matrix_means_the_same_numbers_over_every_field():
+    # an entry is read as a rational first: 1.5 is 3/2, which is 4 in GF(5)
+    pres = parse_presentation(A2)
+    given = {"1": 2, "2": 1}, {"a": [[1.5], [Fraction(-2, 3)]]}
+    rational = RepModule(pres, *given)
+    for field in (GF(5), GF(32003)):
+        M = RepModule(pres, *given, field)
+        coerced = tuple(tuple(field.coerce(x) for x in row) for row in rational.maps["a"])
+        assert M.maps["a"] == coerced
+    assert RepModule(pres, *given, GF(5)).maps["a"] == ((4,), (1,))
+    # an entry with no residue is refused as a precondition, not a ZeroDivisionError
+    with pytest.raises(PreconditionError, match="entry GF[(]5[)] cannot read"):
+        RepModule(pres, {"1": 1, "2": 1}, {"a": [[Fraction(1, 5)]]}, GF(5))
+    for dims in ({"1": 1.0}, {"1": "1"}, {"1": True}):
+        with pytest.raises(PreconditionError, match="is not an int"):
+            RepModule(pres, dims, {})
 
 
 def test_simple_module():

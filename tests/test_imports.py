@@ -265,6 +265,58 @@ def test_the_working_copy_check_flags_what_it_should_and_nothing_else():
     ]
 
 
+AUTOMATON_NAMES = {"_automaton", "_states"}
+
+
+def automaton_probes(source):
+    """(line, text) of each import in ``source`` of ``_automaton`` or
+    ``_states``, and each read of either as a name or an attribute, which
+    covers every call of them."""
+    probes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        if names & AUTOMATON_NAMES:
+            probes.append((node.lineno, ast.unparse(node)))
+    return sorted(probes)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "presentation.py"],
+    ids=lambda p: p.name,
+)
+def test_only_presentation_reads_the_automaton_states(path):
+    # presentation turns the automaton's states into paths (_paths_from,
+    # _annihilator_generators); every other module reads only the paths
+    assert automaton_probes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_automaton_check_flags_what_it_should_and_nothing_else():
+    source = (
+        "from .presentation import _paths_from, _states\n"
+        "from . import presentation\n"
+        "import ddisc.presentation as p\n"
+        "def f(pres, x):\n"
+        "    edges = _states(pres)[0]\n"
+        "    walk = presentation._automaton\n"
+        "    return p._automaton(pres), x._states, _paths_from(pres, 'v'), '_states'\n"
+    )
+    assert automaton_probes(source) == [
+        (1, "from .presentation import _paths_from, _states"),
+        (5, "_states"),
+        (6, "presentation._automaton"),
+        (7, "p._automaton"),
+        (7, "x._states"),
+    ]
+
+
 def minimum_python():
     """(major, minor) of the ``requires-python = ">=X.Y"`` floor."""
     text = PYPROJECT.read_text(encoding="utf-8")

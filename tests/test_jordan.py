@@ -902,7 +902,9 @@ def test_a_series_and_its_replay_search_components_as_pinned(monkeypatch):
         assert copied == [len(connected_components(fresh))] * 3
 
 
-def test_a_corner_keeps_the_connected_mark_only_past_a_leaf(monkeypatch):
+def test_a_corner_keeps_the_connected_mark_only_where_its_products_link_the_neighbours(
+    monkeypatch,
+):
     searched = []
     components = presentation._components
     monkeypatch.setattr(
@@ -925,7 +927,8 @@ def test_a_corner_keeps_the_connected_mark_only_past_a_leaf(monkeypatch):
         ("0",),
         ("2",),
     ]
-    # past a vertex with two neighbours even a connected corner is searched
+    # 0 of Lambda(1,3,0) has two neighbours, and a2*a0 through it is a
+    # relation, so nothing links them: even a connected corner is searched
     cycle = build_lambda(1, 3, 0)
     connected_components(cycle)
     corner = presentation._corner(cycle, "0")

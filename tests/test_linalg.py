@@ -27,31 +27,30 @@ def test_rank_hand_values():
         assert linalg.rank([[a, b], [b, a]], 2, GF(p)) == 2
 
 
-def test_rref_is_canonical():
-    rows, pivots = linalg.rref([[0, 2, 4], [1, 1, 1]], 3, QQ)
-    assert pivots == [0, 1]
-    assert rows == [[1, 0, -1], [0, 1, 2]]
-    rows, pivots = linalg.rref([[2, 4], [3, 6]], 2, GF(7))
-    assert pivots == [0]
-    assert rows == [[1, 2], [0, 0]]
+def _pivots_and_rank(rows, ncols, field):
+    pivots = linalg.pivots(rows, ncols, field)
+    assert linalg.rank(rows, ncols, field) == len(pivots), (field, rows)
+    return pivots
+
+
+def test_pivots_hand_values():
+    assert _pivots_and_rank([[0, 2, 4], [1, 1, 1]], 3, QQ) == [0, 1]
+    assert _pivots_and_rank([[2, 4], [3, 6]], 2, GF(7)) == [0]
+    # sorted, whatever the order of the rows that found them
+    assert _pivots_and_rank([[0, 0, 1], [0, 1, 0]], 3, QQ) == [1, 2]
+    # repeated rows find one pivot
+    assert _pivots_and_rank([[1, 1], [1, 1], [1, 1]], 2, QQ) == [0]
     for p in LARGE_PRIMES:
         a, b, c = p - 2, p // 3, p // 5
-        rows, pivots = linalg.rref([[a, b], [c * a % p, c * b % p]], 2, GF(p))
-        assert pivots == [0]
-        assert rows == [[1, b * pow(a, -1, p) % p], [0, 0]]
-        assert linalg.rref([[a, b], [b, a]], 2, GF(p)) == ([[1, 0], [0, 1]], [0, 1])
-
-
-def test_rref_keeps_zero_rows():
-    rows, pivots = linalg.rref([[1, 1], [1, 1], [1, 1]], 2, QQ)
-    assert len(rows) == 3 and pivots == [0]
-    assert rows[1] == [0, 0] and rows[2] == [0, 0]
+        assert _pivots_and_rank([[a, b], [c * a % p, c * b % p]], 2, GF(p)) == [0]
+        assert _pivots_and_rank([[a, b], [b, a]], 2, GF(p)) == [0, 1]
 
 
 def test_empty_and_degenerate_shapes():
     assert linalg.rank([], 3, QQ) == 0
     assert linalg.rank([[0, 0]], 2, QQ) == 0
-    assert linalg.rref([], 2, QQ) == ([], [])
+    assert linalg.pivots([], 2, QQ) == []
+    assert linalg.pivots([[0, 0]], 2, QQ) == []
     assert linalg.mat_mul([], [[1]], 1, QQ) == []
 
 
@@ -84,10 +83,10 @@ def test_kernel_invariants_on_random_matrices():
         field = fields[trial % len(fields)]
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
         mat = _random_matrix(rng, nrows, ncols, field)
-        rank = linalg.rank(mat, ncols, field)
-        red, pivots = linalg.rref(mat, ncols, field)
-        assert rank == len(pivots), mat
-        assert linalg.rref(red, ncols, field) == (red, pivots), mat
+        pivots = _pivots_and_rank(mat, ncols, field)
+        red, expected = _reference_rref(mat, ncols, field)
+        assert pivots == expected, mat
+        assert _pivots_and_rank(red, ncols, field) == pivots, mat
 
 
 def test_prime_field_scalar_rules():
@@ -104,6 +103,18 @@ def test_prime_field_scalar_rules():
         with pytest.raises(TypeError, match="p must be an int"):
             GF(not_int)
     assert GF(5) == GF(5) and GF(5) != GF(7) != QQ
+
+
+def test_prime_field_reads_every_other_entry_as_qq_does():
+    # QQ reads 1.5 as 3/2, which is 4 in GF(5)
+    f5 = GF(5)
+    for x in (1.5, 0.5, -0.25, "1/2", "3", Fraction(7, 3), 2.0):
+        assert f5.coerce(x) == f5.coerce(QQ.coerce(x)), x
+    assert f5.coerce(1.5) == 4
+    for bad in ("x", None, float("nan")):
+        for field in (QQ, f5):
+            with pytest.raises((TypeError, ValueError)):
+                field.coerce(bad)
 
 
 def _is_prime_13(n):
@@ -221,17 +232,13 @@ def test_sparse_kernel_matches_dense_reference():
         expected_rows, expected_pivots = _reference_rref(mat, ncols, field)
         rank = linalg.rank(mat, ncols, field)
         assert rank == len(expected_pivots), (field, mat)
-        assert linalg.rank(_as_sparse(mat, field, rng), ncols, field) == rank, (field, mat)
+        sparse = _as_sparse(mat, field, rng)
+        assert linalg.rank(sparse, ncols, field) == rank, (field, mat)
         transpose = [list(col) for col in zip(*mat)] if mat else []
         assert linalg.rank(transpose, len(mat), field) == rank, (field, mat)
-        assert linalg.rref(mat, ncols, field) == (expected_rows, expected_pivots), (field, mat)
-
-
-def test_rref_entry_types_are_canonical():
-    rows, _ = linalg.rref([[2, 4, 0], [3, 5, 1], [0, 0, 0]], 3, QQ)
-    assert all(type(x) is Fraction for row in rows for x in row)
-    rows, _ = linalg.rref([[2, 4, 0], [3, 5, 1], [0, 0, 0]], 3, GF(7))
-    assert all(type(x) is int and 0 <= x < 7 for row in rows for x in row)
+        assert linalg.pivots(mat, ncols, field) == expected_pivots, (field, mat)
+        assert linalg.pivots(sparse, ncols, field) == expected_pivots, (field, mat)
+        assert _pivots_and_rank(expected_rows, ncols, field) == expected_pivots
 
 
 def test_sparse_rows_with_empty_and_zero_rows():
@@ -242,7 +249,9 @@ def test_sparse_rows_with_empty_and_zero_rows():
         assert linalg.rank([sparse([(0, 1), (2, -1)]), sparse([(2, 1), (0, -1)])], 3, field) == 1
         assert linalg.rank([[0, 0, 0], [0, 0, 0]], 3, field) == 0
         assert linalg.rank([[], []], 0, field) == 0
-        assert linalg.rref([[0, 0], [0, 0]], 2, field) == ([[0, 0], [0, 0]], [])
+        assert linalg.pivots([[0, 0], [0, 0]], 2, field) == []
+        assert linalg.pivots([sparse(), sparse([(3, 1)]), sparse()], 4, field) == [3]
+        assert linalg.pivots([sparse([(2, 1), (0, -1)])], 3, field) == [0]
     assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, QQ) == 2
     assert linalg.rank([sparse([(0, 1), (1, 1)]), sparse([(0, 1), (1, -1)])], 2, GF(2)) == 1
 
@@ -250,7 +259,8 @@ def test_sparse_rows_with_empty_and_zero_rows():
 def test_prime_field_kernel_coerces_fraction_entries():
     # GF(p) reads a Fraction through its coercion, so 1/2 is 3 in GF(5)
     assert linalg.rank([[Fraction(1, 2), 1]], 2, GF(5)) == 1
-    assert linalg.rref([[Fraction(1, 2), 1]], 2, GF(5)) == ([[1, 2]], [0])
+    assert linalg.pivots([[Fraction(1, 2), 1]], 2, GF(5)) == [0]
+    assert linalg.pivots([[Fraction(1, 2), 1], [1, 7]], 2, GF(5)) == [0]
     # det 5/2: independent over QQ, dependent over GF(5)
     assert linalg.rank([[Fraction(1, 2), 1], [1, 7]], 2, QQ) == 2
     matrices = [
@@ -263,13 +273,12 @@ def test_prime_field_kernel_coerces_fraction_entries():
     for field in (GF(5), GF(32003), GF(2**61 - 1)):
         for mat in matrices:
             ncols = len(mat[0])
-            expected_rows, expected_pivots = _reference_rref(mat, ncols, field)
-            assert linalg.rref(mat, ncols, field) == (expected_rows, expected_pivots)
-            assert linalg.rank(mat, ncols, field) == len(expected_pivots)
+            _, expected_pivots = _reference_rref(mat, ncols, field)
+            assert _pivots_and_rank(mat, ncols, field) == expected_pivots
             sparse = [linalg.SparseRow((j, x) for j, x in enumerate(row) if x) for row in mat]
             assert linalg.rank(sparse, ncols, field) == len(expected_pivots)
     # a denominator that vanishes mod p has no residue, as in GF(p).coerce
-    for call in (linalg.rank, linalg.rref):
+    for call in (linalg.rank, linalg.pivots):
         with pytest.raises(ZeroDivisionError, match="vanishes mod 5"):
             call([[1, 0], [Fraction(1, 5), 1]], 2, GF(5))
 

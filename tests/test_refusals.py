@@ -3,6 +3,7 @@
 import pytest
 
 from ddisc import (
+    GF,
     DdiscError,
     PreconditionError,
     PresentationError,
@@ -108,6 +109,16 @@ REFUSALS = {
         lambda: RepModule(a3(), {"0": -1}, {}),
         PreconditionError,
         "negative dimension",
+    ),
+    "dimension that is not an int": (
+        lambda: RepModule(a3(), {"0": 1.5}, {}),
+        PreconditionError,
+        "dimension 1.5 at vertex 0 is not an int",
+    ),
+    "matrix entry the field cannot read": (
+        lambda: RepModule(a3(), {"0": 1, "1": 1}, {"a": [["x"]]}, GF(5)),
+        PreconditionError,
+        "map for arrow a has an entry GF(5) cannot read",
     ),
     "empty module sum": (
         lambda: module_direct_sum([]),
